@@ -23,15 +23,11 @@ from .exponents import (
 from .spectral import (
     Grid,
     RealField,
-    SpectralField,
-    apply_multiplier,
     greens_multiplier,
     greens_multiplier_dt,
-    transform_forward,
-    transform_inverse,
 )
 from .propagator import LinearState, decay_profile, linear_evolve
-from .solver import Nonlinearity, RunOutcome, RunStatus, SolverConfig, run, step
+from .solver import Nonlinearity, RunOutcome, RunStatus, SolverConfig, run
 from .weights import (
     WeightParams,
     decay_norm,
@@ -60,12 +56,10 @@ __all__ = [
     "RunOutcome",
     "RunStatus",
     "SolverConfig",
-    "SpectralField",
     "TestFunction",
     "TimeSeries",
     "WeightParams",
     "admissible_range",
-    "apply_multiplier",
     "ckn_admissible",
     "ckn_ratio",
     "decay_fit",
@@ -81,10 +75,7 @@ __all__ = [
     "residual_audit",
     "run",
     "source_bound_audit",
-    "step",
     "suggested_weight_power",
-    "transform_forward",
-    "transform_inverse",
     "weight_base",
     "weight_dt",
     "weight_power_threshold",

@@ -2,7 +2,9 @@
 
 Both the exact linear flow and the semilinear stepper funnel their
 states through :func:`measure` so that "nonlinearity switched off"
-reproduces the linear diagnostics through the identical code path.
+reproduces the linear diagnostics through the identical code path.  The
+weighted energy comes from ``weights.spectral_energy``, the same kernel
+that :func:`~dampedwave.weights.weighted_energy` uses on stored states.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import Grid
-from .weights import WeightParams, weight_value
+from .weights import WeightParams, spectral_energy
 
 
 def spectral_l2(coeffs: np.ndarray, grid: Grid) -> float:
@@ -38,16 +40,7 @@ def measure(
 
     if u_values is None:
         u_values = np.fft.ifftn(u_coeffs).real
-    ut_values = np.fft.ifftn(ut_coeffs).real
-
-    xi = grid.axis_freqs()
-    grad_sq = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.points
-        grad_sq += np.fft.ifftn(1j * xi.reshape(shape) * u_coeffs).real ** 2
-    psi = weight_value(t, grid.radius_sq(), weight)
-    e_weighted = float(grid.cell_volume * np.sum((ut_values**2 + grad_sq) * psi))
+    e_weighted = spectral_energy(grid, t, u_coeffs, np.fft.ifftn(ut_coeffs).real, weight)
 
     quarter = 0.25 * grid.dim
     growth = 1.0 + t

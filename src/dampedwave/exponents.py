@@ -340,13 +340,3 @@ def ckn_weighted_source(params: ProblemParams) -> CknParams:
         )
     return built
 
-
-def ckn_low_norm(params: ProblemParams) -> CknParams:
-    """Instantiation behind the L^p estimate (weighted form, p < 2 only)."""
-    if params.p >= 2.0:
-        raise ValueError("the weighted L^p route applies only for p < 2")
-    exps = interpolation_exponents(params)
-    return CknParams(
-        p=2.0, q=2.0, r=params.p, alpha=params.weight_power, beta=0.0,
-        sigma=0.0, a=exps.theta_lp, dim=params.dim,
-    )

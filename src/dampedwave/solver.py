@@ -14,7 +14,9 @@ integral over one step:
 Because the Green's multiplier vanishes at lag zero, the trapezoid
 endpoint at t+dt contributes to u_t only.  The scheme is second order;
 the test suite verifies the convergence factor empirically rather than
-assuming it.
+assuming it.  :func:`run` is the only stepping entry point: it keeps
+the spectral state between steps and applies the linear group through
+``propagator.evolve_coeffs`` with multipliers built once per run.
 
 Blow-up is detected when the sup norm crosses the configured threshold
 or any value turns non-finite; the reported blow-up time is the midpoint
@@ -25,14 +27,13 @@ available characterization of the maximal existence time.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import measure
 from .exponents import ProblemParams
-from .propagator import LinearState
+from .propagator import LinearState, evolve_coeffs, state_from_coeffs
 from .spectral import Grid, RealField, boundary_contaminated, greens_multiplier, greens_multiplier_dt
 from .timeseries import TimeSeries
 from .weights import WeightParams
@@ -70,6 +71,10 @@ class SolverConfig:
             raise ValueError(f"dt must lie in (0, 0.5], got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end {self.t_end} is shorter than one step")
+        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(
+                f"t_end {self.t_end} is not a whole number of steps dt {self.dt}"
+            )
         if not self.blowup_threshold > 1.0:
             raise ValueError("blowup_threshold must exceed 1")
         if self.record_every < 1:
@@ -128,9 +133,7 @@ class Stepper:
             keep = np.abs(np.fft.fftfreq(grid.points) * grid.points) <= grid.points / 3.0
             mask = np.ones(grid.shape, dtype=bool)
             for axis in range(grid.dim):
-                shape = [1] * grid.dim
-                shape[axis] = grid.points
-                mask &= keep.reshape(shape)
+                mask &= grid.along(keep, axis)
             self.dealias_mask = mask
         else:
             self.dealias_mask = None
@@ -153,38 +156,12 @@ class Stepper:
         f_hat = self.source_coeffs(u_values)
         if f_hat is not None:
             ut_coeffs = ut_coeffs + half_dt * f_hat
-        u_new = self.g * (u_coeffs + ut_coeffs) + self.gdt * u_coeffs
-        ut_new = self.gdt * ut_coeffs - self.xi_sq * self.g * u_coeffs
+        u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, self.g, self.gdt, self.xi_sq)
         u_values_new = np.fft.ifftn(u_new).real
         if f_hat is not None and np.all(np.isfinite(u_values_new)):
             f_star = self.source_coeffs(u_values_new)
             ut_new = ut_new + half_dt * f_star
         return u_new, ut_new, u_values_new
-
-
-def step(state: LinearState, cfg: SolverConfig) -> LinearState:
-    """Advance a state by one configured step (convenience wrapper; the
-    run loop keeps spectral state between steps instead).
-
-    Raises FloatingPointError when the step blows up (non-finite values
-    or sup norm past the threshold) and warns on boundary contamination.
-    """
-    stepper = Stepper(cfg)
-    u_coeffs = np.fft.fftn(state.u.values)
-    ut_coeffs = np.fft.fftn(state.ut.values)
-    u_new, ut_new, u_values = stepper.advance(u_coeffs, ut_coeffs, state.u.values)
-    if not np.all(np.isfinite(u_values)) or np.max(np.abs(u_values)) > cfg.blowup_threshold:
-        raise FloatingPointError(f"blow-up within the step starting at t={state.t}")
-    if boundary_contaminated(u_values, cfg.grid):
-        warnings.warn(
-            f"boundary shell contaminated at t={state.t + cfg.dt}; enlarge the box",
-            stacklevel=2,
-        )
-    return LinearState(
-        t=state.t + cfg.dt,
-        u=RealField(cfg.grid, u_values),
-        ut=RealField(cfg.grid, np.fft.ifftn(ut_new).real),
-    )
 
 
 def run(
@@ -194,7 +171,8 @@ def run(
 ) -> RunOutcome:
     """Step from t = 0 until t_end or blow-up.
 
-    The run covers round(t_end/dt) steps of the fixed step size.
+    The run covers t_end/dt steps of the fixed step size (the config
+    rejects a t_end that is not a whole number of steps).
     Records a diagnostic row every ``record_every`` steps (plus the final
     one) and, when ``snapshot_every`` is given, stores full states at
     that time spacing for the trajectory audits.  The step loop itself is
@@ -216,14 +194,10 @@ def run(
     next_snapshot = 0.0 if snapshot_every is not None else np.inf
     contaminated = False
     blowup_time = None
-    last_good: LinearState | None = None
-
-    def current_state(t: float) -> LinearState:
-        return LinearState(
-            t=t,
-            u=RealField(grid, np.fft.ifftn(u_coeffs).real),
-            ut=RealField(grid, np.fft.ifftn(ut_coeffs).real),
-        )
+    # the coefficient arrays are rebound each step, never mutated, so
+    # the latest record keeps plain references until the loop ends
+    last_record: tuple[float, np.ndarray, np.ndarray] | None = None
+    final_state: LinearState | None = None
 
     for n in range(n_steps + 1):
         t = n * cfg.dt
@@ -232,9 +206,9 @@ def run(
             series.append(measure(grid, t, u_coeffs, ut_coeffs, cfg.weight, u_values=u_values))
             if not contaminated and boundary_contaminated(u_values, grid):
                 contaminated = True
-            last_good = current_state(t)
+            last_record = (t, u_coeffs, ut_coeffs)
         if snapshot_every is not None and t >= next_snapshot - 1e-12:
-            snapshots.append(current_state(t))
+            snapshots.append(state_from_coeffs(grid, t, u_coeffs, ut_coeffs))
             next_snapshot += snapshot_every
         if n == n_steps:
             break
@@ -246,7 +220,7 @@ def run(
         if not finite or np.max(np.abs(u_values_new)) > cfg.blowup_threshold:
             blowup_time = t + 0.5 * cfg.dt
             if finite:
-                last_good = LinearState(
+                final_state = LinearState(
                     t=t + cfg.dt,
                     u=RealField(grid, u_values_new),
                     ut=RealField(grid, np.fft.ifftn(ut_coeffs_new).real),
@@ -255,8 +229,10 @@ def run(
             break
         u_coeffs, ut_coeffs, u_values = u_coeffs_new, ut_coeffs_new, u_values_new
 
-    if last_good is None:  # unreachable: n = 0 always records
-        raise RuntimeError("run recorded no state")
+    if final_state is None:
+        if last_record is None:  # unreachable: n = 0 always records
+            raise RuntimeError("run recorded no state")
+        final_state = state_from_coeffs(grid, *last_record)
 
     if blowup_time is not None:
         status = RunStatus.BLEW_UP
@@ -266,7 +242,7 @@ def run(
         status = RunStatus.COMPLETED
     return RunOutcome(
         status=status,
-        final_state=last_good,
+        final_state=final_state,
         series=series,
         blowup_time=blowup_time,
         snapshots=snapshots,

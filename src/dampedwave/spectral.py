@@ -11,11 +11,14 @@ the branch point where the closed forms cancel catastrophically.
 
 FFT normalization: forward transform unscaled, inverse divides by
 M^dim (the numpy convention).  Physical-space norms carry the h^dim
-quadrature weight so they approximate continuum L^p norms.
+quadrature weight so they approximate continuum L^p norms.  There are
+no transform wrappers: callers apply ``np.fft.fftn``/``ifftn`` to raw
+arrays and multiply coefficients by the multipliers directly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +31,30 @@ BRANCH_TOL = 1e-8
 BOUNDARY_FRACTION = 1e-8
 
 
+def _built_once(method):
+    """Run a Grid array method once per instance and hand out the same
+    read-only array afterwards.  The cache sits outside the dataclass
+    fields, so equality and hashing ignore it, and pickling drops it."""
+
+    @functools.wraps(method)
+    def cached(self) -> np.ndarray:
+        arrays = self.__dict__.setdefault("_arrays", {})
+        if method.__name__ not in arrays:
+            array = method(self)
+            array.flags.writeable = False
+            arrays[method.__name__] = array
+        return arrays[method.__name__]
+
+    return cached
+
+
 @dataclass(frozen=True)
 class Grid:
     """Periodic box [-half_width, half_width)^dim with ``points`` samples
     per axis.  ``points`` must be even and at least 8; three-dimensional
-    grids are capped at 128 points per axis to bound memory."""
+    grids are capped at 128 points per axis to bound memory.
+    :meth:`freq_sq`, :meth:`radius_sq` and :meth:`boundary_mask` build
+    their array once per instance and return it read-only."""
 
     dim: int
     half_width: float
@@ -49,6 +71,9 @@ class Grid:
             )
         if self.dim == 3 and self.points > 128:
             raise ValueError("3-d grids are capped at 128 points per axis")
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_arrays"}
 
     @property
     def spacing(self) -> float:
@@ -74,6 +99,7 @@ class Grid:
         axes = (self.axis_coords(),) * self.dim
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
+    @_built_once
     def radius_sq(self) -> np.ndarray:
         out = np.zeros(self.shape)
         for x in self.coords():
@@ -84,15 +110,21 @@ class Grid:
         """Angular frequencies pi*k/L along one axis, FFT layout."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
 
+    def along(self, axis_values: np.ndarray, axis: int) -> np.ndarray:
+        """View of a per-axis array that broadcasts along ``axis``."""
+        shape = [1] * self.dim
+        shape[axis] = self.points
+        return axis_values.reshape(shape)
+
+    @_built_once
     def freq_sq(self) -> np.ndarray:
-        xi = self.axis_freqs()
+        xi_sq = self.axis_freqs() ** 2
         out = np.zeros(self.shape)
         for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.points
-            out += (xi**2).reshape(shape)
+            out += self.along(xi_sq, axis)
         return out
 
+    @_built_once
     def boundary_mask(self) -> np.ndarray:
         """Outermost grid layer on every axis (the shell watched for
         contamination by the periodic images)."""
@@ -134,76 +166,6 @@ class RealField:
         return float(np.mean(self.values))
 
 
-@dataclass
-class SpectralField:
-    """FFT coefficients of a grid function (numpy layout, unscaled)."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != self.grid.shape:
-            raise ValueError(
-                f"coeffs shape {self.coeffs.shape} does not match grid "
-                f"shape {self.grid.shape}"
-            )
-
-    def l2_norm(self) -> float:
-        return float(
-            np.sqrt(
-                self.grid.cell_volume
-                * np.sum(np.abs(self.coeffs) ** 2)
-                / self.grid.size
-            )
-        )
-
-
-def transform_forward(field: RealField) -> SpectralField:
-    return SpectralField(field.grid, np.fft.fftn(field.values))
-
-
-def transform_inverse(sf: SpectralField, check: bool = True) -> RealField:
-    """Inverse transform back to a real field.
-
-    With ``check`` the imaginary residue (which must vanish for
-    Hermitian-symmetric coefficients) is verified against 1e-8 of the
-    field scale.
-    """
-    w = np.fft.ifftn(sf.coeffs)
-    if check:
-        scale = np.max(np.abs(w)) + 1e-300
-        imag = np.max(np.abs(w.imag))
-        if imag > 1e-8 * scale:
-            raise ValueError(
-                f"inverse transform left imaginary residue {imag:.3e} "
-                f"(field scale {scale:.3e}); coefficients are not "
-                "Hermitian-symmetric"
-            )
-    return RealField(sf.grid, w.real)
-
-
-def apply_multiplier(sf: SpectralField, multiplier) -> SpectralField:
-    """Multiply coefficient k by m(|xi_k|^2).
-
-    ``multiplier`` is either a callable of the squared frequency or a
-    precomputed array on ``grid.shape``.  Real multipliers preserve
-    Hermitian symmetry.  Non-finite multiplier values are an error.
-    """
-    if callable(multiplier):
-        values = np.asarray(multiplier(sf.grid.freq_sq()))
-    else:
-        values = np.asarray(multiplier)
-    if values.shape != sf.grid.shape:
-        raise ValueError(
-            f"multiplier shape {values.shape} does not match grid shape "
-            f"{sf.grid.shape}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError("multiplier contains non-finite values")
-    return SpectralField(sf.grid, sf.coeffs * values)
-
-
 # ---------------------------------------------------------------------------
 # Damped-wave multipliers
 # ---------------------------------------------------------------------------
@@ -221,23 +183,23 @@ def apply_multiplier(sf: SpectralField, multiplier) -> SpectralField:
 # valid for either sign of z.
 
 
-def _split_branches(xi_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    delta = 0.25 - xi_sq
+def _split_branches(t: float, xi_sq):
+    """Checked inputs of both multipliers: whether ``xi_sq`` is a scalar,
+    delta = 1/4 - xi_sq as an array, and the sinh/sin/series masks."""
+    if t < 0.0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    xi_sq = np.asarray(xi_sq, dtype=np.float64)
+    delta = 0.25 - np.atleast_1d(xi_sq)
     near = np.abs(delta) < BRANCH_TOL
     low = delta >= BRANCH_TOL
     high = delta <= -BRANCH_TOL
-    return delta, low, high, near
+    return xi_sq.ndim == 0, delta, low, high, near
 
 
 def greens_multiplier(t: float, xi_sq) -> np.ndarray | float:
     """Multiplier of the operator mapping initial velocity to the solution
     of the linear damped wave equation at time t."""
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    xi_sq = np.asarray(xi_sq, dtype=np.float64)
-    scalar = xi_sq.ndim == 0
-    xi_sq = np.atleast_1d(xi_sq)
-    delta, low, high, near = _split_branches(xi_sq)
+    scalar, delta, low, high, near = _split_branches(t, xi_sq)
     out = np.empty_like(delta)
 
     omega = np.sqrt(delta[low])
@@ -259,12 +221,7 @@ def greens_multiplier_dt(t: float, xi_sq) -> np.ndarray | float:
     """Time derivative of :func:`greens_multiplier`:
     exp(-t/2) * (cosh(t*omega) - sinh(t*omega)/(2*omega)) and its sin/cos
     counterpart past the branch point."""
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    xi_sq = np.asarray(xi_sq, dtype=np.float64)
-    scalar = xi_sq.ndim == 0
-    xi_sq = np.atleast_1d(xi_sq)
-    delta, low, high, near = _split_branches(xi_sq)
+    scalar, delta, low, high, near = _split_branches(t, xi_sq)
     out = np.empty_like(delta)
 
     omega = np.sqrt(delta[low])

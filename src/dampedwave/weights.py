@@ -13,6 +13,8 @@ audit samples it over the whole parameter box.
 
 The weighted energy of a state (u, u_t) is the h^dim quadrature of
 (|u_t|^2 + |grad u|^2) * weight, with the gradient computed spectrally.
+:func:`spectral_energy` is the one kernel for it: the run loop's
+diagnostics and :func:`weighted_energy` both call it.
 The decay norm of a trajectory is the running supremum of the sum of
 four components: the square root of the weighted energy and the three
 polynomially time-weighted L^2 norms of u_t, grad u and u.
@@ -20,7 +22,7 @@ polynomially time-weighted L^2 norms of u_t, grad u and u.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, asdict, dataclass
 
 import numpy as np
 
@@ -93,12 +95,7 @@ class ResidualAudit:
         return self.min_residual >= -1e-12 and self.equality_gap < 1e-12
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "min_residual": self.min_residual,
-            "equality_gap": self.equality_gap,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def residual_audit(
@@ -137,37 +134,34 @@ def residual_audit(
 # Weighted energy
 # ---------------------------------------------------------------------------
 
-def gradient_values(u_values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Spectral partial derivatives of a real grid function."""
-    coeffs = np.fft.fftn(u_values)
+def gradient_sq(grid: Grid, u_coeffs: np.ndarray) -> np.ndarray:
+    """|grad u|^2 on the grid from the FFT coefficients of u (one inverse
+    transform per axis)."""
     xi = grid.axis_freqs()
-    grads = []
+    out = np.zeros(grid.shape)
     for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.points
-        grads.append(np.fft.ifftn(1j * xi.reshape(shape) * coeffs).real)
-    return grads
+        out += np.fft.ifftn(1j * grid.along(xi, axis) * u_coeffs).real ** 2
+    return out
 
 
-def weighted_energy_values(
-    t: float,
-    u_values: np.ndarray,
-    ut_values: np.ndarray,
+def spectral_energy(
     grid: Grid,
+    t: float,
+    u_coeffs: np.ndarray,
+    ut_values: np.ndarray,
     w: WeightParams,
 ) -> float:
-    density = ut_values**2
-    for g in gradient_values(u_values, grid):
-        density = density + g**2
+    """Weighted energy from the FFT coefficients of u and the values of
+    u_t."""
+    density = ut_values**2 + gradient_sq(grid, u_coeffs)
     psi = weight_value(t, grid.radius_sq(), w)
     return float(grid.cell_volume * np.sum(density * psi))
 
 
 def weighted_energy(state, w: WeightParams) -> float:
     """Weighted energy of a :class:`~dampedwave.propagator.LinearState`."""
-    return weighted_energy_values(
-        state.t, state.u.values, state.ut.values, state.u.grid, w
-    )
+    grid = state.u.grid
+    return spectral_energy(grid, state.t, np.fft.fftn(state.u.values), state.ut.values, w)
 
 
 def weighted_l2(state, w: WeightParams) -> float:
@@ -215,30 +209,26 @@ class EnergyAudit:
     signed_source_min: float
 
     def to_dict(self) -> dict:
-        return {
-            "snapshots": self.snapshots,
-            "scale": self.scale,
-            "discrepancy": self.discrepancy,
-            "violation": self.violation,
-            "worst_time": self.worst_time,
-            "signed_source_min": self.signed_source_min,
-        }
+        return asdict(self)
 
 
-def _signed_source_integrals(snapshots, grid, w, p):
-    """Per-snapshot integrals of |u|^p u against the weight and against
-    its time derivative (signed integrand, exactly as in the energy
-    identity)."""
+def _weighted_integrals(snapshots, times, w: WeightParams, density, rate):
+    """Per-snapshot integral of density(u) against the weight, and the
+    running time integral (trapezoid over the snapshot times) of
+    density(u) against rate(d/dt weight)."""
+    grid = snapshots[0].u.grid
     r_sq = grid.radius_sq()
     h = grid.cell_volume
-    with_weight = np.empty(len(snapshots))
-    with_weight_dt = np.empty(len(snapshots))
+    against_weight = np.empty(len(snapshots))
+    against_dt = np.empty(len(snapshots))
     for i, state in enumerate(snapshots):
-        u = state.u.values
-        signed_power = np.abs(u) ** p * u
-        with_weight[i] = h * np.sum(signed_power * weight_value(state.t, r_sq, w))
-        with_weight_dt[i] = h * np.sum(signed_power * weight_dt(state.t, r_sq, w))
-    return with_weight, with_weight_dt
+        f = density(state.u.values)
+        against_weight[i] = h * np.sum(f * weight_value(state.t, r_sq, w))
+        against_dt[i] = h * np.sum(f * rate(weight_dt(state.t, r_sq, w)))
+    cumulative = np.concatenate(
+        ([0.0], np.cumsum(np.diff(times) * 0.5 * (against_dt[1:] + against_dt[:-1])))
+    )
+    return against_weight, cumulative
 
 
 def energy_audit(snapshots, w: WeightParams, p: float, min_snapshots: int = 50) -> EnergyAudit:
@@ -259,18 +249,16 @@ def energy_audit(snapshots, w: WeightParams, p: float, min_snapshots: int = 50) 
             f"need at least {min_snapshots} snapshots for the audit, "
             f"got {len(snapshots)}"
         )
-    grid = snapshots[0].u.grid
     times = np.array([s.t for s in snapshots])
     if np.any(np.diff(times) <= 0):
         raise ValueError("snapshot times must be strictly increasing")
 
     energies = np.array([weighted_energy(s, w) for s in snapshots])
-    with_weight, with_weight_dt = _signed_source_integrals(snapshots, grid, w, p)
-    c = 2.0 / (p + 1.0)
-
-    cumulative = np.concatenate(
-        ([0.0], np.cumsum(np.diff(times) * 0.5 * (with_weight_dt[1:] + with_weight_dt[:-1])))
+    # signed integrand |u|^p u and signed d/dt weight, as in the energy identity
+    with_weight, cumulative = _weighted_integrals(
+        snapshots, times, w, lambda u: np.abs(u) ** p * u, lambda dt_weight: dt_weight
     )
+    c = 2.0 / (p + 1.0)
     rhs = energies[0] - c * with_weight[0] + c * with_weight - c * cumulative
     scale = float(max(np.max(energies), 1e-300))
     signed = (energies - rhs) / scale
@@ -297,11 +285,7 @@ class SourceBoundAudit:
     argmax_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "max_ratio": self.max_ratio,
-            "argmax_time": self.argmax_time,
-        }
+        return asdict(self)
 
 
 def source_bound_audit(snapshots, series, w: WeightParams, p: float) -> SourceBoundAudit:
@@ -309,19 +293,9 @@ def source_bound_audit(snapshots, series, w: WeightParams, p: float) -> SourceBo
     int |u|^(p+1) * |d/dt weight| against decay_norm^(p+1)."""
     if len(snapshots) == 0:
         raise ValueError("empty trajectory")
-    grid = snapshots[0].u.grid
-    r_sq = grid.radius_sq()
-    h = grid.cell_volume
     times = np.array([s.t for s in snapshots])
-
-    instant = np.empty(len(snapshots))
-    against_dt = np.empty(len(snapshots))
-    for i, state in enumerate(snapshots):
-        absu = np.abs(state.u.values) ** (p + 1.0)
-        instant[i] = h * np.sum(absu * weight_value(state.t, r_sq, w))
-        against_dt[i] = h * np.sum(absu * np.abs(weight_dt(state.t, r_sq, w)))
-    cumulative = np.concatenate(
-        ([0.0], np.cumsum(np.diff(times) * 0.5 * (against_dt[1:] + against_dt[:-1])))
+    instant, cumulative = _weighted_integrals(
+        snapshots, times, w, lambda u: np.abs(u) ** (p + 1.0), np.abs
     )
     numerator = instant + cumulative
 

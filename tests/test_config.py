@@ -71,6 +71,13 @@ def test_invalid_combination_rejected():
         load_setup_text(text)
 
 
+def test_partial_final_step_rejected():
+    text = GOOD.replace("solver.t_end = 10.0", "solver.t_end = 10.02")
+    with pytest.raises(ConfigError) as err:
+        load_setup_text(text)
+    assert "10.02" in str(err.value) and "0.05" in str(err.value)
+
+
 def test_subcritical_power_warns_but_loads():
     text = GOOD.replace("problem.p = 4.0", "problem.p = 2.0")
     setup = load_setup_text(text)

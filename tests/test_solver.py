@@ -4,14 +4,13 @@ from scipy.integrate import solve_ivp
 
 from dampedwave.exponents import ProblemParams
 from dampedwave.initial_data import gaussian_field, zero_field
-from dampedwave.propagator import LinearState, decay_profile, linear_evolve
+from dampedwave.propagator import decay_profile
 from dampedwave.solver import (
     Nonlinearity,
     RunStatus,
     SolverConfig,
     run,
     source_term,
-    step,
 )
 from dampedwave.spectral import Grid, RealField
 from dampedwave.weights import WeightParams
@@ -72,35 +71,21 @@ def test_source_rejects_p_at_most_one():
 # Stepping
 # ---------------------------------------------------------------------------
 
-def test_step_without_source_equals_linear_evolve():
-    cfg = make_cfg(nonlinearity=Nonlinearity.NONE)
-    state = LinearState(
-        0.0,
-        gaussian_field(cfg.grid, 1.0, 2.0),
-        gaussian_field(cfg.grid, -0.3, 3.0),
-    )
-    via_step = step(state, cfg)
-    via_linear = linear_evolve(state, cfg.dt)
-    np.testing.assert_allclose(via_step.u.values, via_linear.u.values, atol=1e-15)
-    np.testing.assert_allclose(via_step.ut.values, via_linear.ut.values, atol=1e-15)
-
-
-@pytest.mark.filterwarnings("ignore:boundary shell contaminated")
 def test_constant_state_matches_ode_oracle():
     # spatially constant data reduce the scheme to v'' + v' = |v|^p;
-    # compare against an adaptive high-order integrator (the boundary
-    # monitor flags constant fields by construction, hence the filter)
+    # 1000 steps are compared against an adaptive high-order integrator
+    # (the boundary monitor flags constant fields by construction, so
+    # the status is not checked)
     p = 3.0
     v0, v1 = 0.1, 0.02
     grid = Grid(1, 10.0, 32)
     cfg = make_cfg(p=p, grid=grid, dt=0.005, t_end=5.0, dealias=False)
-    state = LinearState(
-        0.0,
+    data = (
         RealField(grid, np.full(grid.shape, v0)),
         RealField(grid, np.full(grid.shape, v1)),
     )
-    for _ in range(1000):
-        state = step(state, cfg)
+    state = run(cfg, data).final_state
+    assert state.t == pytest.approx(5.0, abs=1e-12)
     sol = solve_ivp(
         lambda t, y: [y[1], -y[1] + abs(y[0]) ** p],
         (0.0, 5.0),
@@ -216,6 +201,14 @@ def test_config_validation():
         make_cfg(blowup_threshold=0.5)
     with pytest.raises(ValueError):
         make_cfg(record_every=0)
+
+
+def test_config_rejects_partial_final_step():
+    # 1.0 / 0.3 is not a whole number of steps; rounding would silently
+    # end the run at t = 0.9
+    with pytest.raises(ValueError, match=r"t_end 1\.0 .* dt 0\.3"):
+        make_cfg(dt=0.3, t_end=1.0)
+    assert make_cfg(dt=0.1, t_end=0.3).t_end == 0.3  # 3 steps up to roundoff
 
 
 def test_dealias_default_tracks_power():

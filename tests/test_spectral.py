@@ -1,20 +1,18 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dampedwave.diagnostics import spectral_l2
 from dampedwave.spectral import (
     Grid,
     RealField,
-    SpectralField,
-    apply_multiplier,
     boundary_contaminated,
     greens_multiplier,
     greens_multiplier_dt,
-    transform_forward,
-    transform_inverse,
 )
 
 
@@ -158,85 +156,47 @@ def test_multiplier_alone_does_not_compose():
 
 
 # ---------------------------------------------------------------------------
-# Transforms
+# Transform conventions the diagnostics rely on
 # ---------------------------------------------------------------------------
 
-def test_round_trip_identity():
-    g = Grid(dim=2, half_width=3.0, points=32)
-    rng = np.random.default_rng(7)
-    field = RealField(g, rng.standard_normal(g.shape))
-    back = transform_inverse(transform_forward(field))
-    err = np.max(np.abs(back.values - field.values))
-    assert err < 1e-12 * field.linf_norm()
-
-
-def test_constant_field_spectrum():
-    g = Grid(dim=1, half_width=1.0, points=16)
-    sf = transform_forward(RealField(g, np.full(g.shape, 2.5)))
-    assert sf.coeffs[0] == pytest.approx(2.5 * 16, rel=1e-14)
-    assert np.max(np.abs(sf.coeffs[1:])) < 1e-12
-
-
 def test_shift_theorem():
+    # sign and scale of Grid.axis_freqs match numpy's forward transform
     g = Grid(dim=1, half_width=10.0, points=256)
     x = g.axis_coords()
     shift = 1.25
-    plain = RealField(g, np.exp(-(x**2)))
-    shifted = RealField(g, np.exp(-((x - shift) ** 2)))
-    modulated = transform_forward(plain).coeffs * np.exp(
-        -1j * g.axis_freqs() * shift
-    )
-    np.testing.assert_allclose(
-        transform_forward(shifted).coeffs, modulated, atol=1e-10
-    )
+    plain = np.fft.fftn(np.exp(-(x**2)))
+    shifted = np.fft.fftn(np.exp(-((x - shift) ** 2)))
+    modulated = plain * np.exp(-1j * g.axis_freqs() * shift)
+    np.testing.assert_allclose(shifted, modulated, atol=1e-10)
 
 
 def test_parseval_after_multiplier():
+    # spectral_l2 of unscaled coefficients equals the h-weighted
+    # physical L^2 norm of their inverse transform
     g = Grid(dim=1, half_width=5.0, points=128)
     rng = np.random.default_rng(3)
-    field = RealField(g, rng.standard_normal(g.shape))
-    sf = transform_forward(field)
-    out = apply_multiplier(sf, lambda xi_sq: greens_multiplier(1.0, xi_sq))
-    physical = transform_inverse(out)
-    assert physical.l2_norm() == pytest.approx(out.l2_norm(), rel=1e-12)
+    coeffs = np.fft.fftn(rng.standard_normal(g.shape)) * greens_multiplier(1.0, g.freq_sq())
+    physical = RealField(g, np.fft.ifftn(coeffs).real)
+    assert physical.l2_norm() == pytest.approx(spectral_l2(coeffs, g), rel=1e-12)
 
 
-def test_apply_multiplier_identity_and_zero():
-    g = Grid(dim=1, half_width=1.0, points=16)
-    sf = transform_forward(RealField(g, np.sin(np.pi * g.axis_coords())))
-    same = apply_multiplier(sf, lambda xi_sq: np.ones_like(xi_sq))
-    np.testing.assert_array_equal(same.coeffs, sf.coeffs)
-    gone = apply_multiplier(sf, lambda xi_sq: np.zeros_like(xi_sq))
-    assert np.all(gone.coeffs == 0)
-
-
-def test_apply_multiplier_rejects_nonfinite():
-    g = Grid(dim=1, half_width=1.0, points=16)
-    sf = transform_forward(RealField(g, np.ones(g.shape)))
-    with pytest.raises(ValueError), np.errstate(divide="ignore"):
-        apply_multiplier(sf, lambda xi_sq: 1.0 / xi_sq)  # inf at k = 0
-
-
-def test_transform_inverse_detects_symmetry_violation():
-    g = Grid(dim=1, half_width=1.0, points=16)
-    coeffs = np.zeros(16, dtype=complex)
-    coeffs[1] = 1.0  # no conjugate partner
-    with pytest.raises(ValueError):
-        transform_inverse(SpectralField(g, coeffs))
-
-
-def test_grid_mismatch_rejected():
-    g1 = Grid(dim=1, half_width=1.0, points=16)
-    with pytest.raises(ValueError):
-        SpectralField(g1, np.zeros(8, dtype=complex))
-
-
-def test_dim3_round_trip_smoke():
-    g = Grid(dim=3, half_width=1.0, points=8)
-    rng = np.random.default_rng(11)
-    field = RealField(g, rng.standard_normal(g.shape))
-    back = transform_inverse(transform_forward(field))
-    assert np.max(np.abs(back.values - field.values)) < 1e-12
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_arrays_built_once_and_read_only(dim):
+    g = Grid(dim=dim, half_width=2.0, points=8)
+    for method in (Grid.freq_sq, Grid.radius_sq, Grid.boundary_mask):
+        array = method(g)
+        assert method(g) is array
+        with pytest.raises(ValueError):
+            array[(0,) * dim] = array[(0,) * dim]
+    # a filled cache is invisible to equality and hashing, and pickling
+    # (the sweep pool pickles setups) drops it
+    fresh = Grid(dim=dim, half_width=2.0, points=8)
+    assert g == fresh and hash(g) == hash(fresh)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == fresh and hash(back) == hash(fresh)
+    assert "_arrays" not in back.__dict__
+    for method in (Grid.freq_sq, Grid.radius_sq, Grid.boundary_mask):
+        np.testing.assert_array_equal(method(back), method(g))
 
 
 def test_boundary_contamination_flag():
