@@ -15,8 +15,18 @@ from .spectral import Grid
 from .weights import WeightParams, spectral_energy
 
 
-def spectral_l2(coeffs: np.ndarray, grid: Grid) -> float:
-    return float(np.sqrt(grid.cell_volume * np.sum(np.abs(coeffs) ** 2) / grid.size))
+def spectral_l2(coeffs: np.ndarray, grid: Grid, xi_sq: np.ndarray | None = None) -> float:
+    """h-weighted L^2 norm of the field with real-FFT coefficients
+    ``coeffs``, or of its gradient when ``xi_sq`` is given (Parseval).
+    On the half spectrum the interior last-axis columns stand for two
+    modes, the k = 0 and k = M/2 columns for one."""
+    weighted = coeffs if xi_sq is None else xi_sq * coeffs
+    total = (
+        2.0 * np.vdot(coeffs, weighted)
+        - np.vdot(coeffs[..., 0], weighted[..., 0])
+        - np.vdot(coeffs[..., -1], weighted[..., -1])
+    )
+    return float(np.sqrt(grid.cell_volume * total.real / grid.size))
 
 
 def measure(
@@ -27,20 +37,19 @@ def measure(
     weight: WeightParams,
     u_values: np.ndarray | None = None,
 ) -> dict:
-    """Build one diagnostic record from spectral state.
+    """Build one diagnostic record from real-FFT coefficients.
 
     L^2 norms come from Parseval; the weighted energy and the sup norm
     need physical fields, so u, u_t and the gradient are transformed
     back (``u_values`` can be supplied when the caller already has it).
     """
-    xi_sq = grid.freq_sq()
     l2_u = spectral_l2(u_coeffs, grid)
-    l2_grad = spectral_l2(np.sqrt(xi_sq) * u_coeffs, grid)
+    l2_grad = spectral_l2(u_coeffs, grid, grid.freq_sq())
     l2_ut = spectral_l2(ut_coeffs, grid)
 
     if u_values is None:
-        u_values = np.fft.ifftn(u_coeffs).real
-    e_weighted = spectral_energy(grid, t, u_coeffs, np.fft.ifftn(ut_coeffs).real, weight)
+        u_values = grid.inverse(u_coeffs)
+    e_weighted = spectral_energy(grid, t, u_coeffs, grid.inverse(ut_coeffs), weight)
 
     quarter = 0.25 * grid.dim
     growth = 1.0 + t

@@ -59,12 +59,12 @@ class LinearState:
 def state_from_coeffs(
     grid: Grid, t: float, u_coeffs: np.ndarray, ut_coeffs: np.ndarray
 ) -> LinearState:
-    """Physical state at time t from the FFT coefficients of (u, u_t);
-    non-finite values are rejected by :class:`RealField`."""
+    """Physical state at time t from the real-FFT coefficients of
+    (u, u_t); non-finite values are rejected by :class:`RealField`."""
     return LinearState(
         t=t,
-        u=RealField(grid, np.fft.ifftn(u_coeffs).real),
-        ut=RealField(grid, np.fft.ifftn(ut_coeffs).real),
+        u=RealField(grid, grid.inverse(u_coeffs)),
+        ut=RealField(grid, grid.inverse(ut_coeffs)),
     )
 
 
@@ -88,8 +88,8 @@ def linear_evolve(state: LinearState, dt: float) -> LinearState:
     if dt < 0.0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     grid = state.grid
-    u_coeffs = np.fft.fftn(state.u.values)
-    ut_coeffs = np.fft.fftn(state.ut.values)
+    u_coeffs = grid.forward(state.u.values)
+    ut_coeffs = grid.forward(state.ut.values)
     xi_sq = grid.freq_sq()
     u_new, ut_new = evolve_coeffs(
         u_coeffs, ut_coeffs, greens_multiplier(dt, xi_sq), greens_multiplier_dt(dt, xi_sq), xi_sq
@@ -120,8 +120,8 @@ def decay_profile(
 
     grid = u0.grid
     xi_sq = grid.freq_sq()
-    u_coeffs = np.fft.fftn(u0.values)
-    ut_coeffs = np.fft.fftn(u1.values)
+    u_coeffs = grid.forward(u0.values)
+    ut_coeffs = grid.forward(u1.values)
 
     series = TimeSeries()
     warned = False
@@ -129,7 +129,7 @@ def decay_profile(
         u_t, ut_t = evolve_coeffs(
             u_coeffs, ut_coeffs, greens_multiplier(t, xi_sq), greens_multiplier_dt(t, xi_sq), xi_sq
         )
-        u_values = np.fft.ifftn(u_t).real
+        u_values = grid.inverse(u_t)
         if not warned and boundary_contaminated(u_values, grid):
             warnings.warn(
                 f"boundary shell contaminated at t={t}; enlarge the box",

@@ -15,8 +15,14 @@ Because the Green's multiplier vanishes at lag zero, the trapezoid
 endpoint at t+dt contributes to u_t only.  The scheme is second order;
 the test suite verifies the convergence factor empirically rather than
 assuming it.  :func:`run` is the only stepping entry point: it keeps
-the spectral state between steps and applies the linear group through
-``propagator.evolve_coeffs`` with multipliers built once per run.
+the spectral state (real-FFT coefficients) between steps and applies
+the linear group through ``propagator.evolve_coeffs`` with multipliers
+built once per run.
+
+The predictor f* = |u_{n+1}|^p is exactly the next step's f_n, so the
+source is evaluated once per step: :func:`run` computes f_0 before the
+loop, and :meth:`Stepper.advance` returns f* (None once u_{n+1} is
+non-finite) for the loop to pass into the next step.
 
 Blow-up is detected when the sup norm crosses the configured threshold
 or any value turns non-finite; the reported blow-up time is the midpoint
@@ -126,42 +132,39 @@ class Stepper:
         dt = cfg.dt
         self.g = greens_multiplier(dt, self.xi_sq)
         self.gdt = greens_multiplier_dt(dt, self.xi_sq)
-        if cfg.dealias_active:
-            # 2/3 rule: zero the top third of modes per axis.  Heuristic
-            # for non-polynomial powers, but it removes the worst of the
-            # aliasing from the pointwise source.
-            keep = np.abs(np.fft.fftfreq(grid.points) * grid.points) <= grid.points / 3.0
-            mask = np.ones(grid.shape, dtype=bool)
-            for axis in range(grid.dim):
-                mask &= grid.along(keep, axis)
-            self.dealias_mask = mask
-        else:
-            self.dealias_mask = None
+        # 2/3 rule: heuristic for non-polynomial powers, but it removes
+        # the worst of the aliasing from the pointwise source.
+        self.dealias_mask = grid.dealias_mask() if cfg.dealias_active else None
 
     def source_coeffs(self, u_values: np.ndarray) -> np.ndarray | None:
+        """Real-FFT coefficients of the source at ``u_values``, dealiased
+        when configured; None when the source is switched off."""
         kind = self.cfg.nonlinearity
         if kind is Nonlinearity.NONE:
             return None
         f = source_term(u_values, self.cfg.problem.p, signed=kind is Nonlinearity.SIGNED)
-        f_hat = np.fft.fftn(f)
+        f_hat = self.cfg.grid.forward(f)
         if self.dealias_mask is not None:
             f_hat = np.where(self.dealias_mask, f_hat, 0.0)
         return f_hat
 
     def advance(
-        self, u_coeffs: np.ndarray, ut_coeffs: np.ndarray, u_values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One step; returns the new (u_coeffs, ut_coeffs, u_values)."""
+        self, u_coeffs: np.ndarray, ut_coeffs: np.ndarray, f_hat: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """One step from (u_n, ut_n) with f_n = ``f_hat``; returns the new
+        (u_coeffs, ut_coeffs, u_values) and f*, the source at the new u,
+        which is the next step's f_n (None when there is no source or the
+        new u is non-finite)."""
         half_dt = 0.5 * self.cfg.dt
-        f_hat = self.source_coeffs(u_values)
         if f_hat is not None:
             ut_coeffs = ut_coeffs + half_dt * f_hat
         u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, self.g, self.gdt, self.xi_sq)
-        u_values_new = np.fft.ifftn(u_new).real
+        u_values_new = self.cfg.grid.inverse(u_new)
+        f_star = None
         if f_hat is not None and np.all(np.isfinite(u_values_new)):
             f_star = self.source_coeffs(u_values_new)
             ut_new = ut_new + half_dt * f_star
-        return u_new, ut_new, u_values_new
+        return u_new, ut_new, u_values_new, f_star
 
 
 def run(
@@ -185,9 +188,10 @@ def run(
     stepper = Stepper(cfg)
     n_steps = int(round(cfg.t_end / cfg.dt))
 
-    u_coeffs = np.fft.fftn(u0.values)
-    ut_coeffs = np.fft.fftn(u1.values)
+    u_coeffs = grid.forward(u0.values)
+    ut_coeffs = grid.forward(u1.values)
     u_values = u0.values.copy()
+    f_hat = stepper.source_coeffs(u_values)
 
     series = TimeSeries()
     snapshots: list[LinearState] = []
@@ -213,8 +217,8 @@ def run(
         if n == n_steps:
             break
 
-        u_coeffs_new, ut_coeffs_new, u_values_new = stepper.advance(
-            u_coeffs, ut_coeffs, u_values
+        u_coeffs_new, ut_coeffs_new, u_values_new, f_hat = stepper.advance(
+            u_coeffs, ut_coeffs, f_hat
         )
         finite = bool(np.all(np.isfinite(u_values_new)))
         if not finite or np.max(np.abs(u_values_new)) > cfg.blowup_threshold:
@@ -223,7 +227,7 @@ def run(
                 final_state = LinearState(
                     t=t + cfg.dt,
                     u=RealField(grid, u_values_new),
-                    ut=RealField(grid, np.fft.ifftn(ut_coeffs_new).real),
+                    ut=RealField(grid, grid.inverse(ut_coeffs_new)),
                 )
             series.append_blowup_marker(blowup_time)
             break

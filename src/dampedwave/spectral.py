@@ -9,11 +9,29 @@ and :func:`greens_multiplier_dt`; both switch between a sinh branch
 (|xi| < 1/2), a sin branch (|xi| > 1/2) and a short Taylor series near
 the branch point where the closed forms cancel catastrophically.
 
+Fields are real, so every transform is a real FFT on the half-spectrum
+layout: :meth:`Grid.forward` (``np.fft.rfftn``) keeps the last axis
+only for k = 0..M/2 (shape :attr:`Grid.half_shape`), the other axes in
+the full FFT layout, and :meth:`Grid.inverse` (``np.fft.irfftn``)
+returns a real array that owns its memory.  Hermitian symmetry is
+structural, so no imaginary residue is ever discarded.  Every array in
+frequency space (:meth:`Grid.freq_sq`, the multipliers, the dealias
+mask) lives on that layout, and callers multiply coefficients by the
+multipliers directly.
+
 FFT normalization: forward transform unscaled, inverse divides by
 M^dim (the numpy convention).  Physical-space norms carry the h^dim
-quadrature weight so they approximate continuum L^p norms.  There are
-no transform wrappers: callers apply ``np.fft.fftn``/``ifftn`` to raw
-arrays and multiply coefficients by the multipliers directly.
+quadrature weight so they approximate continuum L^p norms.  Parseval on
+the half spectrum counts the interior last-axis columns twice (each
+stands for itself and its conjugate partner) and the k = 0 and k = M/2
+columns once (M is even, so both are their own partners).
+
+Odd derivatives: the multiplier i*xi of d/dx_j is zeroed at the Nyquist
+frequency xi = -pi*M/(2L) of axis j (:meth:`Grid.derivative_freqs`).
+That mode has no partner of opposite sign, so i*xi there is not the
+transform of a real field: a complex inverse transform followed by
+taking the real part drops it, ``irfftn`` would not.  ``freq_sq`` keeps
+the Nyquist mode, since xi^2 is even.
 """
 
 from __future__ import annotations
@@ -53,8 +71,9 @@ class Grid:
     """Periodic box [-half_width, half_width)^dim with ``points`` samples
     per axis.  ``points`` must be even and at least 8; three-dimensional
     grids are capped at 128 points per axis to bound memory.
-    :meth:`freq_sq`, :meth:`radius_sq` and :meth:`boundary_mask` build
-    their array once per instance and return it read-only."""
+    The arrays of :meth:`freq_sq`, :meth:`derivative_freqs`,
+    :meth:`dealias_mask`, :meth:`radius_sq` and :meth:`boundary_mask` are
+    built once per instance and returned read-only."""
 
     dim: int
     half_width: float
@@ -84,6 +103,15 @@ class Grid:
         return (self.points,) * self.dim
 
     @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of the real-FFT coefficients of a field."""
+        return self.shape[:-1] + (self.points // 2 + 1,)
+
+    @property
+    def axes(self) -> tuple[int, ...]:
+        return tuple(range(self.dim))
+
+    @property
     def size(self) -> int:
         return self.points**self.dim
 
@@ -106,23 +134,60 @@ class Grid:
             out += x * x
         return out
 
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Real-FFT coefficients of a field, half-spectrum layout."""
+        return np.fft.rfftn(values, axes=self.axes)
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Field with the given half-spectrum coefficients."""
+        return np.fft.irfftn(coeffs, s=self.shape, axes=self.axes)
+
     def axis_freqs(self) -> np.ndarray:
-        """Angular frequencies pi*k/L along one axis, FFT layout."""
+        """Angular frequencies pi*k/L along one axis, full FFT layout."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
 
     def along(self, axis_values: np.ndarray, axis: int) -> np.ndarray:
-        """View of a per-axis array that broadcasts along ``axis``."""
+        """View of a per-axis array (of any length) that broadcasts along
+        ``axis``."""
         shape = [1] * self.dim
-        shape[axis] = self.points
+        shape[axis] = axis_values.size
         return axis_values.reshape(shape)
+
+    def half_along(self, axis_values: np.ndarray, axis: int) -> np.ndarray:
+        """A full-layout per-axis array cut to the half-spectrum layout on
+        the last axis, shaped to broadcast along ``axis``.  The first
+        M/2+1 full-layout entries are k = 0..M/2-1 and -M/2, so this is
+        right for any array that is even at the Nyquist frequency."""
+        return self.along(axis_values[: self.half_shape[axis]], axis)
 
     @_built_once
     def freq_sq(self) -> np.ndarray:
+        """|xi|^2 on the half-spectrum layout."""
         xi_sq = self.axis_freqs() ** 2
-        out = np.zeros(self.shape)
+        out = np.zeros(self.half_shape)
         for axis in range(self.dim):
-            out += self.along(xi_sq, axis)
+            out += self.half_along(xi_sq, axis)
         return out
+
+    @_built_once
+    def derivative_freqs(self) -> np.ndarray:
+        """Per-axis wavenumbers of d/dx_j, full FFT layout, with the
+        Nyquist entry zeroed (see the module docstring); place them with
+        :meth:`half_along`."""
+        xi = self.axis_freqs()
+        xi[self.points // 2] = 0.0
+        return xi
+
+    @_built_once
+    def dealias_mask(self) -> np.ndarray:
+        """2/3 rule on the half-spectrum layout: keep the modes with
+        |k| <= M/3 on every axis."""
+        k = np.fft.fftfreq(self.points) * self.points
+        keep = np.abs(k) <= self.points / 3.0
+        mask = np.ones(self.half_shape, dtype=bool)
+        for axis in range(self.dim):
+            mask &= self.half_along(keep, axis)
+        return mask
 
     @_built_once
     def boundary_mask(self) -> np.ndarray:

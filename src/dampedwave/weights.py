@@ -135,12 +135,13 @@ def residual_audit(
 # ---------------------------------------------------------------------------
 
 def gradient_sq(grid: Grid, u_coeffs: np.ndarray) -> np.ndarray:
-    """|grad u|^2 on the grid from the FFT coefficients of u (one inverse
-    transform per axis)."""
-    xi = grid.axis_freqs()
+    """|grad u|^2 on the grid from the real-FFT coefficients of u (one
+    inverse transform per axis; the Nyquist mode of each derivative is
+    zero, as for the derivative of any real field)."""
+    xi = grid.derivative_freqs()
     out = np.zeros(grid.shape)
     for axis in range(grid.dim):
-        out += np.fft.ifftn(1j * grid.along(xi, axis) * u_coeffs).real ** 2
+        out += grid.inverse(1j * grid.half_along(xi, axis) * u_coeffs) ** 2
     return out
 
 
@@ -151,8 +152,8 @@ def spectral_energy(
     ut_values: np.ndarray,
     w: WeightParams,
 ) -> float:
-    """Weighted energy from the FFT coefficients of u and the values of
-    u_t."""
+    """Weighted energy from the real-FFT coefficients of u and the values
+    of u_t."""
     density = ut_values**2 + gradient_sq(grid, u_coeffs)
     psi = weight_value(t, grid.radius_sq(), w)
     return float(grid.cell_volume * np.sum(density * psi))
@@ -161,7 +162,7 @@ def spectral_energy(
 def weighted_energy(state, w: WeightParams) -> float:
     """Weighted energy of a :class:`~dampedwave.propagator.LinearState`."""
     grid = state.u.grid
-    return spectral_energy(grid, state.t, np.fft.fftn(state.u.values), state.ut.values, w)
+    return spectral_energy(grid, state.t, grid.forward(state.u.values), state.ut.values, w)
 
 
 def weighted_l2(state, w: WeightParams) -> float:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave.propagator import LinearState, decay_profile, linear_evolve
@@ -52,17 +54,38 @@ def test_group_property():
         assert num / den < 1e-10
 
 
+LAG = st.floats(min_value=0.0, max_value=50.0, exclude_min=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 50.0, 256), Grid(2, 20.0, 32)], ids=["1d", "2d"])
+@settings(max_examples=40, deadline=None)
+@given(dt1=LAG, dt2=LAG)
+def test_group_property_random_lags(grid, dt1, dt2):
+    # random data carries content in the Nyquist row of the non-last axis
+    s = random_state(grid, seed=7)
+    two_steps = linear_evolve(linear_evolve(s, dt1), dt2)
+    one_step = linear_evolve(s, dt1 + dt2)
+    for got, want in ((two_steps.u, one_step.u), (two_steps.ut, one_step.ut)):
+        num = np.sqrt(np.sum((got.values - want.values) ** 2))
+        den = np.sqrt(np.sum(want.values**2))
+        assert num <= 1e-10 * den
+
+
 def test_energy_dissipation():
     g = Grid(1, 30.0, 256)
     s = LinearState(
         0.0, gaussian_field(g, 1.0, 2.0), gaussian_field(g, -0.5, 3.0)
     )
 
+    # Parseval on the half spectrum: interior columns stand for two modes
+    parseval = np.full(g.half_shape, 2.0)
+    parseval[..., 0] = parseval[..., -1] = 1.0
+
     def energy(state):
-        coeffs = np.fft.fftn(state.u.values)
-        ut = np.fft.fftn(state.ut.values)
+        coeffs = np.fft.rfftn(state.u.values, axes=g.axes)
+        ut = np.fft.rfftn(state.ut.values, axes=g.axes)
         xi_sq = g.freq_sq()
-        return float(np.sum(np.abs(ut) ** 2 + xi_sq * np.abs(coeffs) ** 2))
+        return float(np.sum(parseval * (np.abs(ut) ** 2 + xi_sq * np.abs(coeffs) ** 2)))
 
     previous = energy(s)
     for dt in (0.1, 0.4, 1.0, 5.0, 20.0):

@@ -9,11 +9,12 @@ from dampedwave.solver import (
     Nonlinearity,
     RunStatus,
     SolverConfig,
+    Stepper,
     run,
     source_term,
 )
 from dampedwave.spectral import Grid, RealField
-from dampedwave.weights import WeightParams
+from dampedwave.weights import WeightParams, weighted_energy
 
 WEIGHT = WeightParams(4.0, 2.0)
 
@@ -263,3 +264,53 @@ def test_run_flags_boundary_contamination():
     outcome = run(cfg, (gaussian_field(grid, 1.0, 2.0), zero_field(grid)))
     assert outcome.status is RunStatus.BOUNDARY_CONTAMINATED
     assert outcome.blowup_time is None
+
+
+# ---------------------------------------------------------------------------
+# Run-path invariants of the real-FFT core
+# ---------------------------------------------------------------------------
+
+def test_run_evaluates_source_once_per_step(monkeypatch):
+    # f* at the end of step n is carried in as f_n of step n+1, so the
+    # source is evaluated for f_0 and once per step after that
+    calls = []
+    original = Stepper.source_coeffs
+
+    def counted(self, u_values):
+        calls.append(1)
+        return original(self, u_values)
+
+    monkeypatch.setattr(Stepper, "source_coeffs", counted)
+    cfg = make_cfg(t_end=2.0)
+    outcome = run(cfg, (gaussian_field(cfg.grid, 0.05, 2.0), zero_field(cfg.grid)))
+    assert outcome.status is RunStatus.COMPLETED
+    assert len(calls) == round(cfg.t_end / cfg.dt) + 1
+
+
+def test_run_path_uses_only_real_transforms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex FFT on a real field")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    cfg = make_cfg(t_end=1.0)
+    data = (gaussian_field(cfg.grid, 0.05, 2.0), gaussian_field(cfg.grid, 0.01, 3.0))
+    outcome = run(cfg, data, snapshot_every=0.5)
+    assert outcome.status is RunStatus.COMPLETED
+    assert len(decay_profile(data, [0.0, 1.0, 2.0])) == 3
+    assert weighted_energy(outcome.final_state, cfg.weight) > 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_snapshot_fields_own_their_memory(dim):
+    # a real view of a complex inverse transform would pin a buffer twice
+    # the size of each stored field
+    grid = Grid(dim, 20.0, 32)
+    cfg = make_cfg(grid=grid, t_end=1.0)
+    data = (gaussian_field(grid, 0.05, 2.0), zero_field(grid))
+    outcome = run(cfg, data, snapshot_every=0.5)
+    assert len(outcome.snapshots) == 3
+    for state in (*outcome.snapshots, outcome.final_state):
+        for field in (state.u, state.ut):
+            base = field.values.base
+            assert base is None or base.nbytes == field.values.nbytes

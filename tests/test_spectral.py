@@ -170,24 +170,36 @@ def test_shift_theorem():
     np.testing.assert_allclose(shifted, modulated, atol=1e-10)
 
 
-def test_parseval_after_multiplier():
-    # spectral_l2 of unscaled coefficients equals the h-weighted
-    # physical L^2 norm of their inverse transform
-    g = Grid(dim=1, half_width=5.0, points=128)
+@pytest.mark.parametrize("dim, points", [(1, 128), (2, 32), (3, 16)], ids=["1d", "2d", "3d"])
+def test_parseval_after_multiplier(dim, points):
+    # spectral_l2 of unscaled half-spectrum coefficients equals the
+    # h-weighted physical L^2 norm of their inverse transform
+    g = Grid(dim=dim, half_width=5.0, points=points)
     rng = np.random.default_rng(3)
-    coeffs = np.fft.fftn(rng.standard_normal(g.shape)) * greens_multiplier(1.0, g.freq_sq())
-    physical = RealField(g, np.fft.ifftn(coeffs).real)
+    coeffs = np.fft.rfftn(rng.standard_normal(g.shape), axes=g.axes) * greens_multiplier(
+        1.0, g.freq_sq()
+    )
+    physical = RealField(g, np.fft.irfftn(coeffs, s=g.shape, axes=g.axes))
     assert physical.l2_norm() == pytest.approx(spectral_l2(coeffs, g), rel=1e-12)
+
+
+GRID_ARRAYS = (
+    Grid.freq_sq,
+    Grid.derivative_freqs,
+    Grid.dealias_mask,
+    Grid.radius_sq,
+    Grid.boundary_mask,
+)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_grid_arrays_built_once_and_read_only(dim):
     g = Grid(dim=dim, half_width=2.0, points=8)
-    for method in (Grid.freq_sq, Grid.radius_sq, Grid.boundary_mask):
+    for method in GRID_ARRAYS:
         array = method(g)
         assert method(g) is array
         with pytest.raises(ValueError):
-            array[(0,) * dim] = array[(0,) * dim]
+            array[(0,) * array.ndim] = array[(0,) * array.ndim]
     # a filled cache is invisible to equality and hashing, and pickling
     # (the sweep pool pickles setups) drops it
     fresh = Grid(dim=dim, half_width=2.0, points=8)
@@ -195,8 +207,26 @@ def test_grid_arrays_built_once_and_read_only(dim):
     back = pickle.loads(pickle.dumps(g))
     assert back == fresh and hash(back) == hash(fresh)
     assert "_arrays" not in back.__dict__
-    for method in (Grid.freq_sq, Grid.radius_sq, Grid.boundary_mask):
+    for method in GRID_ARRAYS:
         np.testing.assert_array_equal(method(back), method(g))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_half_spectrum_layout_matches_full_layout(dim):
+    # freq_sq and the 2/3 dealias mask on the real-FFT layout are the
+    # full-layout arrays cut to the first M/2+1 entries of the last axis
+    g = Grid(dim=dim, half_width=3.0, points=12)
+    assert np.fft.rfftn(np.zeros(g.shape), axes=g.axes).shape == g.half_shape
+    k = np.fft.fftfreq(g.points) * g.points
+    xi_sq = g.axis_freqs() ** 2
+    full_mask = np.ones(g.shape, dtype=bool)
+    full_xi_sq = np.zeros(g.shape)
+    for axis in range(dim):
+        full_mask &= g.along(np.abs(k) <= g.points / 3.0, axis)
+        full_xi_sq = full_xi_sq + g.along(xi_sq, axis)
+    half = (..., slice(0, g.points // 2 + 1))
+    np.testing.assert_array_equal(g.dealias_mask(), full_mask[half])
+    np.testing.assert_array_equal(g.freq_sq(), full_xi_sq[half])
 
 
 def test_boundary_contamination_flag():

@@ -115,9 +115,28 @@ def test_energy_degenerate_weight_equals_unweighted_exactly():
     # recompute without any weight factor
     from dampedwave.weights import gradient_sq
 
-    density = state.ut.values**2 + gradient_sq(g, np.fft.fftn(state.u.values))
+    density = state.ut.values**2 + gradient_sq(g, np.fft.rfftn(state.u.values, axes=g.axes))
     unweighted = g.cell_volume * np.sum(density)
     assert degenerate == unweighted
+
+
+@pytest.mark.parametrize("dim, points", [(2, 16), (3, 8)])
+def test_gradient_matches_complex_transform_with_nyquist_content(dim, points):
+    # the derivative of a real field has no Nyquist mode; the complex
+    # transform drops it by taking the real part, the real one must not
+    # pick it up on the non-last axes
+    from dampedwave.weights import gradient_sq
+
+    g = Grid(dim, 4.0, points)
+    u = np.random.default_rng(11).standard_normal(g.shape)
+    u_hat = np.fft.fftn(u)
+    assert np.max(np.abs(u_hat[(points // 2,) * dim])) > 0.0
+    xi = g.axis_freqs()
+    want = sum(
+        np.fft.ifftn(1j * g.along(xi, axis) * u_hat).real ** 2 for axis in range(dim)
+    )
+    got = gradient_sq(g, np.fft.rfftn(u, axes=g.axes))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_weighted_l2_gaussian_oracle():
