@@ -20,12 +20,7 @@ from .exponents import (
     suggested_weight_power,
     weight_power_threshold,
 )
-from .spectral import (
-    Grid,
-    RealField,
-    greens_multiplier,
-    greens_multiplier_dt,
-)
+from .spectral import Grid, RealField, greens_multipliers
 from .propagator import LinearState, decay_profile, linear_evolve
 from .solver import Nonlinearity, RunOutcome, RunStatus, SolverConfig, run
 from .weights import (
@@ -67,8 +62,7 @@ __all__ = [
     "decay_profile",
     "energy_audit",
     "fujita_exponent",
-    "greens_multiplier",
-    "greens_multiplier_dt",
+    "greens_multipliers",
     "interpolation_exponents",
     "linear_evolve",
     "ratio_sweep",

@@ -32,6 +32,13 @@ from . import experiments
 _G = "%.17g"
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, snapshots: bool = False) -> None:
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--out", default="out", help="output directory")
@@ -44,7 +51,7 @@ def _add_common(parser: argparse.ArgumentParser, snapshots: bool = False) -> Non
     if snapshots:
         parser.add_argument(
             "--snapshots",
-            type=float,
+            type=_positive,
             metavar="EVERY",
             default=None,
             help="store binary snapshots every EVERY time units",
@@ -135,9 +142,8 @@ def main(argv=None) -> int:
         elif args.verb == "linear-decay":
             report = experiments.linear_decay(setup, args.out)
         elif args.verb == "energy-audit":
-            snapshot_every = args.snapshots if args.snapshots else 0.5
             report = experiments.energy_audit_experiment(
-                setup, args.out, snapshot_every=snapshot_every, seed=args.seed
+                setup, args.out, snapshot_every=args.snapshots, seed=args.seed
             )
         elif args.verb == "ckn-check":
             report = experiments.ckn_check(setup, args.out)

@@ -35,20 +35,18 @@ def measure(
     u_coeffs: np.ndarray,
     ut_coeffs: np.ndarray,
     weight: WeightParams,
-    u_values: np.ndarray | None = None,
+    u_values: np.ndarray,
 ) -> dict:
-    """Build one diagnostic record from real-FFT coefficients.
+    """Build one diagnostic record from real-FFT coefficients and the
+    caller's physical u.
 
     L^2 norms come from Parseval; the weighted energy and the sup norm
-    need physical fields, so u, u_t and the gradient are transformed
-    back (``u_values`` can be supplied when the caller already has it).
+    need physical fields, so u_t and the gradient are transformed back.
     """
     l2_u = spectral_l2(u_coeffs, grid)
     l2_grad = spectral_l2(u_coeffs, grid, grid.freq_sq())
     l2_ut = spectral_l2(ut_coeffs, grid)
 
-    if u_values is None:
-        u_values = grid.inverse(u_coeffs)
     e_weighted = spectral_energy(grid, t, u_coeffs, grid.inverse(ut_coeffs), weight)
 
     quarter = 0.25 * grid.dim

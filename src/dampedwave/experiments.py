@@ -31,6 +31,7 @@ from .solver import RunOutcome, run
 from .snapshots import write_snapshot
 from .timeseries import decay_fit
 from .weights import (
+    MIN_AUDIT_SNAPSHOTS,
     decay_norm,
     energy_audit,
     residual_audit,
@@ -158,7 +159,7 @@ def simulate(
 
     audits = report["audits"]
     audits["weight_residual"] = residual_audit(samples=audit_samples, seed=seed).to_dict()
-    if len(outcome.snapshots) >= 50:
+    if len(outcome.snapshots) >= MIN_AUDIT_SNAPSHOTS:
         audits["energy"] = energy_audit(
             outcome.snapshots, setup.weight, setup.problem.p
         ).to_dict()
@@ -221,12 +222,14 @@ def linear_decay(setup: RunSetup, out_dir) -> dict:
 
 
 def energy_audit_experiment(
-    setup: RunSetup, out_dir, snapshot_every: float = 0.5, seed: int = 0
+    setup: RunSetup, out_dir, snapshot_every: float | None = None, seed: int = 0
 ) -> dict:
     """Semilinear run with snapshots dense enough for the trajectory
-    audits (the snapshot cadence defaults to 0.5 time units)."""
-    needed = 50
-    span = setup.solver.t_end / max(needed - 1, 1)
+    audits: every ``snapshot_every`` time units (default 0.5), tightened
+    so that the run keeps at least MIN_AUDIT_SNAPSHOTS of them."""
+    if snapshot_every is None:
+        snapshot_every = 0.5
+    span = setup.solver.t_end / (MIN_AUDIT_SNAPSHOTS - 1)
     return simulate(
         setup,
         out_dir,

@@ -252,7 +252,6 @@ class SweepReport:
 def ratio_sweep(
     family: list[TestFunction],
     c: CknParams,
-    require_admissible: bool = True,
     nodes: int = 32,
     panels: int = 64,
 ) -> SweepReport:
@@ -260,10 +259,7 @@ def ratio_sweep(
     lower bound for the best constant and must stay finite."""
     if not family:
         raise ValueError("test-function family is empty")
-    if require_admissible:
-        ratios = [ckn_ratio(u, c, nodes=nodes, panels=panels) for u in family]
-    else:
-        ratios = [ckn_ratio_unchecked(u, c, nodes=nodes, panels=panels) for u in family]
+    ratios = [ckn_ratio(u, c, nodes=nodes, panels=panels) for u in family]
     worst = int(np.argmax(ratios))
     return SweepReport(ratios=ratios, max_ratio=float(ratios[worst]), argmax=family[worst])
 

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import measure
-from .spectral import (
-    Grid,
-    RealField,
-    boundary_contaminated,
-    greens_multiplier,
-    greens_multiplier_dt,
-)
+from .spectral import Grid, RealField, boundary_contaminated, greens_multipliers
 from .timeseries import TimeSeries
 from .weights import WeightParams
 
@@ -76,8 +70,8 @@ def evolve_coeffs(
     xi_sq: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance spectral coefficients of (u, u_t) by the lag dt at which
-    ``g`` = greens_multiplier(dt, xi_sq) and ``gdt`` =
-    greens_multiplier_dt(dt, xi_sq) were evaluated."""
+    ``g, gdt = greens_multipliers(dt, xi_sq)`` were evaluated (once per
+    lag; the stepper reuses one pair for every step)."""
     u_new = g * (u_coeffs + ut_coeffs) + gdt * u_coeffs
     ut_new = gdt * ut_coeffs - xi_sq * g * u_coeffs
     return u_new, ut_new
@@ -91,9 +85,7 @@ def linear_evolve(state: LinearState, dt: float) -> LinearState:
     u_coeffs = grid.forward(state.u.values)
     ut_coeffs = grid.forward(state.ut.values)
     xi_sq = grid.freq_sq()
-    u_new, ut_new = evolve_coeffs(
-        u_coeffs, ut_coeffs, greens_multiplier(dt, xi_sq), greens_multiplier_dt(dt, xi_sq), xi_sq
-    )
+    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, *greens_multipliers(dt, xi_sq), xi_sq)
     return state_from_coeffs(grid, state.t + dt, u_new, ut_new)
 
 
@@ -126,9 +118,7 @@ def decay_profile(
     series = TimeSeries()
     warned = False
     for t in times.tolist():
-        u_t, ut_t = evolve_coeffs(
-            u_coeffs, ut_coeffs, greens_multiplier(t, xi_sq), greens_multiplier_dt(t, xi_sq), xi_sq
-        )
+        u_t, ut_t = evolve_coeffs(u_coeffs, ut_coeffs, *greens_multipliers(t, xi_sq), xi_sq)
         u_values = grid.inverse(u_t)
         if not warned and boundary_contaminated(u_values, grid):
             warnings.warn(
@@ -136,5 +126,5 @@ def decay_profile(
                 stacklevel=2,
             )
             warned = True
-        series.append(measure(grid, t, u_t, ut_t, weight, u_values=u_values))
+        series.append(measure(grid, t, u_t, ut_t, weight, u_values))
     return series

@@ -21,13 +21,14 @@ built once per run.
 
 The predictor f* = |u_{n+1}|^p is exactly the next step's f_n, so the
 source is evaluated once per step: :func:`run` computes f_0 before the
-loop, and :meth:`Stepper.advance` returns f* (None once u_{n+1} is
-non-finite) for the loop to pass into the next step.
+loop, and :meth:`Stepper.advance` returns f* for the loop to pass into
+the next step.
 
-Blow-up is detected when the sup norm crosses the configured threshold
-or any value turns non-finite; the reported blow-up time is the midpoint
-of the bracketing step, since divergence of the norms is the only
-available characterization of the maximal existence time.
+A step blows up when the sup norm of u_{n+1} is non-finite or crosses
+the configured threshold, or when the source f* overflows (it is checked
+before it is transformed).  The reported blow-up time is the midpoint of
+the bracketing step, since divergence of the norms is the only available
+characterization of the maximal existence time.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .diagnostics import measure
 from .exponents import ProblemParams
 from .propagator import LinearState, evolve_coeffs, state_from_coeffs
-from .spectral import Grid, RealField, boundary_contaminated, greens_multiplier, greens_multiplier_dt
+from .spectral import Grid, RealField, boundary_contaminated, greens_multipliers
 from .timeseries import TimeSeries
 from .weights import WeightParams
 
@@ -129,20 +130,21 @@ class Stepper:
         self.cfg = cfg
         grid = cfg.grid
         self.xi_sq = grid.freq_sq()
-        dt = cfg.dt
-        self.g = greens_multiplier(dt, self.xi_sq)
-        self.gdt = greens_multiplier_dt(dt, self.xi_sq)
+        self.g, self.gdt = greens_multipliers(cfg.dt, self.xi_sq)
         # 2/3 rule: heuristic for non-polynomial powers, but it removes
         # the worst of the aliasing from the pointwise source.
         self.dealias_mask = grid.dealias_mask() if cfg.dealias_active else None
 
     def source_coeffs(self, u_values: np.ndarray) -> np.ndarray | None:
         """Real-FFT coefficients of the source at ``u_values``, dealiased
-        when configured; None when the source is switched off."""
+        when configured; None when the source is switched off or has a
+        non-finite entry, which is then not transformed."""
         kind = self.cfg.nonlinearity
         if kind is Nonlinearity.NONE:
             return None
         f = source_term(u_values, self.cfg.problem.p, signed=kind is Nonlinearity.SIGNED)
+        if not np.all(np.isfinite(f)):
+            return None
         f_hat = self.cfg.grid.forward(f)
         if self.dealias_mask is not None:
             f_hat = np.where(self.dealias_mask, f_hat, 0.0)
@@ -150,19 +152,21 @@ class Stepper:
 
     def advance(
         self, u_coeffs: np.ndarray, ut_coeffs: np.ndarray, f_hat: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None] | None:
         """One step from (u_n, ut_n) with f_n = ``f_hat``; returns the new
         (u_coeffs, ut_coeffs, u_values) and f*, the source at the new u,
-        which is the next step's f_n (None when there is no source or the
-        new u is non-finite)."""
+        which is the next step's f_n (None when there is no source).
+        Returns None when f* is non-finite: the step has blown up."""
         half_dt = 0.5 * self.cfg.dt
         if f_hat is not None:
             ut_coeffs = ut_coeffs + half_dt * f_hat
         u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, self.g, self.gdt, self.xi_sq)
         u_values_new = self.cfg.grid.inverse(u_new)
         f_star = None
-        if f_hat is not None and np.all(np.isfinite(u_values_new)):
+        if f_hat is not None:
             f_star = self.source_coeffs(u_values_new)
+            if f_star is None:
+                return None
             ut_new = ut_new + half_dt * f_star
         return u_new, ut_new, u_values_new, f_star
 
@@ -178,12 +182,15 @@ def run(
     rejects a t_end that is not a whole number of steps).
     Records a diagnostic row every ``record_every`` steps (plus the final
     one) and, when ``snapshot_every`` is given, stores full states at
-    that time spacing for the trajectory audits.  The step loop itself is
-    serial; distinct runs share nothing and may execute concurrently.
+    that positive time spacing for the trajectory audits.  The step loop
+    itself is serial; distinct runs share nothing and may execute
+    concurrently.
     """
     u0, u1 = data
     if u0.grid != cfg.grid or u1.grid != cfg.grid:
         raise ValueError("data fields do not live on the configured grid")
+    if snapshot_every is not None and not snapshot_every > 0.0:
+        raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
     grid = cfg.grid
     stepper = Stepper(cfg)
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -192,6 +199,8 @@ def run(
     ut_coeffs = grid.forward(u1.values)
     u_values = u0.values.copy()
     f_hat = stepper.source_coeffs(u_values)
+    if f_hat is None and cfg.nonlinearity is not Nonlinearity.NONE:
+        raise ValueError("the source overflows at the initial data")
 
     series = TimeSeries()
     snapshots: list[LinearState] = []
@@ -207,7 +216,7 @@ def run(
         t = n * cfg.dt
         record_due = (n % cfg.record_every == 0) or n == n_steps
         if record_due:
-            series.append(measure(grid, t, u_coeffs, ut_coeffs, cfg.weight, u_values=u_values))
+            series.append(measure(grid, t, u_coeffs, ut_coeffs, cfg.weight, u_values))
             if not contaminated and boundary_contaminated(u_values, grid):
                 contaminated = True
             last_record = (t, u_coeffs, ut_coeffs)
@@ -217,21 +226,20 @@ def run(
         if n == n_steps:
             break
 
-        u_coeffs_new, ut_coeffs_new, u_values_new, f_hat = stepper.advance(
-            u_coeffs, ut_coeffs, f_hat
-        )
-        finite = bool(np.all(np.isfinite(u_values_new)))
-        if not finite or np.max(np.abs(u_values_new)) > cfg.blowup_threshold:
+        step = stepper.advance(u_coeffs, ut_coeffs, f_hat)
+        # one reduction decides the step: NaN fails the comparison
+        peak = np.inf if step is None else np.max(np.abs(step[2]))
+        if not peak <= cfg.blowup_threshold:
             blowup_time = t + 0.5 * cfg.dt
-            if finite:
+            if np.isfinite(peak):
                 final_state = LinearState(
                     t=t + cfg.dt,
-                    u=RealField(grid, u_values_new),
-                    ut=RealField(grid, grid.inverse(ut_coeffs_new)),
+                    u=RealField(grid, step[2]),
+                    ut=RealField(grid, grid.inverse(step[1])),
                 )
             series.append_blowup_marker(blowup_time)
             break
-        u_coeffs, ut_coeffs, u_values = u_coeffs_new, ut_coeffs_new, u_values_new
+        u_coeffs, ut_coeffs, u_values, f_hat = step
 
     if final_state is None:
         if last_record is None:  # unreachable: n = 0 always records

@@ -4,10 +4,10 @@ The continuum problem lives on R^N; here it is truncated to a periodic
 box [-L, L)^dim sampled with M points per axis, so the discrete
 frequencies are xi_k = pi*k/L for k in the standard FFT index set.  The
 solution operator of u_tt - Lap u + u_t = 0 acts diagonally in frequency
-through two scalar multipliers evaluated by :func:`greens_multiplier`
-and :func:`greens_multiplier_dt`; both switch between a sinh branch
-(|xi| < 1/2), a sin branch (|xi| > 1/2) and a short Taylor series near
-the branch point where the closed forms cancel catastrophically.
+through two scalar multipliers, g and its time derivative g', which
+:func:`greens_multipliers` evaluates together: one split between a sinh
+branch (|xi| < 1/2), a sin branch (|xi| > 1/2) and a short Taylor series
+near the branch point where the closed forms cancel catastrophically.
 
 Fields are real, so every transform is a real FFT on the half-spectrum
 layout: :meth:`Grid.forward` (``np.fft.rfftn``) keeps the last axis
@@ -245,63 +245,50 @@ class RealField:
 # expression stays finite no matter how large t grows.  Near the branch
 # point both closed forms cancel; there we use 4 terms of the Taylor
 # series of sinh(x)/x and cosh(x) in z = t^2*(1/4 - xi_sq), which is
-# valid for either sign of z.
+# valid for either sign of z.  greens_multipliers returns g together with
+# g'(t) = exp(-t/2) * (cosh(t*omega) - sinh(t*omega)/(2*omega)) and its
+# sin/cos counterpart: the branch masks, the exponentials, sin(t*nu) and
+# the sinh(x)/x series are evaluated once and shared by both.
 
 
-def _split_branches(t: float, xi_sq):
-    """Checked inputs of both multipliers: whether ``xi_sq`` is a scalar,
-    delta = 1/4 - xi_sq as an array, and the sinh/sin/series masks."""
+def greens_multipliers(t: float, xi_sq) -> tuple[np.ndarray | float, np.ndarray | float]:
+    """(g(t), g'(t)): the multiplier of the operator mapping initial
+    velocity to the solution of the linear damped wave equation at time
+    t, and its time derivative.  Floats for a scalar ``xi_sq``, arrays
+    otherwise."""
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     xi_sq = np.asarray(xi_sq, dtype=np.float64)
     delta = 0.25 - np.atleast_1d(xi_sq)
-    near = np.abs(delta) < BRANCH_TOL
     low = delta >= BRANCH_TOL
     high = delta <= -BRANCH_TOL
-    return xi_sq.ndim == 0, delta, low, high, near
-
-
-def greens_multiplier(t: float, xi_sq) -> np.ndarray | float:
-    """Multiplier of the operator mapping initial velocity to the solution
-    of the linear damped wave equation at time t."""
-    scalar, delta, low, high, near = _split_branches(t, xi_sq)
-    out = np.empty_like(delta)
-
-    omega = np.sqrt(delta[low])
-    out[low] = (np.exp(t * (omega - 0.5)) - np.exp(-t * (omega + 0.5))) / (
-        2.0 * omega
-    )
-    nu = np.sqrt(-delta[high])
-    out[high] = np.exp(-0.5 * t) * np.sin(t * nu) / nu
-    z = t * t * delta[near]
-    out[near] = (
-        np.exp(-0.5 * t)
-        * t
-        * (1.0 + z / 6.0 + z * z / 120.0 + z * z * z / 5040.0)
-    )
-    return float(out[0]) if scalar else out
-
-
-def greens_multiplier_dt(t: float, xi_sq) -> np.ndarray | float:
-    """Time derivative of :func:`greens_multiplier`:
-    exp(-t/2) * (cosh(t*omega) - sinh(t*omega)/(2*omega)) and its sin/cos
-    counterpart past the branch point."""
-    scalar, delta, low, high, near = _split_branches(t, xi_sq)
-    out = np.empty_like(delta)
+    near = np.abs(delta) < BRANCH_TOL
+    g = np.empty_like(delta)
+    gdt = np.empty_like(delta)
+    decay = np.exp(-0.5 * t)
 
     omega = np.sqrt(delta[low])
     e_plus = np.exp(t * (omega - 0.5))
     e_minus = np.exp(-t * (omega + 0.5))
-    out[low] = 0.5 * (e_plus + e_minus) - 0.5 * (e_plus - e_minus) / (2.0 * omega)
+    sinh_part = e_plus - e_minus
+    two_omega = 2.0 * omega
+    g[low] = sinh_part / two_omega
+    gdt[low] = 0.5 * (e_plus + e_minus) - 0.5 * sinh_part / two_omega
+
     nu = np.sqrt(-delta[high])
-    out[high] = np.exp(-0.5 * t) * (
-        np.cos(t * nu) - 0.5 * np.sin(t * nu) / nu
-    )
+    phase = t * nu
+    sin_part = np.sin(phase)
+    g[high] = decay * sin_part / nu
+    gdt[high] = decay * (np.cos(phase) - 0.5 * sin_part / nu)
+
     z = t * t * delta[near]
-    cosh_series = 1.0 + z / 2.0 + z * z / 24.0 + z * z * z / 720.0
     sinhc_series = 1.0 + z / 6.0 + z * z / 120.0 + z * z * z / 5040.0
-    out[near] = np.exp(-0.5 * t) * (cosh_series - 0.5 * t * sinhc_series)
-    return float(out[0]) if scalar else out
+    cosh_series = 1.0 + z / 2.0 + z * z / 24.0 + z * z * z / 720.0
+    g[near] = decay * t * sinhc_series
+    gdt[near] = decay * (cosh_series - 0.5 * t * sinhc_series)
+    if xi_sq.ndim == 0:
+        return float(g[0]), float(gdt[0])
+    return g, gdt
 
 
 def boundary_contaminated(values: np.ndarray, grid: Grid) -> bool:

@@ -28,6 +28,10 @@ import numpy as np
 
 from .spectral import Grid
 
+# The trajectory audits need at least this many snapshots; runs with
+# fewer skip them.
+MIN_AUDIT_SNAPSHOTS = 50
+
 
 @dataclass(frozen=True)
 class WeightParams:
@@ -232,7 +236,7 @@ def _weighted_integrals(snapshots, times, w: WeightParams, density, rate):
     return against_weight, cumulative
 
 
-def energy_audit(snapshots, w: WeightParams, p: float, min_snapshots: int = 50) -> EnergyAudit:
+def energy_audit(snapshots, w: WeightParams, p: float) -> EnergyAudit:
     """Check the integrated weighted-energy inequality on snapshots.
 
     For every snapshot time t the recorded energy must not exceed
@@ -243,11 +247,12 @@ def energy_audit(snapshots, w: WeightParams, p: float, min_snapshots: int = 50) 
     its counterpart against the weight's time derivative; the time
     integral uses the trapezoid rule over the snapshot times.  The
     tolerance budget for reported violations reflects that quadrature
-    error; refine the snapshot cadence to shrink it.
+    error; refine the snapshot cadence to shrink it.  At least
+    MIN_AUDIT_SNAPSHOTS snapshots are required.
     """
-    if len(snapshots) < min_snapshots:
+    if len(snapshots) < MIN_AUDIT_SNAPSHOTS:
         raise ValueError(
-            f"need at least {min_snapshots} snapshots for the audit, "
+            f"need at least {MIN_AUDIT_SNAPSHOTS} snapshots for the audit, "
             f"got {len(snapshots)}"
         )
     times = np.array([s.t for s in snapshots])

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from dampedwave.cli import main
 from dampedwave.snapshots import read_snapshot
@@ -76,6 +77,17 @@ def test_simulate_snapshots_round_trip(tmp_path):
     state, meta = read_snapshot(snaps[0])
     assert meta.p == 4.0
     assert state.t == 0.0
+
+
+@pytest.mark.parametrize("verb", ["simulate", "energy-audit"])
+@pytest.mark.parametrize("every", ["0", "-0.5"])
+def test_nonpositive_snapshot_spacing_exits_2(tmp_path, verb, every):
+    cfg = write_cfg(tmp_path, SMALL)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", str(cfg), "--out", str(out), "--snapshots", every])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_missing_key_exits_2(tmp_path, capsys):

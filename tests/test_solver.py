@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 
 from dampedwave.exponents import ProblemParams
 from dampedwave.initial_data import gaussian_field, zero_field
+from dampedwave import propagator, solver
 from dampedwave.propagator import decay_profile
 from dampedwave.solver import (
     Nonlinearity,
@@ -13,7 +14,7 @@ from dampedwave.solver import (
     run,
     source_term,
 )
-from dampedwave.spectral import Grid, RealField
+from dampedwave.spectral import Grid, RealField, greens_multipliers
 from dampedwave.weights import WeightParams, weighted_energy
 
 WEIGHT = WeightParams(4.0, 2.0)
@@ -174,6 +175,36 @@ def test_run_blow_up_detection():
     assert np.all(np.isfinite(finite["linf_u"]))
 
 
+def test_run_blow_up_on_overflowing_source():
+    # the step to t = 1.525 leaves u finite (max |u| ~ 2.8e213) below the
+    # threshold, but |u|^2 overflows: that step is the blow-up step, and
+    # the overflowed source is never transformed (warnings are errors)
+    grid = Grid(1, 20.0, 256)
+    cfg = make_cfg(p=2.0, grid=grid, dt=0.005, t_end=5.0, blowup_threshold=1e308)
+    data = (gaussian_field(grid, 5.0, 2.0), zero_field(grid))
+    outcome = run(cfg, data)
+    assert outcome.status is RunStatus.BLEW_UP
+    assert outcome.blowup_time == pytest.approx(1.5225, abs=1e-12)
+    state = outcome.final_state
+    assert state.t <= 1.52 + 1e-12
+    assert np.all(np.isfinite(state.u.values)) and np.all(np.isfinite(state.ut.values))
+
+
+def test_run_rejects_overflowing_initial_source():
+    cfg = make_cfg(p=2.0)
+    data = (gaussian_field(cfg.grid, 1e200, 2.0), zero_field(cfg.grid))
+    with pytest.raises(ValueError, match="overflows"):
+        run(cfg, data)
+
+
+@pytest.mark.parametrize("every", [0.0, -0.5])
+def test_run_rejects_nonpositive_snapshot_spacing(every):
+    cfg = make_cfg(t_end=1.0)
+    data = (gaussian_field(cfg.grid, 0.01, 2.0), zero_field(cfg.grid))
+    with pytest.raises(ValueError, match="snapshot_every"):
+        run(cfg, data, snapshot_every=every)
+
+
 def test_run_snapshot_cadence():
     cfg = make_cfg(t_end=5.0)
     data = (gaussian_field(cfg.grid, 0.01, 2.0), zero_field(cfg.grid))
@@ -285,6 +316,25 @@ def test_run_evaluates_source_once_per_step(monkeypatch):
     outcome = run(cfg, (gaussian_field(cfg.grid, 0.05, 2.0), zero_field(cfg.grid)))
     assert outcome.status is RunStatus.COMPLETED
     assert len(calls) == round(cfg.t_end / cfg.dt) + 1
+
+
+def test_multipliers_evaluated_once_per_lag(monkeypatch):
+    calls = []
+
+    def counted(t, xi_sq):
+        calls.append(t)
+        return greens_multipliers(t, xi_sq)
+
+    monkeypatch.setattr(solver, "greens_multipliers", counted)
+    monkeypatch.setattr(propagator, "greens_multipliers", counted)
+    cfg = make_cfg(t_end=2.0)
+    data = (gaussian_field(cfg.grid, 0.05, 2.0), zero_field(cfg.grid))
+    assert run(cfg, data).status is RunStatus.COMPLETED
+    assert calls == [cfg.dt]
+    calls.clear()
+    times = [0.0, 0.5, 1.0, 4.0]
+    assert len(decay_profile(data, times)) == len(times)
+    assert calls == times
 
 
 def test_run_path_uses_only_real_transforms(monkeypatch):

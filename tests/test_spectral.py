@@ -11,8 +11,7 @@ from dampedwave.spectral import (
     Grid,
     RealField,
     boundary_contaminated,
-    greens_multiplier,
-    greens_multiplier_dt,
+    greens_multipliers,
 )
 
 
@@ -63,25 +62,26 @@ def test_field_rejects_nonfinite():
 
 def test_multiplier_zero_frequency_closed_forms():
     for t in (0.1, 1.0, 10.0, 100.0):
-        assert greens_multiplier(t, 0.0) == pytest.approx(1 - math.exp(-t), abs=1e-14)
-        assert greens_multiplier_dt(t, 0.0) == pytest.approx(math.exp(-t), abs=1e-14)
+        g, gdt = greens_multipliers(t, 0.0)
+        assert g == pytest.approx(1 - math.exp(-t), abs=1e-14)
+        assert gdt == pytest.approx(math.exp(-t), abs=1e-14)
 
 
 def test_multiplier_branch_point_value():
     # sinh(x)/x -> 1, so the branch-point value is t*exp(-t/2)
-    assert greens_multiplier(2.0, 0.25) == pytest.approx(2 * math.exp(-1), rel=1e-12)
+    assert greens_multipliers(2.0, 0.25)[0] == pytest.approx(2 * math.exp(-1), rel=1e-12)
 
 
 def test_multiplier_high_frequency_value():
     # frozen 40-digit evaluation of e^{-1/2} sin(sqrt(3)/2)/(sqrt(3)/2)
-    assert greens_multiplier(1.0, 1.0) == pytest.approx(
+    assert greens_multipliers(1.0, 1.0)[0] == pytest.approx(
         0.53350719511469298276, rel=1e-14
     )
 
 
 def test_multiplier_dt_high_frequency_value():
     # frozen 40-digit evaluation of e^{-1/2}(cos(sqrt 2) - sin(sqrt 2)/(2 sqrt 2))
-    assert greens_multiplier_dt(1.0, 2.25) == pytest.approx(
+    assert greens_multipliers(1.0, 2.25)[1] == pytest.approx(
         -0.11723285675258601093, rel=1e-13
     )
 
@@ -89,23 +89,23 @@ def test_multiplier_dt_high_frequency_value():
 def test_multiplier_deep_decay_log_space():
     # sinh branch far into the decay regime, frozen 40-digit value;
     # a naive exp(-t/2)*sinh(t*omega) evaluation would lose it entirely
-    assert greens_multiplier(100.0, 0.2499999999) == pytest.approx(
+    assert greens_multipliers(100.0, 0.2499999999)[0] == pytest.approx(
         1.9287501694222418499e-20, rel=1e-9
     )
 
 
 def test_multiplier_initial_conditions():
     xi_sq = np.concatenate([np.linspace(0, 5, 100), [0.25, 0.25 + 1e-12]])
-    np.testing.assert_array_equal(greens_multiplier(0.0, xi_sq), 0.0)
-    np.testing.assert_allclose(greens_multiplier_dt(0.0, xi_sq), 1.0, atol=1e-15)
+    g, gdt = greens_multipliers(0.0, xi_sq)
+    np.testing.assert_array_equal(g, 0.0)
+    np.testing.assert_allclose(gdt, 1.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 100.0])
 def test_multiplier_branch_continuity(t):
-    for fn in (greens_multiplier, greens_multiplier_dt):
-        center = fn(t, 0.25)
-        assert abs(fn(t, 0.25 + 1e-9) - center) < 1e-7
-        assert abs(fn(t, 0.25 - 1e-9) - center) < 1e-7
+    center = np.array(greens_multipliers(t, 0.25))
+    for xi_sq in (0.25 + 1e-9, 0.25 - 1e-9):
+        assert np.all(np.abs(np.array(greens_multipliers(t, xi_sq)) - center) < 1e-7)
 
 
 def test_multiplier_series_matches_exact_across_switch():
@@ -116,8 +116,8 @@ def test_multiplier_series_matches_exact_across_switch():
         for sign in (+1, -1):
             just_out = 0.25 - sign * 1.0001e-8
             just_in = 0.25 - sign * 0.9999e-8
-            assert greens_multiplier(t, just_in) == pytest.approx(
-                greens_multiplier(t, just_out), rel=1e-9
+            assert greens_multipliers(t, just_in)[0] == pytest.approx(
+                greens_multipliers(t, just_out)[0], rel=1e-9
             )
 
 
@@ -128,30 +128,29 @@ def test_multiplier_series_matches_exact_across_switch():
 )
 def test_multiplier_high_frequency_envelope(t, xi_sq):
     # past the branch point |sin(t nu)/nu| <= t (up to roundoff)
-    value = greens_multiplier(t, xi_sq)
+    value = greens_multipliers(t, xi_sq)[0]
     assert abs(value) <= t * math.exp(-0.5 * t) * (1 + 1e-12) + 1e-300
 
 
 def test_multiplier_no_overflow_large_t():
     xi_sq = np.linspace(0.0, 100.0, 10001)
     for t in (100.0, 250.0, 500.0):
-        g = greens_multiplier(t, xi_sq)
-        gdt = greens_multiplier_dt(t, xi_sq)
+        g, gdt = greens_multipliers(t, xi_sq)
         assert np.all(np.isfinite(g)) and np.all(np.isfinite(gdt))
         assert np.max(np.abs(g)) <= 1.0 + 1e-12
 
 
 def test_multiplier_rejects_negative_time():
     with pytest.raises(ValueError):
-        greens_multiplier(-1.0, 0.1)
+        greens_multipliers(-1.0, 0.1)
 
 
 def test_multiplier_alone_does_not_compose():
     # only the full (u, u_t) state map forms a one-parameter group; the
     # scalar multiplier by itself satisfies no semigroup law
     xi_sq = 0.04
-    product = greens_multiplier(1.0, xi_sq) * greens_multiplier(2.0, xi_sq)
-    direct = greens_multiplier(3.0, xi_sq)
+    product = greens_multipliers(1.0, xi_sq)[0] * greens_multipliers(2.0, xi_sq)[0]
+    direct = greens_multipliers(3.0, xi_sq)[0]
     assert abs(product - direct) > 1e-3
 
 
@@ -176,9 +175,9 @@ def test_parseval_after_multiplier(dim, points):
     # h-weighted physical L^2 norm of their inverse transform
     g = Grid(dim=dim, half_width=5.0, points=points)
     rng = np.random.default_rng(3)
-    coeffs = np.fft.rfftn(rng.standard_normal(g.shape), axes=g.axes) * greens_multiplier(
+    coeffs = np.fft.rfftn(rng.standard_normal(g.shape), axes=g.axes) * greens_multipliers(
         1.0, g.freq_sq()
-    )
+    )[0]
     physical = RealField(g, np.fft.irfftn(coeffs, s=g.shape, axes=g.axes))
     assert physical.l2_norm() == pytest.approx(spectral_l2(coeffs, g), rel=1e-12)
 

@@ -11,6 +11,7 @@ from dampedwave.spectral import Grid, RealField
 from dampedwave.exponents import ProblemParams
 from dampedwave.solver import Nonlinearity, SolverConfig, run
 from dampedwave.weights import (
+    MIN_AUDIT_SNAPSHOTS,
     WeightParams,
     decay_norm,
     energy_audit,
@@ -208,9 +209,11 @@ def test_energy_audit_semilinear_run():
 
 
 def test_energy_audit_refinement_does_not_worsen():
-    outcome, w = _small_run()
+    # 101 snapshots, so every other one still meets the audit minimum
+    outcome, w = _small_run(snapshot_every=0.125)
+    assert len(outcome.snapshots[::2]) >= MIN_AUDIT_SNAPSHOTS
     fine = energy_audit(outcome.snapshots, w, 4.0)
-    coarse = energy_audit(outcome.snapshots[::2], w, 4.0, min_snapshots=20)
+    coarse = energy_audit(outcome.snapshots[::2], w, 4.0)
     assert fine.violation <= coarse.violation + 1e-15
 
 
