@@ -3,8 +3,8 @@
 Both the exact linear flow and the semilinear stepper funnel their
 states through :func:`measure` so that "nonlinearity switched off"
 reproduces the linear diagnostics through the identical code path.  The
-weighted energy comes from ``weights.spectral_energy``, the same kernel
-that :func:`~dampedwave.weights.weighted_energy` uses on stored states.
+weighted energy comes from ``weights.spectral_energy``, the kernel that
+the snapshot rows and :func:`~dampedwave.weights.weighted_energy` use.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import Grid
-from .weights import WeightParams, spectral_energy
+from .weights import WeightParams, spectral_energy, weight_value
 
 
 def spectral_l2(coeffs: np.ndarray, grid: Grid, xi_sq: np.ndarray | None = None) -> float:
@@ -47,7 +47,8 @@ def measure(
     l2_grad = spectral_l2(u_coeffs, grid, grid.freq_sq())
     l2_ut = spectral_l2(ut_coeffs, grid)
 
-    e_weighted = spectral_energy(grid, t, u_coeffs, grid.inverse(ut_coeffs), weight)
+    psi = weight_value(t, grid.radius_sq(), weight)
+    e_weighted = spectral_energy(grid, u_coeffs, grid.inverse(ut_coeffs), psi)
 
     quarter = 0.25 * grid.dim
     growth = 1.0 + t

@@ -13,6 +13,7 @@ import datetime
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from .inequalities import gaussian_width_family, ratio_sweep
 from .initial_data import gaussian_field, modulated_gaussian_field, zero_field
 from .propagator import decay_profile
 from .solver import RunOutcome, run
-from .snapshots import write_snapshot
 from .timeseries import decay_fit
 from .weights import (
     MIN_AUDIT_SNAPSHOTS,
@@ -69,22 +69,9 @@ def exponent_report(setup: RunSetup) -> dict:
         report["note"] = str(exc)
         return report
     report["valid"] = True
-    report.update(
-        {
-            "p_fujita": exps.p_fujita,
-            "p_max": None if np.isinf(exps.p_max) else exps.p_max,
-            "q": exps.q,
-            "lambda_min": exps.lambda_min,
-            "theta_gn": exps.theta_gn,
-            "theta_weighted": exps.theta_weighted,
-            "mu": exps.mu,
-            "theta_lp": exps.theta_lp,
-            "theta_l2p": exps.theta_l2p,
-            "budget_weighted": exps.budget_weighted,
-            "budget_lp": exps.budget_lp,
-            "budget_l2p": exps.budget_l2p,
-        }
-    )
+    report.update(asdict(exps))
+    if np.isinf(exps.p_max):
+        report["p_max"] = None
     return report
 
 
@@ -135,9 +122,10 @@ def simulate(
 ) -> dict:
     """Full semilinear run with artifacts and audits.
 
-    Snapshots (when requested) feed the energy and source-bound audits;
-    the weight-slack Monte-Carlo audit runs regardless, seeded for
-    reproducibility.
+    Snapshots (when requested) are written to ``out_dir/snapshots`` as
+    the run takes them, and their rows feed the energy and source-bound
+    audits; the weight-slack Monte-Carlo audit runs regardless, seeded
+    for reproducibility.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -145,26 +133,19 @@ def simulate(
     t0 = time.perf_counter()
 
     data = build_data(setup)
-    outcome = run(setup.solver, data, snapshot_every=snapshot_every)
+    snap_dir = None if snapshot_every is None else out_dir / "snapshots"
+    outcome = run(setup.solver, data, snapshot_every=snapshot_every, snapshot_dir=snap_dir)
     run_s = time.perf_counter() - t0
 
     outcome.series.to_csv(out_dir / "series.csv")
-    if outcome.snapshots:
-        snap_dir = out_dir / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
-        for i, state in enumerate(outcome.snapshots):
-            write_snapshot(
-                snap_dir / f"snap_{i:06d}.dwsn", state, setup.problem.p, setup.weight
-            )
 
     audits = report["audits"]
     audits["weight_residual"] = residual_audit(samples=audit_samples, seed=seed).to_dict()
-    if len(outcome.snapshots) >= MIN_AUDIT_SNAPSHOTS:
-        audits["energy"] = energy_audit(
-            outcome.snapshots, setup.weight, setup.problem.p
-        ).to_dict()
+    rows = outcome.snapshots
+    if len(rows) >= MIN_AUDIT_SNAPSHOTS:
+        audits["energy"] = energy_audit(rows, setup.problem.p).to_dict()
         audits["source_bound"] = source_bound_audit(
-            outcome.snapshots, outcome.series, setup.weight, setup.problem.p
+            rows, outcome.series, setup.problem.p
         ).to_dict()
 
     report["outcome"] = _outcome_dict(outcome)
@@ -264,17 +245,7 @@ def ckn_check(setup: RunSetup, out_dir) -> dict:
         spread = max(sweep_report.ratios) / min(sweep_report.ratios) - 1.0
         cases[name] = {
             "admissible": True,
-            "params": {
-                "p": params.p,
-                "q": params.q,
-                "r": params.r,
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "sigma": params.sigma,
-                "gamma": params.gamma,
-                "a": params.a,
-                "dim": params.dim,
-            },
+            "params": {**asdict(params), "gamma": params.gamma},
             "max_ratio": sweep_report.max_ratio,
             "scale_spread": spread,
         }

@@ -235,19 +235,6 @@ class SweepReport:
     max_ratio: float
     argmax: TestFunction
 
-    def to_dict(self) -> dict:
-        return {
-            "ratios": self.ratios,
-            "max_ratio": self.max_ratio,
-            "argmax": {
-                "kind": self.argmax.kind,
-                "amplitude": self.argmax.amplitude,
-                "width": self.argmax.width,
-                "center": self.argmax.center,
-                "degree": self.argmax.degree,
-            },
-        }
-
 
 def ratio_sweep(
     family: list[TestFunction],

@@ -45,23 +45,31 @@ class SnapshotMeta:
     weight_power: float
 
 
-def write_snapshot(path, state: LinearState, p: float, weight: WeightParams) -> None:
-    grid = state.grid
+def write_snapshot(
+    path,
+    grid: Grid,
+    t: float,
+    u_values: np.ndarray,
+    ut_values: np.ndarray,
+    p: float,
+    weight: WeightParams,
+) -> None:
+    """Write the fields (u, u_t) at time t in the layout above."""
     header = _HEADER.pack(
         MAGIC,
         VERSION,
         grid.dim,
         grid.points,
         grid.half_width,
-        state.t,
+        t,
         p,
         weight.offset,
         weight.power,
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(state.u.values, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.ut.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(u_values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(ut_values, dtype="<f8").tobytes())
 
 
 def read_snapshot(path) -> tuple[LinearState, SnapshotMeta]:

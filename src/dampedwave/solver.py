@@ -35,15 +35,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import measure
 from .exponents import ProblemParams
 from .propagator import LinearState, evolve_coeffs, state_from_coeffs
+from .snapshots import write_snapshot
 from .spectral import Grid, RealField, boundary_contaminated, greens_multipliers
 from .timeseries import TimeSeries
-from .weights import WeightParams
+from .weights import SnapshotIntegrals, WeightParams, snapshot_integrals
 
 
 class Nonlinearity(str, enum.Enum):
@@ -100,7 +102,7 @@ class RunOutcome:
     final_state: LinearState
     series: TimeSeries
     blowup_time: float | None = None
-    snapshots: list[LinearState] = field(default_factory=list)
+    snapshots: list[SnapshotIntegrals] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         has_time = self.blowup_time is not None
@@ -175,23 +177,32 @@ def run(
     cfg: SolverConfig,
     data: tuple[RealField, RealField],
     snapshot_every: float | None = None,
+    snapshot_dir: str | Path | None = None,
 ) -> RunOutcome:
     """Step from t = 0 until t_end or blow-up.
 
     The run covers t_end/dt steps of the fixed step size (the config
     rejects a t_end that is not a whole number of steps).
     Records a diagnostic row every ``record_every`` steps (plus the final
-    one) and, when ``snapshot_every`` is given, stores full states at
-    that positive time spacing for the trajectory audits.  The step loop
-    itself is serial; distinct runs share nothing and may execute
-    concurrently.
+    one).  With ``snapshot_every`` (a positive time spacing) and
+    ``snapshot_dir`` (both or neither), each snapshot is written to
+    ``snapshot_dir/snap_{i:06d}.dwsn`` when it is taken, and only its
+    :class:`~dampedwave.weights.SnapshotIntegrals` row is kept.  After
+    a blow-up the final state is the end of the blow-up step when its u
+    is finite, else the start of that step.  The step loop itself is
+    serial; distinct runs share nothing and may execute concurrently.
     """
     u0, u1 = data
     if u0.grid != cfg.grid or u1.grid != cfg.grid:
         raise ValueError("data fields do not live on the configured grid")
+    if (snapshot_every is None) != (snapshot_dir is None):
+        raise ValueError("snapshot_every and snapshot_dir must be given together")
     if snapshot_every is not None and not snapshot_every > 0.0:
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
+    if snapshot_dir is not None:
+        Path(snapshot_dir).mkdir(parents=True, exist_ok=True)
     grid = cfg.grid
+    p = cfg.problem.p
     stepper = Stepper(cfg)
     n_steps = int(round(cfg.t_end / cfg.dt))
 
@@ -203,13 +214,10 @@ def run(
         raise ValueError("the source overflows at the initial data")
 
     series = TimeSeries()
-    snapshots: list[LinearState] = []
+    snapshots: list[SnapshotIntegrals] = []
     next_snapshot = 0.0 if snapshot_every is not None else np.inf
     contaminated = False
     blowup_time = None
-    # the coefficient arrays are rebound each step, never mutated, so
-    # the latest record keeps plain references until the loop ends
-    last_record: tuple[float, np.ndarray, np.ndarray] | None = None
     final_state: LinearState | None = None
 
     for n in range(n_steps + 1):
@@ -219,9 +227,13 @@ def run(
             series.append(measure(grid, t, u_coeffs, ut_coeffs, cfg.weight, u_values))
             if not contaminated and boundary_contaminated(u_values, grid):
                 contaminated = True
-            last_record = (t, u_coeffs, ut_coeffs)
-        if snapshot_every is not None and t >= next_snapshot - 1e-12:
-            snapshots.append(state_from_coeffs(grid, t, u_coeffs, ut_coeffs))
+        if t >= next_snapshot - 1e-12:
+            ut_values = grid.inverse(ut_coeffs)
+            path = Path(snapshot_dir, f"snap_{len(snapshots):06d}.dwsn")
+            write_snapshot(path, grid, t, u_values, ut_values, p, cfg.weight)
+            snapshots.append(
+                snapshot_integrals(grid, t, u_coeffs, u_values, ut_values, cfg.weight, p)
+            )
             next_snapshot += snapshot_every
         if n == n_steps:
             break
@@ -242,9 +254,7 @@ def run(
         u_coeffs, ut_coeffs, u_values, f_hat = step
 
     if final_state is None:
-        if last_record is None:  # unreachable: n = 0 always records
-            raise RuntimeError("run recorded no state")
-        final_state = state_from_coeffs(grid, *last_record)
+        final_state = state_from_coeffs(grid, t, u_coeffs, ut_coeffs)
 
     if blowup_time is not None:
         status = RunStatus.BLEW_UP

@@ -224,9 +224,6 @@ class RealField:
     def l2_norm(self) -> float:
         return float(np.sqrt(self.grid.cell_volume * np.sum(self.values**2)))
 
-    def linf_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def mean(self) -> float:
         return float(np.mean(self.values))
 

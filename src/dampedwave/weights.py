@@ -14,7 +14,9 @@ audit samples it over the whole parameter box.
 The weighted energy of a state (u, u_t) is the h^dim quadrature of
 (|u_t|^2 + |grad u|^2) * weight, with the gradient computed spectrally.
 :func:`spectral_energy` is the one kernel for it: the run loop's
-diagnostics and :func:`weighted_energy` both call it.
+diagnostics, :func:`snapshot_integrals` and :func:`weighted_energy` all
+call it.  The trajectory audits read one :class:`SnapshotIntegrals` row
+per snapshot, computed by the run loop while it holds the state.
 The decay norm of a trajectory is the running supremum of the sum of
 four components: the square root of the weighted energy and the three
 polynomially time-weighted L^2 norms of u_t, grad u and u.
@@ -23,6 +25,7 @@ polynomially time-weighted L^2 norms of u_t, grad u and u.
 from __future__ import annotations
 
 from dataclasses import InitVar, asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,28 +148,28 @@ def gradient_sq(grid: Grid, u_coeffs: np.ndarray) -> np.ndarray:
     xi = grid.derivative_freqs()
     out = np.zeros(grid.shape)
     for axis in range(grid.dim):
-        out += grid.inverse(1j * grid.half_along(xi, axis) * u_coeffs) ** 2
+        derivative = grid.inverse(1j * grid.half_along(xi, axis) * u_coeffs)
+        out += np.square(derivative, out=derivative)
     return out
 
 
 def spectral_energy(
-    grid: Grid,
-    t: float,
-    u_coeffs: np.ndarray,
-    ut_values: np.ndarray,
-    w: WeightParams,
+    grid: Grid, u_coeffs: np.ndarray, ut_values: np.ndarray, psi: np.ndarray
 ) -> float:
-    """Weighted energy from the real-FFT coefficients of u and the values
-    of u_t."""
-    density = ut_values**2 + gradient_sq(grid, u_coeffs)
-    psi = weight_value(t, grid.radius_sq(), w)
+    """Weighted energy from the real-FFT coefficients of u, the values
+    of u_t and the weight values ``psi`` on the grid."""
+    # in place: the caller's psi is alive here, and one large temporary
+    # fewer keeps 2-D records from re-faulting heap pages on every call
+    density = gradient_sq(grid, u_coeffs)
+    density += ut_values**2
     return float(grid.cell_volume * np.sum(density * psi))
 
 
 def weighted_energy(state, w: WeightParams) -> float:
     """Weighted energy of a :class:`~dampedwave.propagator.LinearState`."""
     grid = state.u.grid
-    return spectral_energy(grid, state.t, grid.forward(state.u.values), state.ut.values, w)
+    psi = weight_value(state.t, grid.radius_sq(), w)
+    return spectral_energy(grid, grid.forward(state.u.values), state.ut.values, psi)
 
 
 def weighted_l2(state, w: WeightParams) -> float:
@@ -195,8 +198,8 @@ def decay_norm(series) -> float:
 
 @dataclass
 class EnergyAudit:
-    """Result of checking the integrated energy inequality on a stored
-    trajectory.
+    """Result of checking the integrated energy inequality on the
+    snapshot rows of a trajectory.
 
     ``discrepancy`` is the largest signed violation (left side minus
     right side, relative to the energy scale); negative values mean the
@@ -217,27 +220,54 @@ class EnergyAudit:
         return asdict(self)
 
 
-def _weighted_integrals(snapshots, times, w: WeightParams, density, rate):
-    """Per-snapshot integral of density(u) against the weight, and the
-    running time integral (trapezoid over the snapshot times) of
-    density(u) against rate(d/dt weight)."""
-    grid = snapshots[0].u.grid
+class SnapshotIntegrals(NamedTuple):
+    """One snapshot's audit inputs: the weighted energy; |u|^p u against
+    the weight (``signed``) and its time derivative (``signed_dt``); and
+    |u|^(p+1) against the weight (``source``) and |d/dt weight| (``source_dt``)."""
+
+    t: float
+    energy: float
+    signed: float
+    signed_dt: float
+    source: float
+    source_dt: float
+
+
+def snapshot_integrals(
+    grid: Grid,
+    t: float,
+    u_coeffs: np.ndarray,
+    u_values: np.ndarray,
+    ut_values: np.ndarray,
+    w: WeightParams,
+    p: float,
+) -> SnapshotIntegrals:
+    """One audit row from the real-FFT coefficients and values of u and
+    the values of u_t at time t."""
     r_sq = grid.radius_sq()
+    psi = weight_value(t, r_sq, w)
+    psi_dt = weight_dt(t, r_sq, w)
+    signed = np.abs(u_values) ** p * u_values
+    source = np.abs(signed)
     h = grid.cell_volume
-    against_weight = np.empty(len(snapshots))
-    against_dt = np.empty(len(snapshots))
-    for i, state in enumerate(snapshots):
-        f = density(state.u.values)
-        against_weight[i] = h * np.sum(f * weight_value(state.t, r_sq, w))
-        against_dt[i] = h * np.sum(f * rate(weight_dt(state.t, r_sq, w)))
-    cumulative = np.concatenate(
-        ([0.0], np.cumsum(np.diff(times) * 0.5 * (against_dt[1:] + against_dt[:-1])))
+    return SnapshotIntegrals(
+        t=t,
+        energy=spectral_energy(grid, u_coeffs, ut_values, psi),
+        signed=float(h * np.sum(signed * psi)),
+        signed_dt=float(h * np.sum(signed * psi_dt)),
+        source=float(h * np.sum(source * psi)),
+        source_dt=float(h * np.sum(source * np.abs(psi_dt))),
     )
-    return against_weight, cumulative
 
 
-def energy_audit(snapshots, w: WeightParams, p: float) -> EnergyAudit:
-    """Check the integrated weighted-energy inequality on snapshots.
+def _cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of ``values`` over ``times``, from 0."""
+    steps = np.diff(times) * 0.5 * (values[1:] + values[:-1])
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def energy_audit(rows, p: float) -> EnergyAudit:
+    """Check the integrated weighted-energy inequality on snapshot rows.
 
     For every snapshot time t the recorded energy must not exceed
 
@@ -248,35 +278,31 @@ def energy_audit(snapshots, w: WeightParams, p: float) -> EnergyAudit:
     integral uses the trapezoid rule over the snapshot times.  The
     tolerance budget for reported violations reflects that quadrature
     error; refine the snapshot cadence to shrink it.  At least
-    MIN_AUDIT_SNAPSHOTS snapshots are required.
+    MIN_AUDIT_SNAPSHOTS rows are required.
     """
-    if len(snapshots) < MIN_AUDIT_SNAPSHOTS:
+    if len(rows) < MIN_AUDIT_SNAPSHOTS:
         raise ValueError(
             f"need at least {MIN_AUDIT_SNAPSHOTS} snapshots for the audit, "
-            f"got {len(snapshots)}"
+            f"got {len(rows)}"
         )
-    times = np.array([s.t for s in snapshots])
+    times, energies, signed, signed_dt, _, _ = np.array(rows, dtype=float).T
     if np.any(np.diff(times) <= 0):
         raise ValueError("snapshot times must be strictly increasing")
 
-    energies = np.array([weighted_energy(s, w) for s in snapshots])
-    # signed integrand |u|^p u and signed d/dt weight, as in the energy identity
-    with_weight, cumulative = _weighted_integrals(
-        snapshots, times, w, lambda u: np.abs(u) ** p * u, lambda dt_weight: dt_weight
-    )
     c = 2.0 / (p + 1.0)
-    rhs = energies[0] - c * with_weight[0] + c * with_weight - c * cumulative
+    cumulative = _cumulative_trapezoid(times, signed_dt)
+    rhs = energies[0] - c * signed[0] + c * signed - c * cumulative
     scale = float(max(np.max(energies), 1e-300))
-    signed = (energies - rhs) / scale
-    worst = int(np.argmax(signed))
-    discrepancy = float(signed[worst])
+    excess = (energies - rhs) / scale
+    worst = int(np.argmax(excess))
+    discrepancy = float(excess[worst])
     return EnergyAudit(
-        snapshots=len(snapshots),
+        snapshots=len(rows),
         scale=scale,
         discrepancy=discrepancy,
         violation=max(discrepancy, 0.0),
         worst_time=float(times[worst]),
-        signed_source_min=float(np.min(with_weight)),
+        signed_source_min=float(np.min(signed)),
     )
 
 
@@ -294,16 +320,13 @@ class SourceBoundAudit:
         return asdict(self)
 
 
-def source_bound_audit(snapshots, series, w: WeightParams, p: float) -> SourceBoundAudit:
+def source_bound_audit(rows, series, p: float) -> SourceBoundAudit:
     """Ratio audit of int |u|^(p+1) * weight + time-integrated
     int |u|^(p+1) * |d/dt weight| against decay_norm^(p+1)."""
-    if len(snapshots) == 0:
+    if len(rows) == 0:
         raise ValueError("empty trajectory")
-    times = np.array([s.t for s in snapshots])
-    instant, cumulative = _weighted_integrals(
-        snapshots, times, w, lambda u: np.abs(u) ** (p + 1.0), np.abs
-    )
-    numerator = instant + cumulative
+    times, _, _, _, source, source_dt = np.array(rows, dtype=float).T
+    numerator = source + _cumulative_trapezoid(times, source_dt)
 
     norm = decay_norm(series)
     if norm == 0.0:

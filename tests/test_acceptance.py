@@ -39,14 +39,15 @@ def announce(criterion: int, passed: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def global_run_fine():
+def global_run_fine(tmp_path_factory):
     """dim 1, p = 4, amplitude 0.01 run to T = 200 with dense snapshots."""
     grid = Grid(1, 160.0, 1024)
     cfg = SolverConfig(
         problem=PROBLEM, grid=grid, weight=WEIGHT, dt=0.05, t_end=200.0, record_every=5
     )
     data = (gaussian_field(grid, 0.01, 2.0), zero_field(grid))
-    return run(cfg, data, snapshot_every=0.25)
+    snapshot_dir = tmp_path_factory.mktemp("global_run_fine")
+    return run(cfg, data, snapshot_every=0.25, snapshot_dir=snapshot_dir)
 
 
 @pytest.fixture(scope="module")
@@ -180,8 +181,8 @@ def test_criterion_5_linear_energy_monotone():
 def test_criterion_6_semilinear_energy_audit(global_run_fine):
     start = time.perf_counter()
     snaps = [s for s in global_run_fine.snapshots if s.t <= 50.0 + 1e-9]
-    fine = energy_audit(snaps, WEIGHT, PROBLEM.p)
-    coarse = energy_audit(snaps[::2], WEIGHT, PROBLEM.p)
+    fine = energy_audit(snaps, PROBLEM.p)
+    coarse = energy_audit(snaps[::2], PROBLEM.p)
     elapsed = time.perf_counter() - start
     ok = (
         coarse.violation <= 1e-4

@@ -21,10 +21,14 @@ def make_state(seed=0, dim=1, points=16, t=1.5):
     )
 
 
+def write_state(path, state, p, weight):
+    write_snapshot(path, state.grid, state.t, state.u.values, state.ut.values, p, weight)
+
+
 def test_round_trip_bit_exact(tmp_path):
     state = make_state()
     path = tmp_path / "state.dwsn"
-    write_snapshot(path, state, p=4.0, weight=WeightParams(4.0, 2.0))
+    write_state(path, state, p=4.0, weight=WeightParams(4.0, 2.0))
     loaded, meta = read_snapshot(path)
     np.testing.assert_array_equal(loaded.u.values, state.u.values)
     np.testing.assert_array_equal(loaded.ut.values, state.ut.values)
@@ -39,7 +43,7 @@ def test_round_trip_bit_exact(tmp_path):
 def test_round_trip_dim2(tmp_path):
     state = make_state(seed=3, dim=2, points=8, t=0.0)
     path = tmp_path / "state2.dwsn"
-    write_snapshot(path, state, p=3.0, weight=WeightParams(1.0, 1.0))
+    write_state(path, state, p=3.0, weight=WeightParams(1.0, 1.0))
     loaded, meta = read_snapshot(path)
     np.testing.assert_array_equal(loaded.u.values, state.u.values)
     assert loaded.grid == state.grid
@@ -51,7 +55,7 @@ def test_round_trip_random(seed, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("snaps")
     state = make_state(seed=seed)
     path = tmp / f"s{seed}.dwsn"
-    write_snapshot(path, state, p=2.5, weight=WeightParams(2.0, 1.5))
+    write_state(path, state, p=2.5, weight=WeightParams(2.0, 1.5))
     loaded, _ = read_snapshot(path)
     np.testing.assert_array_equal(loaded.u.values, state.u.values)
     np.testing.assert_array_equal(loaded.ut.values, state.ut.values)
@@ -60,7 +64,7 @@ def test_round_trip_random(seed, tmp_path_factory):
 def test_header_layout(tmp_path):
     state = make_state(points=16)
     path = tmp_path / "state.dwsn"
-    write_snapshot(path, state, p=4.0, weight=WeightParams(4.0, 2.0))
+    write_state(path, state, p=4.0, weight=WeightParams(4.0, 2.0))
     blob = path.read_bytes()
     assert blob[:4] == MAGIC
     version, dim, points = struct.unpack_from("<HII", blob, 4)
@@ -75,7 +79,7 @@ def test_header_layout(tmp_path):
 def test_reader_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.dwsn"
     state = make_state()
-    write_snapshot(path, state, p=4.0, weight=WeightParams(4.0, 2.0))
+    write_state(path, state, p=4.0, weight=WeightParams(4.0, 2.0))
     blob = bytearray(path.read_bytes())
     blob[:4] = b"NOPE"
     path.write_bytes(bytes(blob))
@@ -85,7 +89,7 @@ def test_reader_rejects_bad_magic(tmp_path):
 
 def test_reader_rejects_bad_version(tmp_path):
     path = tmp_path / "bad.dwsn"
-    write_snapshot(path, make_state(), p=4.0, weight=WeightParams(4.0, 2.0))
+    write_state(path, make_state(), p=4.0, weight=WeightParams(4.0, 2.0))
     blob = bytearray(path.read_bytes())
     struct.pack_into("<H", blob, 4, 99)
     path.write_bytes(bytes(blob))
@@ -95,7 +99,7 @@ def test_reader_rejects_bad_version(tmp_path):
 
 def test_reader_rejects_truncated_payload(tmp_path):
     path = tmp_path / "bad.dwsn"
-    write_snapshot(path, make_state(), p=4.0, weight=WeightParams(4.0, 2.0))
+    write_state(path, make_state(), p=4.0, weight=WeightParams(4.0, 2.0))
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="payload"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -15,7 +17,8 @@ from dampedwave.solver import (
     source_term,
 )
 from dampedwave.spectral import Grid, RealField, greens_multipliers
-from dampedwave.weights import WeightParams, weighted_energy
+from dampedwave.snapshots import read_snapshot
+from dampedwave.weights import SnapshotIntegrals, WeightParams, weighted_energy
 
 WEIGHT = WeightParams(4.0, 2.0)
 
@@ -185,8 +188,9 @@ def test_run_blow_up_on_overflowing_source():
     outcome = run(cfg, data)
     assert outcome.status is RunStatus.BLEW_UP
     assert outcome.blowup_time == pytest.approx(1.5225, abs=1e-12)
+    # u_{n+1} of the blow-up step is not kept: the final state is its start
     state = outcome.final_state
-    assert state.t <= 1.52 + 1e-12
+    assert state.t == pytest.approx(1.52)
     assert np.all(np.isfinite(state.u.values)) and np.all(np.isfinite(state.ut.values))
 
 
@@ -198,21 +202,34 @@ def test_run_rejects_overflowing_initial_source():
 
 
 @pytest.mark.parametrize("every", [0.0, -0.5])
-def test_run_rejects_nonpositive_snapshot_spacing(every):
+def test_run_rejects_nonpositive_snapshot_spacing(every, tmp_path):
     cfg = make_cfg(t_end=1.0)
     data = (gaussian_field(cfg.grid, 0.01, 2.0), zero_field(cfg.grid))
-    with pytest.raises(ValueError, match="snapshot_every"):
-        run(cfg, data, snapshot_every=every)
+    with pytest.raises(ValueError, match="snapshot_every must be positive"):
+        run(cfg, data, snapshot_every=every, snapshot_dir=tmp_path)
 
 
-def test_run_snapshot_cadence():
+def test_run_snapshot_cadence_needs_directory(tmp_path):
+    cfg = make_cfg(t_end=1.0)
+    data = (gaussian_field(cfg.grid, 0.01, 2.0), zero_field(cfg.grid))
+    with pytest.raises(ValueError, match="together"):
+        run(cfg, data, snapshot_every=0.5)
+    with pytest.raises(ValueError, match="together"):
+        run(cfg, data, snapshot_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_snapshot_cadence(tmp_path):
     cfg = make_cfg(t_end=5.0)
     data = (gaussian_field(cfg.grid, 0.01, 2.0), zero_field(cfg.grid))
-    outcome = run(cfg, data, snapshot_every=0.5)
+    outcome = run(cfg, data, snapshot_every=0.5, snapshot_dir=tmp_path / "snaps")
     times = [s.t for s in outcome.snapshots]
     assert times[0] == 0.0
     assert len(times) == 11
     np.testing.assert_allclose(np.diff(times), 0.5, atol=1e-12)
+    files = sorted((tmp_path / "snaps").glob("*.dwsn"))
+    assert [f.name for f in files] == [f"snap_{i:06d}.dwsn" for i in range(11)]
+    assert [read_snapshot(f)[0].t for f in files] == times
 
 
 def test_run_signed_variant_differs():
@@ -337,7 +354,7 @@ def test_multipliers_evaluated_once_per_lag(monkeypatch):
     assert calls == times
 
 
-def test_run_path_uses_only_real_transforms(monkeypatch):
+def test_run_path_uses_only_real_transforms(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("complex FFT on a real field")
 
@@ -345,22 +362,41 @@ def test_run_path_uses_only_real_transforms(monkeypatch):
     monkeypatch.setattr(np.fft, "ifftn", refuse)
     cfg = make_cfg(t_end=1.0)
     data = (gaussian_field(cfg.grid, 0.05, 2.0), gaussian_field(cfg.grid, 0.01, 3.0))
-    outcome = run(cfg, data, snapshot_every=0.5)
+    outcome = run(cfg, data, snapshot_every=0.5, snapshot_dir=tmp_path)
     assert outcome.status is RunStatus.COMPLETED
     assert len(decay_profile(data, [0.0, 1.0, 2.0])) == 3
     assert weighted_energy(outcome.final_state, cfg.weight) > 0.0
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_snapshot_fields_own_their_memory(dim):
+def test_snapshot_fields_own_their_memory(dim, tmp_path):
     # a real view of a complex inverse transform would pin a buffer twice
-    # the size of each stored field
+    # the size of each stored field; snapshots keep no fields at all
     grid = Grid(dim, 20.0, 32)
     cfg = make_cfg(grid=grid, t_end=1.0)
     data = (gaussian_field(grid, 0.05, 2.0), zero_field(grid))
-    outcome = run(cfg, data, snapshot_every=0.5)
+    outcome = run(cfg, data, snapshot_every=0.5, snapshot_dir=tmp_path)
     assert len(outcome.snapshots) == 3
-    for state in (*outcome.snapshots, outcome.final_state):
-        for field in (state.u, state.ut):
-            base = field.values.base
-            assert base is None or base.nbytes == field.values.nbytes
+    assert all(isinstance(row, SnapshotIntegrals) for row in outcome.snapshots)
+    for field in (outcome.final_state.u, outcome.final_state.ut):
+        base = field.values.base
+        assert base is None or base.nbytes == field.values.nbytes
+
+
+def test_snapshot_memory_does_not_grow_with_count(tmp_path):
+    # each snapshot is written and reduced to a row while the loop holds
+    # it, so 101 snapshots take no more memory than 2
+    grid = Grid(2, 20.0, 64)
+    cfg = make_cfg(grid=grid, t_end=5.0)
+    data = (gaussian_field(grid, 0.05, 2.0), zero_field(grid))
+    run(cfg, data, snapshot_every=4.0, snapshot_dir=tmp_path / "warm-up")
+    peaks = {}
+    for every in (4.0, 0.05):
+        tracemalloc.start()
+        try:
+            outcome = run(cfg, data, snapshot_every=every, snapshot_dir=tmp_path / str(every))
+            peaks[len(outcome.snapshots)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sorted(peaks) == [2, 101]
+    assert peaks[101] - peaks[2] < 10 * grid.size * 8

@@ -9,6 +9,7 @@ from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave.propagator import LinearState, decay_profile
 from dampedwave.spectral import Grid, RealField
 from dampedwave.exponents import ProblemParams
+from dampedwave.snapshots import read_snapshot
 from dampedwave.solver import Nonlinearity, SolverConfig, run
 from dampedwave.weights import (
     MIN_AUDIT_SNAPSHOTS,
@@ -16,6 +17,7 @@ from dampedwave.weights import (
     decay_norm,
     energy_audit,
     residual_audit,
+    snapshot_integrals,
     source_bound_audit,
     weight_base,
     weight_dt,
@@ -177,7 +179,9 @@ def test_linear_flow_energy_monotone():
 # Decay norm and audits
 # ---------------------------------------------------------------------------
 
-def _small_run(t_end=12.5, amplitude=0.01, snapshot_every=0.25, grid=None):
+def _small_run(
+    snapshot_dir=None, t_end=12.5, amplitude=0.01, snapshot_every=0.25, grid=None
+):
     grid = grid or Grid(1, 40.0, 256)
     problem = ProblemParams(grid.dim, 4.0, 2.0)
     w = WeightParams(4.0, 2.0)
@@ -185,7 +189,7 @@ def _small_run(t_end=12.5, amplitude=0.01, snapshot_every=0.25, grid=None):
         problem=problem, grid=grid, weight=w, dt=0.05, t_end=t_end, record_every=5
     )
     data = (gaussian_field(grid, amplitude, 2.0), zero_field(grid))
-    return run(cfg, data, snapshot_every=snapshot_every), w
+    return run(cfg, data, snapshot_every=snapshot_every, snapshot_dir=snapshot_dir), w
 
 
 def test_decay_norm_zero_solution():
@@ -201,23 +205,23 @@ def test_decay_norm_empty_trajectory():
         decay_norm(TimeSeries())
 
 
-def test_energy_audit_semilinear_run():
-    outcome, w = _small_run()
-    audit = energy_audit(outcome.snapshots, w, 4.0)
+def test_energy_audit_semilinear_run(tmp_path):
+    outcome, _ = _small_run(tmp_path)
+    audit = energy_audit(outcome.snapshots, 4.0)
     assert audit.violation <= 1e-4
     assert audit.snapshots == len(outcome.snapshots)
 
 
-def test_energy_audit_refinement_does_not_worsen():
+def test_energy_audit_refinement_does_not_worsen(tmp_path):
     # 101 snapshots, so every other one still meets the audit minimum
-    outcome, w = _small_run(snapshot_every=0.125)
+    outcome, _ = _small_run(tmp_path, snapshot_every=0.125)
     assert len(outcome.snapshots[::2]) >= MIN_AUDIT_SNAPSHOTS
-    fine = energy_audit(outcome.snapshots, w, 4.0)
-    coarse = energy_audit(outcome.snapshots[::2], w, 4.0)
+    fine = energy_audit(outcome.snapshots, 4.0)
+    coarse = energy_audit(outcome.snapshots[::2], 4.0)
     assert fine.violation <= coarse.violation + 1e-15
 
 
-def test_energy_audit_linear_flow_reduces_to_monotonicity():
+def test_energy_audit_linear_flow_reduces_to_monotonicity(tmp_path):
     problem = ProblemParams(1, 4.0, 2.0)
     grid = Grid(1, 40.0, 256)
     w = WeightParams(4.0, 2.0)
@@ -230,47 +234,50 @@ def test_energy_audit_linear_flow_reduces_to_monotonicity():
         record_every=5,
         nonlinearity=Nonlinearity.NONE,
     )
-    outcome = run(cfg, (gaussian_field(grid, 1.0, 2.0), zero_field(grid)), snapshot_every=0.2)
-    audit = energy_audit(outcome.snapshots, w, 4.0)
+    data = (gaussian_field(grid, 1.0, 2.0), zero_field(grid))
+    outcome = run(cfg, data, snapshot_every=0.2, snapshot_dir=tmp_path)
+    audit = energy_audit(outcome.snapshots, 4.0)
     # with the source off the right side is E(0): monotone decay
     assert audit.violation <= 1e-8
 
 
-def test_energy_audit_zero_data():
+def test_energy_audit_zero_data(tmp_path):
     problem = ProblemParams(1, 4.0, 2.0)
     grid = Grid(1, 40.0, 128)
     w = WeightParams(4.0, 2.0)
     cfg = SolverConfig(problem=problem, grid=grid, weight=w, dt=0.05, t_end=10.0)
-    outcome = run(cfg, (zero_field(grid), zero_field(grid)), snapshot_every=0.2)
-    audit = energy_audit(outcome.snapshots, w, 4.0)
+    data = (zero_field(grid), zero_field(grid))
+    outcome = run(cfg, data, snapshot_every=0.2, snapshot_dir=tmp_path)
+    audit = energy_audit(outcome.snapshots, 4.0)
     assert audit.violation == 0.0
 
 
-def test_energy_audit_needs_enough_snapshots():
-    outcome, w = _small_run(snapshot_every=5.0)
+def test_energy_audit_needs_enough_snapshots(tmp_path):
+    outcome, _ = _small_run(tmp_path, snapshot_every=5.0)
     with pytest.raises(ValueError):
-        energy_audit(outcome.snapshots, w, 4.0)
+        energy_audit(outcome.snapshots, 4.0)
 
 
-def test_source_bound_audit_finite():
-    outcome, w = _small_run()
-    audit = source_bound_audit(outcome.snapshots, outcome.series, w, 4.0)
+def test_source_bound_audit_finite(tmp_path):
+    outcome, _ = _small_run(tmp_path)
+    audit = source_bound_audit(outcome.snapshots, outcome.series, 4.0)
     assert audit.applicable
     assert np.isfinite(audit.max_ratio)
     assert audit.max_ratio > 0.0
 
 
-def test_source_bound_audit_zero_solution_not_applicable():
+def test_source_bound_audit_zero_solution_not_applicable(tmp_path):
     problem = ProblemParams(1, 4.0, 2.0)
     grid = Grid(1, 40.0, 128)
     w = WeightParams(4.0, 2.0)
     cfg = SolverConfig(problem=problem, grid=grid, weight=w, dt=0.05, t_end=5.0)
-    outcome = run(cfg, (zero_field(grid), zero_field(grid)), snapshot_every=0.5)
-    audit = source_bound_audit(outcome.snapshots, outcome.series, w, 4.0)
+    data = (zero_field(grid), zero_field(grid))
+    outcome = run(cfg, data, snapshot_every=0.5, snapshot_dir=tmp_path)
+    audit = source_bound_audit(outcome.snapshots, outcome.series, 4.0)
     assert not audit.applicable
 
 
-def test_energy_audit_negative_solution():
+def test_energy_audit_negative_solution(tmp_path):
     # nonpositive data make the signed source integral negative; the
     # audit folds it in exactly as signed and still certifies the bound
     problem = ProblemParams(1, 4.0, 2.0)
@@ -280,8 +287,8 @@ def test_energy_audit_negative_solution():
         problem=problem, grid=grid, weight=w, dt=0.05, t_end=12.5, record_every=5
     )
     data = (gaussian_field(grid, -0.02, 2.0), zero_field(grid))
-    outcome = run(cfg, data, snapshot_every=0.25)
-    audit = energy_audit(outcome.snapshots, w, 4.0)
+    outcome = run(cfg, data, snapshot_every=0.25, snapshot_dir=tmp_path)
+    audit = energy_audit(outcome.snapshots, 4.0)
     assert audit.violation <= 1e-4
     assert audit.signed_source_min < 0.0
 
@@ -289,14 +296,15 @@ def test_energy_audit_negative_solution():
 @pytest.mark.parametrize(
     "grid", [Grid(1, 40.0, 256), Grid(2, 16.0, 32), Grid(3, 12.0, 16)], ids=["1d", "2d", "3d"]
 )
-def test_recorded_energy_matches_snapshot_recomputation(grid):
+def test_recorded_energy_matches_snapshot_recomputation(grid, tmp_path):
     # the run loop measures the weighted energy from spectral state; the
-    # weights module recomputes it from stored physical snapshots through
-    # the same kernel -- the two routes must agree in every dimension
-    outcome, w = _small_run(grid=grid)
+    # weights module recomputes it from the written physical snapshots
+    # through the same kernel -- the two routes must agree in every dimension
+    outcome, w = _small_run(tmp_path, grid=grid)
     times = outcome.series.column("t")
     recorded = outcome.series.column("weighted_energy")
-    by_time = {s.t: s for s in outcome.snapshots}
+    states = [read_snapshot(path)[0] for path in sorted(tmp_path.glob("*.dwsn"))]
+    by_time = {s.t: s for s in states}
     compared = 0
     for t, value in zip(times, recorded):
         if t in by_time:
@@ -304,6 +312,23 @@ def test_recorded_energy_matches_snapshot_recomputation(grid):
             assert value == pytest.approx(recomputed, rel=1e-12)
             compared += 1
     assert compared >= 50
+
+
+@pytest.mark.parametrize(
+    "grid", [Grid(1, 40.0, 256), Grid(2, 16.0, 32), Grid(3, 12.0, 16)], ids=["1d", "2d", "3d"]
+)
+def test_streamed_rows_match_written_snapshots(grid, tmp_path):
+    # every row the run loop keeps is the row of the file it wrote
+    outcome, w = _small_run(tmp_path, grid=grid)
+    paths = sorted(tmp_path.glob("*.dwsn"))
+    assert len(paths) == len(outcome.snapshots) >= MIN_AUDIT_SNAPSHOTS
+    for row, path in zip(outcome.snapshots, paths):
+        state, meta = read_snapshot(path)
+        u_coeffs = grid.forward(state.u.values)
+        again = snapshot_integrals(
+            grid, state.t, u_coeffs, state.u.values, state.ut.values, w, meta.p
+        )
+        assert again == pytest.approx(row, rel=1e-12, abs=0.0)
 
 
 def test_decay_norm_scales_linearly_in_small_regime():
