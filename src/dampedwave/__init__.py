@@ -22,7 +22,7 @@ from .exponents import (
 )
 from .spectral import Grid, RealField, greens_multipliers
 from .propagator import LinearState, decay_profile, linear_evolve
-from .solver import Nonlinearity, RunOutcome, RunStatus, SolverConfig, run
+from .solver import Nonlinearity, RunOutcome, RunStatus, SolverConfig, run, run_ensemble
 from .weights import (
     WeightParams,
     decay_norm,
@@ -68,6 +68,7 @@ __all__ = [
     "ratio_sweep",
     "residual_audit",
     "run",
+    "run_ensemble",
     "source_bound_audit",
     "suggested_weight_power",
     "weight_base",

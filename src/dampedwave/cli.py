@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("ckn-check", help="inequality ratio sweeps"))
     sweep = sub.add_parser("sweep", help="(p, amplitude) phase sweep")
     _add_common(sweep)
-    sweep.add_argument("--workers", type=int, default=None, help="parallel workers")
+    sweep.add_argument("--workers", type=int, help="ignored: all points step in one process")
 
     exps = sub.add_parser("exponents", help="print the exponent table")
     exps.add_argument("--dim", type=int, required=True)
@@ -148,14 +148,7 @@ def main(argv=None) -> int:
         elif args.verb == "ckn-check":
             report = experiments.ckn_check(setup, args.out)
         elif args.verb == "sweep":
-            if not setup.sweep_p or not setup.sweep_amplitude:
-                print(
-                    "config error: key 'sweep.p'/'sweep.amplitude': sweep "
-                    "needs nonempty value lists",
-                    file=sys.stderr,
-                )
-                return 2
-            rows = experiments.sweep(setup, args.out, workers=args.workers)
+            rows = experiments.sweep(setup, args.out)
             failures = [row for row in rows if str(row["status"]).startswith("error")]
             for row in failures:
                 print(
@@ -167,6 +160,9 @@ def main(argv=None) -> int:
             return 0
         else:  # pragma: no cover - argparse enforces the verb set
             return 2
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

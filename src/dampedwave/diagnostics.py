@@ -35,13 +35,13 @@ def measure(
     u_coeffs: np.ndarray,
     ut_coeffs: np.ndarray,
     weight: WeightParams,
-    u_values: np.ndarray,
+    linf_u: float,
 ) -> dict:
     """Build one diagnostic record from real-FFT coefficients and the
-    caller's physical u.
+    sup norm of u, which the caller has already reduced.
 
-    L^2 norms come from Parseval; the weighted energy and the sup norm
-    need physical fields, so u_t and the gradient are transformed back.
+    L^2 norms come from Parseval; the weighted energy needs physical
+    fields, so u_t and the gradient are transformed back.
     """
     l2_u = spectral_l2(u_coeffs, grid)
     l2_grad = spectral_l2(u_coeffs, grid, grid.freq_sq())
@@ -57,7 +57,7 @@ def measure(
         "l2_u": l2_u,
         "l2_grad_u": l2_grad,
         "l2_ut": l2_ut,
-        "linf_u": float(np.max(np.abs(u_values))),
+        "linf_u": float(linf_u),
         "weighted_energy": e_weighted,
         "xn_energy": float(np.sqrt(max(e_weighted, 0.0))),
         "xn_ut": growth ** (quarter + 1.0) * l2_ut,

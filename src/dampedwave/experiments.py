@@ -12,14 +12,14 @@ from __future__ import annotations
 import datetime
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import RunSetup
+from .config import ConfigError, RunSetup, load_setup_text
 from .exponents import (
     ckn_plain_interpolation,
     ckn_weighted_source,
@@ -28,7 +28,7 @@ from .exponents import (
 from .inequalities import gaussian_width_family, ratio_sweep
 from .initial_data import gaussian_field, modulated_gaussian_field, zero_field
 from .propagator import decay_profile
-from .solver import RunOutcome, run
+from .solver import RunOutcome, run, run_ensemble
 from .timeseries import decay_fit
 from .weights import (
     MIN_AUDIT_SNAPSHOTS,
@@ -128,30 +128,36 @@ def simulate(
     for reproducibility.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = _base_report(setup)
     t0 = time.perf_counter()
-
     data = build_data(setup)
     snap_dir = None if snapshot_every is None else out_dir / "snapshots"
     outcome = run(setup.solver, data, snapshot_every=snapshot_every, snapshot_dir=snap_dir)
-    run_s = time.perf_counter() - t0
+    return _write_run(setup, out_dir, outcome, time.perf_counter() - t0, seed, audit_samples)
 
+
+def _write_run(
+    setup: RunSetup, out_dir: Path, outcome: RunOutcome, run_s: float, seed: int, samples: int
+) -> dict:
+    """Series, audits and report of a finished run.  ``run_s`` is the
+    wall time that produced ``outcome``; ``total_s`` adds the time spent
+    here."""
+    t0 = time.perf_counter()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report = _base_report(setup)
     outcome.series.to_csv(out_dir / "series.csv")
 
     audits = report["audits"]
-    audits["weight_residual"] = residual_audit(samples=audit_samples, seed=seed).to_dict()
+    audits["weight_residual"] = residual_audit(samples=samples, seed=seed).to_dict()
     rows = outcome.snapshots
+    p = setup.problem.p
     if len(rows) >= MIN_AUDIT_SNAPSHOTS:
-        audits["energy"] = energy_audit(rows, setup.problem.p).to_dict()
-        audits["source_bound"] = source_bound_audit(
-            rows, outcome.series, setup.problem.p
-        ).to_dict()
+        audits["energy"] = energy_audit(rows, p).to_dict()
+        audits["source_bound"] = source_bound_audit(rows, outcome.series, p).to_dict()
 
     report["outcome"] = _outcome_dict(outcome)
     report["timings"] = {
         "run_s": run_s,
-        "total_s": time.perf_counter() - t0,
+        "total_s": run_s + time.perf_counter() - t0,
     }
     _write_report(report, out_dir)
     return report
@@ -260,32 +266,7 @@ def ckn_check(setup: RunSetup, out_dir) -> dict:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_point(args):
-    setup, p, amplitude, point_dir = args
-    try:
-        point_setup = _override(setup, p, amplitude)
-        report = simulate(point_setup, point_dir, audit_samples=10_000)
-        outcome = report["outcome"]
-        return {
-            "p": p,
-            "amplitude": amplitude,
-            "status": outcome["status"],
-            "blowup_time": outcome["blowup_time"],
-            "x_norm": outcome["x_norm"],
-        }
-    except Exception as exc:  # per-point failures must not kill the sweep
-        return {
-            "p": p,
-            "amplitude": amplitude,
-            "status": f"error: {exc}",
-            "blowup_time": None,
-            "x_norm": None,
-        }
-
-
 def _override(setup: RunSetup, p: float, amplitude: float) -> RunSetup:
-    from .config import load_setup_text
-
     pairs = dict(setup.raw)
     pairs.pop("sweep.p", None)
     pairs.pop("sweep.amplitude", None)
@@ -295,28 +276,64 @@ def _override(setup: RunSetup, p: float, amplitude: float) -> RunSetup:
     return load_setup_text(text)
 
 
-def sweep(setup: RunSetup, out_dir, workers: int | None = None) -> list[dict]:
-    """One run per (p, amplitude) grid point, executed in parallel with
-    isolated state; the aggregate CSV is written by this process only."""
+def _point_dirs(out_dir: Path, points: list[tuple[float, float]]) -> list[Path]:
+    """``run_p{p:g}_amp{amplitude:g}`` per point, or the ``%.17g`` name
+    for points whose ``%g`` names collide."""
+    short = [f"run_p{p:g}_amp{amplitude:g}" for p, amplitude in points]
+    counts = Counter(short)
+    return [
+        out_dir / (name if counts[name] == 1 else f"run_p{p:.17g}_amp{amplitude:.17g}")
+        for name, (p, amplitude) in zip(short, points)
+    ]
+
+
+def sweep(setup: RunSetup, out_dir) -> list[dict]:
+    """One run per (p, amplitude) grid point, all stepped together as one
+    ensemble in this process (memory is about the number of points times
+    one run's fields).  Each point writes the artifacts of
+    :func:`simulate` (seed 0, 10,000 audit samples) into its own
+    directory; its ``timings.run_s`` is the wall time of the whole
+    ensemble (building every point's data and stepping them) and
+    ``total_s`` adds the point's own post-run time.  A point that fails
+    (its config, its initial source or its artifacts) gets an
+    ``error: ...`` row and the others still run."""
     if not setup.sweep_p or not setup.sweep_amplitude:
-        raise ValueError("sweep needs nonempty sweep.p and sweep.amplitude lists")
+        raise ConfigError("sweep needs nonempty value lists", key="sweep.p/sweep.amplitude")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    points = [(p, amplitude) for p in setup.sweep_p for amplitude in setup.sweep_amplitude]
 
-    tasks = []
-    for p in setup.sweep_p:
-        for amplitude in setup.sweep_amplitude:
-            point_dir = out_dir / f"run_p{p:g}_amp{amplitude:g}"
-            tasks.append((setup, p, amplitude, point_dir))
+    t0 = time.perf_counter()
+    results: list = [None] * len(points)  # each point's outcome dict or exception
+    members = []
+    for index, (p, amplitude) in enumerate(points):
+        try:
+            point_setup = _override(setup, p, amplitude)
+            members.append((index, point_setup, build_data(point_setup)))
+        except Exception as exc:  # per-point failures must not kill the sweep
+            results[index] = exc
+    cfgs = [point_setup.solver for _, point_setup, _ in members]
+    outcomes = run_ensemble(cfgs, [data for _, _, data in members]) if members else []
+    run_s = time.perf_counter() - t0
 
-    if workers is None:
-        workers = min(len(tasks), 4)
-    if workers <= 1:
-        rows = [_sweep_point(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
+    point_dirs = _point_dirs(out_dir, points)
+    for (index, point_setup, _), outcome in zip(members, outcomes):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            report = _write_run(
+                point_setup, point_dirs[index], outcome, run_s, seed=0, samples=10_000
+            )
+            results[index] = report["outcome"]
+        except Exception as exc:
+            results[index] = exc
 
+    rows = []
+    for (p, amplitude), result in zip(points, results):
+        if isinstance(result, Exception):
+            result = {"status": f"error: {result}", "blowup_time": None, "x_norm": None}
+        keys = ("status", "blowup_time", "x_norm")
+        rows.append({"p": p, "amplitude": amplitude, **{key: result[key] for key in keys}})
     with open(out_dir / "sweep.csv", "w", encoding="ascii") as fh:
         fh.write("p,amplitude,status,blowup_time,x_norm\n")
         for row in rows:

@@ -120,11 +120,12 @@ def decay_profile(
     for t in times.tolist():
         u_t, ut_t = evolve_coeffs(u_coeffs, ut_coeffs, *greens_multipliers(t, xi_sq), xi_sq)
         u_values = grid.inverse(u_t)
-        if not warned and boundary_contaminated(u_values, grid):
+        peak = np.max(np.abs(u_values))
+        if not warned and boundary_contaminated(u_values, grid, peak):
             warnings.warn(
                 f"boundary shell contaminated at t={t}; enlarge the box",
                 stacklevel=2,
             )
             warned = True
-        series.append(measure(grid, t, u_t, ut_t, weight, u_values))
+        series.append(measure(grid, t, u_t, ut_t, weight, peak))
     return series

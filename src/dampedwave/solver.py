@@ -14,27 +14,30 @@ integral over one step:
 Because the Green's multiplier vanishes at lag zero, the trapezoid
 endpoint at t+dt contributes to u_t only.  The scheme is second order;
 the test suite verifies the convergence factor empirically rather than
-assuming it.  :func:`run` is the only stepping entry point: it keeps
-the spectral state (real-FFT coefficients) between steps and applies
-the linear group through ``propagator.evolve_coeffs`` with multipliers
-built once per run.
+assuming it.  :func:`run_ensemble` holds the only step loop.  It stacks
+the members' real-FFT coefficients along a leading axis, applies the
+linear group through ``propagator.evolve_coeffs`` with multipliers built
+once, and evaluates each member's source with its own scalar exponent,
+so every member's numbers are bit for bit those of its own run.
+:func:`run` is the one-member case.
 
 The predictor f* = |u_{n+1}|^p is exactly the next step's f_n, so the
-source is evaluated once per step: :func:`run` computes f_0 before the
-loop, and :meth:`Stepper.advance` returns f* for the loop to pass into
+source is evaluated once per step: the loop computes f_0 before it
+starts, and :meth:`Stepper.advance` returns f* for the loop to pass into
 the next step.
 
-A step blows up when the sup norm of u_{n+1} is non-finite or crosses
-the configured threshold, or when the source f* overflows (it is checked
-before it is transformed).  The reported blow-up time is the midpoint of
-the bracketing step, since divergence of the norms is the only available
-characterization of the maximal existence time.
+A step blows up for a member when the sup norm of its u_{n+1} is
+non-finite or crosses the configured threshold, or when its source f*
+overflows (it is checked before it is transformed).  The reported
+blow-up time is the midpoint of the bracketing step, since divergence of
+the norms is the only available characterization of the maximal
+existence time.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,51 +129,211 @@ def source_term(u_values: np.ndarray, p: float, signed: bool = False) -> np.ndar
 
 
 class Stepper:
-    """Precomputed multipliers for one (grid, dt) pair."""
+    """Multipliers for one (grid, dt) pair shared by every member of an
+    ensemble, the members' powers and their stacked dealias mask.  The
+    arrays it steps carry a leading member axis."""
 
-    def __init__(self, cfg: SolverConfig):
-        self.cfg = cfg
-        grid = cfg.grid
+    def __init__(self, cfgs: list[SolverConfig]):
+        self.cfg = cfgs[0]
+        grid = self.cfg.grid
         self.xi_sq = grid.freq_sq()
-        self.g, self.gdt = greens_multipliers(cfg.dt, self.xi_sq)
+        self.g, self.gdt = greens_multipliers(self.cfg.dt, self.xi_sq)
+        self.powers = [cfg.problem.p for cfg in cfgs]
         # 2/3 rule: heuristic for non-polynomial powers, but it removes
         # the worst of the aliasing from the pointwise source.
-        self.dealias_mask = grid.dealias_mask() if cfg.dealias_active else None
+        self.dealias_mask = None
+        if any(cfg.dealias_active for cfg in cfgs):
+            keep_all = np.ones(grid.half_shape, dtype=bool)
+            masks = [grid.dealias_mask() if cfg.dealias_active else keep_all for cfg in cfgs]
+            self.dealias_mask = np.stack(masks)
 
-    def source_coeffs(self, u_values: np.ndarray) -> np.ndarray | None:
-        """Real-FFT coefficients of the source at ``u_values``, dealiased
-        when configured; None when the source is switched off or has a
-        non-finite entry, which is then not transformed."""
+    def retain(self, keep: np.ndarray, *stacks: np.ndarray | None) -> list:
+        """Drop the members whose ``keep`` entry is False, here and from
+        ``stacks`` (None passes through)."""
+        self.powers = [p for p, kept in zip(self.powers, keep) if kept]
+        if self.dealias_mask is not None:
+            self.dealias_mask = self.dealias_mask[keep]
+        return [None if stack is None else stack[keep] for stack in stacks]
+
+    def source_coeffs(
+        self, u_values: np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Real-FFT coefficients of each member's source at the stacked
+        ``u_values`` (dealiased where configured; None when the source is
+        switched off) and the mask of members whose source has a
+        non-finite entry (None if there is none).  Those rows are zeroed,
+        so an overflowed source is never transformed."""
         kind = self.cfg.nonlinearity
         if kind is Nonlinearity.NONE:
-            return None
-        f = source_term(u_values, self.cfg.problem.p, signed=kind is Nonlinearity.SIGNED)
-        if not np.all(np.isfinite(f)):
-            return None
+            return None, None
+        signed = kind is Nonlinearity.SIGNED
+        if len(set(self.powers)) == 1:  # one exponent: one evaluation, no copies
+            f = source_term(u_values, self.powers[0], signed=signed)
+        else:
+            f = np.empty_like(u_values)
+            for row, p in enumerate(self.powers):
+                # a scalar exponent per member keeps numpy's p = 2 square path
+                f[row] = source_term(u_values[row], p, signed=signed)
+        finite = np.isfinite(f)
+        overflow = None
+        if not np.all(finite):
+            overflow = ~np.all(finite, axis=self.cfg.grid.axes)
+            f[overflow] = 0.0
         f_hat = self.cfg.grid.forward(f)
         if self.dealias_mask is not None:
             f_hat = np.where(self.dealias_mask, f_hat, 0.0)
-        return f_hat
+        return f_hat, overflow
 
     def advance(
         self, u_coeffs: np.ndarray, ut_coeffs: np.ndarray, f_hat: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None] | None:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
         """One step from (u_n, ut_n) with f_n = ``f_hat``; returns the new
-        (u_coeffs, ut_coeffs, u_values) and f*, the source at the new u,
-        which is the next step's f_n (None when there is no source).
-        Returns None when f* is non-finite: the step has blown up."""
+        (u_coeffs, ut_coeffs, u_values), f* (the source at the new u,
+        which is the next step's f_n) and each member's max |u_{n+1}|,
+        inf where f* is non-finite: the step has blown up there."""
         half_dt = 0.5 * self.cfg.dt
         if f_hat is not None:
             ut_coeffs = ut_coeffs + half_dt * f_hat
         u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, self.g, self.gdt, self.xi_sq)
         u_values_new = self.cfg.grid.inverse(u_new)
-        f_star = None
-        if f_hat is not None:
-            f_star = self.source_coeffs(u_values_new)
-            if f_star is None:
-                return None
+        peaks = np.max(np.abs(u_values_new), axis=self.cfg.grid.axes)
+        f_star, overflow = self.source_coeffs(u_values_new)
+        if overflow is not None:
+            peaks[overflow] = np.inf
+        if f_star is not None:
             ut_new = ut_new + half_dt * f_star
-        return u_new, ut_new, u_values_new, f_star
+        return u_new, ut_new, u_values_new, f_star, peaks
+
+
+@dataclass
+class _Member:
+    """One ensemble member's records while the loop steps it."""
+
+    index: int
+    cfg: SolverConfig
+    snapshot_dir: Path | None
+    series: TimeSeries = field(default_factory=TimeSeries)
+    snapshots: list[SnapshotIntegrals] = field(default_factory=list)
+    contaminated: bool = False
+
+    def record(self, t, u_coeffs, ut_coeffs, u_values, peak) -> None:
+        grid = self.cfg.grid
+        self.series.append(measure(grid, t, u_coeffs, ut_coeffs, self.cfg.weight, peak))
+        if not self.contaminated:
+            self.contaminated = boundary_contaminated(u_values, grid, peak)
+
+    def snapshot(self, t, u_coeffs, u_values, ut_values) -> None:
+        grid, weight, p = self.cfg.grid, self.cfg.weight, self.cfg.problem.p
+        path = self.snapshot_dir / f"snap_{len(self.snapshots):06d}.dwsn"
+        write_snapshot(path, grid, t, u_values, ut_values, p, weight)
+        row = snapshot_integrals(grid, t, u_coeffs, u_values, ut_values, weight, p)
+        self.snapshots.append(row)
+
+    def outcome(self, final: LinearState, blowup_time: float | None = None) -> RunOutcome:
+        if blowup_time is not None:
+            self.series.append_blowup_marker(blowup_time)
+            status = RunStatus.BLEW_UP
+        elif self.contaminated:
+            status = RunStatus.BOUNDARY_CONTAMINATED
+        else:
+            status = RunStatus.COMPLETED
+        return RunOutcome(status, final, self.series, blowup_time, self.snapshots)
+
+
+def run_ensemble(
+    cfgs: list[SolverConfig],
+    datas: list[tuple[RealField, RealField]],
+    snapshot_every: float | None = None,
+    snapshot_dirs: list[str | Path] | None = None,
+) -> list[RunOutcome | ValueError]:
+    """Step every member from t = 0 for t_end/dt steps or until it blows up.
+
+    Members share grid, dt, t_end, record_every, blowup_threshold, weight
+    and nonlinearity, and may differ in p and dealias.  Each records a
+    row every ``record_every`` steps and at the end.  With
+    ``snapshot_every`` (a positive spacing) and ``snapshot_dirs`` (one per
+    member; both or neither), each snapshot is written to
+    ``snap_{i:06d}.dwsn`` as it is taken and only its
+    :class:`~dampedwave.weights.SnapshotIntegrals` row is kept.  A member
+    leaves the stacked arrays on its blow-up step; its final state is the
+    end of that step if u is finite there, else its start.  A member whose
+    source overflows at its initial data gets that ValueError in place of
+    its outcome.
+    """
+    if not cfgs:
+        raise ValueError("an ensemble needs at least one member")
+    cfg = cfgs[0]
+    grid = cfg.grid
+    for other, (u0, u1) in zip(cfgs, datas, strict=True):
+        shared = replace(other, problem=replace(other.problem, p=cfg.problem.p))
+        if replace(shared, dealias=cfg.dealias) != cfg:
+            raise ValueError("ensemble members may differ only in p and dealias")
+        if u0.grid != grid or u1.grid != grid:
+            raise ValueError("data fields do not live on the configured grid")
+    if (snapshot_every is None) != (snapshot_dirs is None):
+        raise ValueError("snapshot_every and snapshot_dir must be given together")
+    if snapshot_every is not None and not snapshot_every > 0.0:
+        raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
+    dirs = [None] * len(cfgs) if snapshot_dirs is None else [Path(d) for d in snapshot_dirs]
+    members = []
+    for index, (member_cfg, path) in enumerate(zip(cfgs, dirs, strict=True)):
+        if path is not None:
+            path.mkdir(parents=True, exist_ok=True)
+        members.append(_Member(index, member_cfg, path))
+    stepper = Stepper(cfgs)
+    n_steps = int(round(cfg.t_end / cfg.dt))
+
+    u_values = np.stack([u0.values for u0, _ in datas])
+    u_coeffs = grid.forward(u_values)
+    ut_coeffs = grid.forward(np.stack([u1.values for _, u1 in datas]))
+    f_hat, overflow = stepper.source_coeffs(u_values)
+    outcomes: list = [None] * len(cfgs)
+    if overflow is not None:
+        for row in np.flatnonzero(overflow):
+            outcomes[row] = ValueError("the source overflows at the initial data")
+        if overflow.all():
+            return outcomes
+        members = [m for m, failed in zip(members, overflow) if not failed]
+        u_coeffs, ut_coeffs, u_values, f_hat = stepper.retain(
+            ~overflow, u_coeffs, ut_coeffs, u_values, f_hat
+        )
+    peaks = np.max(np.abs(u_values), axis=grid.axes)
+    next_snapshot = 0.0 if snapshot_every is not None else np.inf
+
+    for n in range(n_steps + 1):
+        t = n * cfg.dt
+        if n % cfg.record_every == 0 or n == n_steps:
+            for row, m in enumerate(members):
+                m.record(t, u_coeffs[row], ut_coeffs[row], u_values[row], peaks[row])
+        if t >= next_snapshot - 1e-12:
+            ut_values = grid.inverse(ut_coeffs)
+            for row, m in enumerate(members):
+                m.snapshot(t, u_coeffs[row], u_values[row], ut_values[row])
+            next_snapshot += snapshot_every
+        if n == n_steps:
+            break
+
+        step = stepper.advance(u_coeffs, ut_coeffs, f_hat)
+        peaks = step[-1]
+        # the members' peaks decide the step: NaN fails the comparison
+        if not peaks.max() <= cfg.blowup_threshold:
+            blown = ~(peaks <= cfg.blowup_threshold)
+            for row in np.flatnonzero(blown):
+                if np.isfinite(peaks[row]):
+                    final = state_from_coeffs(grid, t + cfg.dt, step[0][row], step[1][row])
+                else:
+                    final = state_from_coeffs(grid, t, u_coeffs[row], ut_coeffs[row])
+                outcomes[members[row].index] = members[row].outcome(final, t + 0.5 * cfg.dt)
+            if blown.all():
+                return outcomes
+            members = [m for m, failed in zip(members, blown) if not failed]
+            step = stepper.retain(~blown, *step)
+        u_coeffs, ut_coeffs, u_values, f_hat, peaks = step
+
+    for row, m in enumerate(members):
+        final = state_from_coeffs(grid, t, u_coeffs[row], ut_coeffs[row])
+        outcomes[m.index] = m.outcome(final)
+    return outcomes
 
 
 def run(
@@ -179,93 +342,10 @@ def run(
     snapshot_every: float | None = None,
     snapshot_dir: str | Path | None = None,
 ) -> RunOutcome:
-    """Step from t = 0 until t_end or blow-up.
-
-    The run covers t_end/dt steps of the fixed step size (the config
-    rejects a t_end that is not a whole number of steps).
-    Records a diagnostic row every ``record_every`` steps (plus the final
-    one).  With ``snapshot_every`` (a positive time spacing) and
-    ``snapshot_dir`` (both or neither), each snapshot is written to
-    ``snapshot_dir/snap_{i:06d}.dwsn`` when it is taken, and only its
-    :class:`~dampedwave.weights.SnapshotIntegrals` row is kept.  After
-    a blow-up the final state is the end of the blow-up step when its u
-    is finite, else the start of that step.  The step loop itself is
-    serial; distinct runs share nothing and may execute concurrently.
-    """
-    u0, u1 = data
-    if u0.grid != cfg.grid or u1.grid != cfg.grid:
-        raise ValueError("data fields do not live on the configured grid")
-    if (snapshot_every is None) != (snapshot_dir is None):
-        raise ValueError("snapshot_every and snapshot_dir must be given together")
-    if snapshot_every is not None and not snapshot_every > 0.0:
-        raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
-    if snapshot_dir is not None:
-        Path(snapshot_dir).mkdir(parents=True, exist_ok=True)
-    grid = cfg.grid
-    p = cfg.problem.p
-    stepper = Stepper(cfg)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-
-    u_coeffs = grid.forward(u0.values)
-    ut_coeffs = grid.forward(u1.values)
-    u_values = u0.values.copy()
-    f_hat = stepper.source_coeffs(u_values)
-    if f_hat is None and cfg.nonlinearity is not Nonlinearity.NONE:
-        raise ValueError("the source overflows at the initial data")
-
-    series = TimeSeries()
-    snapshots: list[SnapshotIntegrals] = []
-    next_snapshot = 0.0 if snapshot_every is not None else np.inf
-    contaminated = False
-    blowup_time = None
-    final_state: LinearState | None = None
-
-    for n in range(n_steps + 1):
-        t = n * cfg.dt
-        record_due = (n % cfg.record_every == 0) or n == n_steps
-        if record_due:
-            series.append(measure(grid, t, u_coeffs, ut_coeffs, cfg.weight, u_values))
-            if not contaminated and boundary_contaminated(u_values, grid):
-                contaminated = True
-        if t >= next_snapshot - 1e-12:
-            ut_values = grid.inverse(ut_coeffs)
-            path = Path(snapshot_dir, f"snap_{len(snapshots):06d}.dwsn")
-            write_snapshot(path, grid, t, u_values, ut_values, p, cfg.weight)
-            snapshots.append(
-                snapshot_integrals(grid, t, u_coeffs, u_values, ut_values, cfg.weight, p)
-            )
-            next_snapshot += snapshot_every
-        if n == n_steps:
-            break
-
-        step = stepper.advance(u_coeffs, ut_coeffs, f_hat)
-        # one reduction decides the step: NaN fails the comparison
-        peak = np.inf if step is None else np.max(np.abs(step[2]))
-        if not peak <= cfg.blowup_threshold:
-            blowup_time = t + 0.5 * cfg.dt
-            if np.isfinite(peak):
-                final_state = LinearState(
-                    t=t + cfg.dt,
-                    u=RealField(grid, step[2]),
-                    ut=RealField(grid, grid.inverse(step[1])),
-                )
-            series.append_blowup_marker(blowup_time)
-            break
-        u_coeffs, ut_coeffs, u_values, f_hat = step
-
-    if final_state is None:
-        final_state = state_from_coeffs(grid, t, u_coeffs, ut_coeffs)
-
-    if blowup_time is not None:
-        status = RunStatus.BLEW_UP
-    elif contaminated:
-        status = RunStatus.BOUNDARY_CONTAMINATED
-    else:
-        status = RunStatus.COMPLETED
-    return RunOutcome(
-        status=status,
-        final_state=final_state,
-        series=series,
-        blowup_time=blowup_time,
-        snapshots=snapshots,
-    )
+    """One run: the one-member case of :func:`run_ensemble`.  Raises
+    ValueError when the source overflows at the initial data."""
+    snapshot_dirs = None if snapshot_dir is None else [snapshot_dir]
+    (outcome,) = run_ensemble([cfg], [data], snapshot_every, snapshot_dirs)
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome

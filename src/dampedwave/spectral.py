@@ -109,7 +109,9 @@ class Grid:
 
     @property
     def axes(self) -> tuple[int, ...]:
-        return tuple(range(self.dim))
+        """The trailing ``dim`` axes: the transforms act on a field or on a
+        stack of fields with leading member axes."""
+        return tuple(range(-self.dim, 0))
 
     @property
     def size(self) -> int:
@@ -135,11 +137,13 @@ class Grid:
         return out
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Real-FFT coefficients of a field, half-spectrum layout."""
+        """Real-FFT coefficients of a field (or of each field of a stack),
+        half-spectrum layout."""
         return np.fft.rfftn(values, axes=self.axes)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Field with the given half-spectrum coefficients."""
+        """Field (or stack of fields) with the given half-spectrum
+        coefficients."""
         return np.fft.irfftn(coeffs, s=self.shape, axes=self.axes)
 
     def axis_freqs(self) -> np.ndarray:
@@ -288,10 +292,10 @@ def greens_multipliers(t: float, xi_sq) -> tuple[np.ndarray | float, np.ndarray 
     return g, gdt
 
 
-def boundary_contaminated(values: np.ndarray, grid: Grid) -> bool:
+def boundary_contaminated(values: np.ndarray, grid: Grid, peak: float) -> bool:
     """True when the boundary shell carries more than BOUNDARY_FRACTION of
-    the field maximum, i.e. the periodic images have started to talk."""
-    peak = np.max(np.abs(values))
+    the field maximum ``peak`` (max |values|, which the caller already
+    holds), i.e. the periodic images have started to talk."""
     if peak == 0.0 or not np.isfinite(peak):
         return False
     edge = np.max(np.abs(values[grid.boundary_mask()]))

@@ -192,32 +192,75 @@ def test_sweep_grid(tmp_path):
     assert (out / "run_p4_amp0.01" / "report.json").exists()
 
 
-def test_sweep_single_point_matches_simulate(tmp_path):
-    text = SMALL + "sweep.p = 4.0\nsweep.amplitude = 0.01\n"
-    cfg = write_cfg(tmp_path, text)
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 2
-    point_report = load_report(out / "run_p4_amp0.01")
-    # the embedded run is a plain simulate of the same parameters
-    plain_cfg = write_cfg(tmp_path, SMALL, name="plain.cfg")
+SWEEP_GRID = BLOWUP.replace("solver.t_end = 4.0", "solver.t_end = 3.0")
+
+
+@pytest.fixture(scope="module")
+def grid_sweep(tmp_path_factory):
+    """A 2x2 sweep with two blow-up points, run once for the module."""
+    root = tmp_path_factory.mktemp("grid_sweep")
+    cfg = write_cfg(root, SWEEP_GRID + "sweep.p = 2.0, 4.0\nsweep.amplitude = 0.01, 5.0\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(root / "out")]) == 0
+    return root / "out"
+
+
+@pytest.mark.parametrize(
+    "p, amplitude",
+    [(2.0, 0.01), (2.0, 5.0), (4.0, 0.01), (4.0, 5.0)],
+    ids=["p2-amp0.01", "p2-amp5", "p4-amp0.01", "p4-amp5"],
+)
+def test_sweep_single_point_matches_simulate(grid_sweep, tmp_path, p, amplitude):
+    # every point of the ensemble is a plain simulate of the same parameters
+    point = grid_sweep / f"run_p{p:g}_amp{amplitude:g}"
+    text = SWEEP_GRID.replace("problem.p = 2.0", f"problem.p = {p!r}").replace(
+        "data.amplitude = 5.0", f"data.amplitude = {amplitude!r}"
+    )
+    plain_cfg = write_cfg(tmp_path, text, name="plain.cfg")
     assert main(["simulate", "--config", str(plain_cfg), "--out", str(tmp_path / "p")]) == 0
-    plain_report = load_report(tmp_path / "p")
-    assert point_report["outcome"]["x_norm"] == plain_report["outcome"]["x_norm"]
+    assert (point / "series.csv").read_bytes() == (tmp_path / "p" / "series.csv").read_bytes()
+    point_report = load_report(point)
+    assert point_report["outcome"] == load_report(tmp_path / "p")["outcome"]
+    assert point_report["config"]["values"]["problem.p"] == repr(p)
+    timings = point_report["timings"]
+    assert 0.0 < timings["run_s"] <= timings["total_s"]
 
 
-def test_sweep_continues_past_point_failures(tmp_path):
-    # p = 1.0 is invalid and fails at the point level; the other points
-    # still run and the failure lands in the aggregate
-    text = SMALL + "sweep.p = 1.0, 4.0\nsweep.amplitude = 0.01\n"
+@pytest.mark.parametrize(
+    "bad_point, message",
+    [
+        # p = 1.0 is invalid and fails when the point's config is built
+        ("sweep.p = 1.0, 4.0\nsweep.amplitude = 0.01\n", "p must be > 1"),
+        # the source of p = 4, amplitude 1e100 overflows at the initial data
+        ("sweep.p = 4.0\nsweep.amplitude = 1e100, 0.01\n", "overflows"),
+    ],
+    ids=["invalid_p", "initial_overflow"],
+)
+def test_sweep_continues_past_point_failures(tmp_path, bad_point, message):
+    # the other points still run and the failure lands in the aggregate
+    text = SMALL + bad_point
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
-    statuses = {line.split(",")[2].split(":")[0] for line in lines[1:]}
-    assert "error" in statuses and "completed" in statuses
+    statuses = [line.split(",")[2] for line in lines[1:]]
+    assert {status.split(":")[0] for status in statuses} == {"error", "completed"}
+    assert any(message in status for status in statuses)
+
+
+def test_sweep_points_with_equal_short_names_get_distinct_directories(tmp_path):
+    # %g maps both powers to "2"; the colliding points fall back to %.17g
+    # names, so neither overwrites the other's artifacts
+    text = SMALL + "sweep.p = 2.0, 2.0000001, 4.0\nsweep.amplitude = 0.01\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    names = {path.name for path in out.iterdir() if path.is_dir()}
+    close = f"run_p{2.0000001:.17g}_amp0.01"
+    assert close != "run_p2_amp0.01"
+    assert names == {"run_p2_amp0.01", close, "run_p4_amp0.01"}
+    for name, p in (("run_p2_amp0.01", 2.0), (close, 2.0000001)):
+        assert load_report(out / name)["config"]["values"]["problem.p"] == repr(p)
 
 
 def test_sweep_without_lists_exits_2(tmp_path, capsys):

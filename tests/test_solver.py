@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dampedwave.solver import (
     SolverConfig,
     Stepper,
     run,
+    run_ensemble,
     source_term,
 )
 from dampedwave.spectral import Grid, RealField, greens_multipliers
@@ -400,3 +402,110 @@ def test_snapshot_memory_does_not_grow_with_count(tmp_path):
             tracemalloc.stop()
     assert sorted(peaks) == [2, 101]
     assert peaks[101] - peaks[2] < 10 * grid.size * 8
+
+
+# ---------------------------------------------------------------------------
+# Ensembles
+# ---------------------------------------------------------------------------
+
+# (p, amplitude, dealias): mixed powers and dealiasing, blow-ups at three
+# different steps, members flagged for boundary contamination (the box is
+# small for t_end) and a zero member that completes
+MEMBERS = [
+    (2.0, 3.0, None),
+    (2.5, 0.05, True),
+    (3.0, 0.05, None),
+    (4.0, 4.0, False),
+    (2.0, 0.05, None),
+    (4.0, 2.5, None),
+    (3.0, 0.0, None),
+]
+ENSEMBLE_GRIDS = {
+    1: (Grid(1, 10.0, 64), 12.0),
+    2: (Grid(2, 10.0, 32), 12.0),
+    3: (Grid(3, 8.0, 16), 8.0),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3], ids=["1d", "2d", "3d"])
+def test_ensemble_members_match_single_runs(dim, tmp_path):
+    grid, t_end = ENSEMBLE_GRIDS[dim]
+    cfgs = [
+        SolverConfig(
+            problem=ProblemParams(dim, p, 2.0),
+            grid=grid,
+            weight=WEIGHT,
+            dt=0.05,
+            t_end=t_end,
+            dealias=dealias,
+            record_every=4,
+        )
+        for p, _, dealias in MEMBERS
+    ]
+    datas = [(gaussian_field(grid, a, 1.5), zero_field(grid)) for _, a, _ in MEMBERS]
+    dirs = [tmp_path / "ensemble" / str(i) for i in range(len(MEMBERS))]
+    outcomes = run_ensemble(cfgs, datas, snapshot_every=1.0, snapshot_dirs=dirs)
+    statuses = [outcome.status for outcome in outcomes]
+    assert statuses.count(RunStatus.COMPLETED) == 1
+    assert RunStatus.BOUNDARY_CONTAMINATED in statuses
+    assert len({o.blowup_time for o in outcomes if o.blowup_time is not None}) == 3
+    for i, (cfg, data, outcome) in enumerate(zip(cfgs, datas, outcomes)):
+        alone = run(cfg, data, snapshot_every=1.0, snapshot_dir=tmp_path / "alone" / str(i))
+        assert outcome.status is alone.status
+        assert outcome.blowup_time == alone.blowup_time
+        assert outcome.series.rows == alone.series.rows
+        assert outcome.snapshots == alone.snapshots
+        state, alone_state = outcome.final_state, alone.final_state
+        assert state.t == alone_state.t
+        np.testing.assert_array_equal(state.u.values, alone_state.u.values)
+        np.testing.assert_array_equal(state.ut.values, alone_state.ut.values)
+        written = sorted(dirs[i].iterdir())
+        assert [f.read_bytes() for f in written] == [
+            f.read_bytes() for f in sorted((tmp_path / "alone" / str(i)).iterdir())
+        ]
+
+
+def test_ensemble_initial_overflow_stays_per_member():
+    cfgs = [make_cfg(p=2.0, t_end=1.0), make_cfg(p=4.0, t_end=1.0)]
+    grid = cfgs[0].grid
+    datas = [
+        (gaussian_field(grid, 1e200, 2.0), zero_field(grid)),
+        (gaussian_field(grid, 0.01, 2.0), zero_field(grid)),
+    ]
+    failed, outcome = run_ensemble(cfgs, datas)
+    assert isinstance(failed, ValueError) and "overflows" in str(failed)
+    assert outcome.status is RunStatus.COMPLETED
+    assert outcome.series.rows == run(cfgs[1], datas[1]).series.rows
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(dt=0.1),
+        dict(t_end=5.0),
+        dict(record_every=2),
+        dict(blowup_threshold=1e8),
+        dict(weight=WeightParams(5.0, 2.0)),
+        dict(nonlinearity=Nonlinearity.SIGNED),
+        dict(grid=Grid(1, 40.0, 128)),
+    ],
+    ids=["dt", "t_end", "record_every", "threshold", "weight", "nonlinearity", "grid"],
+)
+def test_ensemble_members_must_share_settings(change):
+    base = make_cfg(p=4.0)
+    other = replace(make_cfg(p=2.0, dealias=True), **change)
+    data = (zero_field(base.grid), zero_field(base.grid))
+    assert len(run_ensemble([base, make_cfg(p=2.0, dealias=True)], [data, data])) == 2
+    with pytest.raises(ValueError, match="differ only in p and dealias"):
+        run_ensemble([base, other], [data, data])
+
+
+def test_ensemble_needs_one_data_pair_and_directory_per_member(tmp_path):
+    cfg = make_cfg(t_end=1.0)
+    data = (zero_field(cfg.grid), zero_field(cfg.grid))
+    with pytest.raises(ValueError, match="at least one member"):
+        run_ensemble([], [])
+    with pytest.raises(ValueError):
+        run_ensemble([cfg, cfg], [data])
+    with pytest.raises(ValueError):
+        run_ensemble([cfg, cfg], [data, data], snapshot_every=0.5, snapshot_dirs=[tmp_path])

@@ -200,7 +200,7 @@ def test_grid_arrays_built_once_and_read_only(dim):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = array[(0,) * array.ndim]
     # a filled cache is invisible to equality and hashing, and pickling
-    # (the sweep pool pickles setups) drops it
+    # drops it
     fresh = Grid(dim=dim, half_width=2.0, points=8)
     assert g == fresh and hash(g) == hash(fresh)
     back = pickle.loads(pickle.dumps(g))
@@ -232,7 +232,7 @@ def test_boundary_contamination_flag():
     g = Grid(dim=1, half_width=1.0, points=16)
     quiet = np.zeros(g.shape)
     quiet[8] = 1.0
-    assert not boundary_contaminated(quiet, g)
+    assert not boundary_contaminated(quiet, g, np.max(np.abs(quiet)))
     loud = quiet.copy()
     loud[0] = 1e-6
-    assert boundary_contaminated(loud, g)
+    assert boundary_contaminated(loud, g, np.max(np.abs(loud)))
