@@ -313,7 +313,7 @@ def sweep(setup: RunSetup, out_dir) -> list[dict]:
         except Exception as exc:  # per-point failures must not kill the sweep
             results[index] = exc
     cfgs = [point_setup.solver for _, point_setup, _ in members]
-    outcomes = run_ensemble(cfgs, [data for _, _, data in members]) if members else []
+    outcomes = run_ensemble(cfgs, [data for _, _, data in members])
     run_s = time.perf_counter() - t0
 
     point_dirs = _point_dirs(out_dir, points)
