@@ -12,15 +12,21 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import Grid
-from .weights import WeightParams, spectral_energy, weight_value
+from .weights import Scratch, spectral_energy
 
 
-def spectral_l2(coeffs: np.ndarray, grid: Grid, xi_sq: np.ndarray | None = None) -> float:
+def spectral_l2(
+    coeffs: np.ndarray,
+    grid: Grid,
+    xi_sq: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> float:
     """h-weighted L^2 norm of the field with real-FFT coefficients
-    ``coeffs``, or of its gradient when ``xi_sq`` is given (Parseval).
-    On the half spectrum the interior last-axis columns stand for two
-    modes, the k = 0 and k = M/2 columns for one."""
-    weighted = coeffs if xi_sq is None else xi_sq * coeffs
+    ``coeffs``, or of its gradient when ``xi_sq`` is given (Parseval;
+    ``out`` receives xi_sq*coeffs).  On the half spectrum the interior
+    last-axis columns stand for two modes, the k = 0 and k = M/2 columns
+    for one."""
+    weighted = coeffs if xi_sq is None else np.multiply(xi_sq, coeffs, out=out)
     total = (
         2.0 * np.vdot(coeffs, weighted)
         - np.vdot(coeffs[..., 0], weighted[..., 0])
@@ -34,21 +40,23 @@ def measure(
     t: float,
     u_coeffs: np.ndarray,
     ut_coeffs: np.ndarray,
-    weight: WeightParams,
+    psi: np.ndarray,
     linf_u: float,
+    scratch: Scratch,
 ) -> dict:
-    """Build one diagnostic record from real-FFT coefficients and the
-    sup norm of u, which the caller has already reduced.
+    """Build one diagnostic record from real-FFT coefficients, the weight
+    values ``psi`` at time t and the sup norm of u, which the caller has
+    already evaluated, writing every intermediate array into ``scratch``.
 
     L^2 norms come from Parseval; the weighted energy needs physical
     fields, so u_t and the gradient are transformed back.
     """
     l2_u = spectral_l2(u_coeffs, grid)
-    l2_grad = spectral_l2(u_coeffs, grid, grid.freq_sq())
+    l2_grad = spectral_l2(u_coeffs, grid, grid.freq_sq(), out=scratch.coeffs)
     l2_ut = spectral_l2(ut_coeffs, grid)
 
-    psi = weight_value(t, grid.radius_sq(), weight)
-    e_weighted = spectral_energy(grid, u_coeffs, grid.inverse(ut_coeffs), psi)
+    ut_values = grid.inverse(ut_coeffs, out=scratch.ut_values)
+    e_weighted = spectral_energy(grid, u_coeffs, ut_values, psi, scratch)
 
     quarter = 0.25 * grid.dim
     growth = 1.0 + t

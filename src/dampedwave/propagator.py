@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import measure
-from .spectral import Grid, RealField, boundary_contaminated, greens_multipliers
+from .spectral import Grid, RealField, boundary_contaminated, gather, greens_multipliers
 from .timeseries import TimeSeries
-from .weights import WeightParams
+from .weights import Scratch, WeightParams, weight_on_grid, weight_value
 
 
 @dataclass
@@ -68,12 +68,25 @@ def evolve_coeffs(
     g: np.ndarray,
     gdt: np.ndarray,
     xi_sq: np.ndarray,
+    u_sum: np.ndarray | None = None,
+    out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance spectral coefficients of (u, u_t) by the lag dt at which
     ``g, gdt = greens_multipliers(dt, xi_sq)`` were evaluated (once per
-    lag; the stepper reuses one pair for every step)."""
-    u_new = g * (u_coeffs + ut_coeffs) + gdt * u_coeffs
-    ut_new = gdt * ut_coeffs - xi_sq * g * u_coeffs
+    lag; the stepper reuses one pair for every step).
+
+    ``u_sum`` is ``u_coeffs + ut_coeffs`` when the caller already holds
+    it.  ``out`` = (u_new, ut_new, work, stiffness) are arrays that
+    receive the results and the intermediates: three complex ones shaped
+    like the result and a real one shaped like ``g`` for xi_sq*g.
+    Without them every array is fresh; the floats are the same."""
+    u_new, ut_new, work, stiffness = (None,) * 4 if out is None else out
+    if u_sum is None:
+        u_sum = u_coeffs + ut_coeffs
+    u_new = np.multiply(g, u_sum, out=u_new)
+    u_new += np.multiply(gdt, u_coeffs, out=work)
+    ut_new = np.multiply(gdt, ut_coeffs, out=ut_new)
+    ut_new -= np.multiply(np.multiply(xi_sq, g, out=stiffness), u_coeffs, out=work)
     return u_new, ut_new
 
 
@@ -84,8 +97,9 @@ def linear_evolve(state: LinearState, dt: float) -> LinearState:
     grid = state.grid
     u_coeffs = grid.forward(state.u.values)
     ut_coeffs = grid.forward(state.ut.values)
-    xi_sq = grid.freq_sq()
-    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, *greens_multipliers(dt, xi_sq), xi_sq)
+    index = grid.freq_index()
+    g, gdt = (levels[index] for levels in greens_multipliers(dt, grid.freq_levels()))
+    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, grid.freq_sq())
     return state_from_coeffs(grid, state.t + dt, u_new, ut_new)
 
 
@@ -99,7 +113,8 @@ def decay_profile(
     Each time is evaluated directly from the initial data (no stepping),
     so there is no accumulation of error.  ``weight`` feeds the weighted
     energy column; it defaults to offset 1, power 1.  A warning is
-    issued when the boundary shell becomes contaminated.
+    issued when the boundary shell becomes contaminated.  Every time
+    writes into the same arrays, allocated once per call.
     """
     u0, u1 = data
     if u0.grid != u1.grid:
@@ -112,20 +127,33 @@ def decay_profile(
 
     grid = u0.grid
     xi_sq = grid.freq_sq()
+    freq_levels, freq_index = grid.freq_levels(), grid.freq_index()
     u_coeffs = grid.forward(u0.values)
     ut_coeffs = grid.forward(u1.values)
+    u_sum = u_coeffs + ut_coeffs
+    g, gdt, stiffness = (np.empty(grid.half_shape) for _ in range(3))
+    u_t, ut_t = np.empty_like(u_coeffs), np.empty_like(u_coeffs)
+    psi = np.empty(grid.shape)
+    scratch = Scratch.for_grid(grid)
+    buffers = (u_t, ut_t, scratch.coeffs, stiffness)
+    # u's values are done with before measure fills u_t's into the array
+    u_values = scratch.ut_values
 
     series = TimeSeries()
     warned = False
     for t in times.tolist():
-        u_t, ut_t = evolve_coeffs(u_coeffs, ut_coeffs, *greens_multipliers(t, xi_sq), xi_sq)
-        u_values = grid.inverse(u_t)
-        peak = np.max(np.abs(u_values))
+        g_levels, gdt_levels = greens_multipliers(t, freq_levels)
+        gather(g_levels, freq_index, out=g)
+        gather(gdt_levels, freq_index, out=gdt)
+        evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, xi_sq, u_sum, out=buffers)
+        grid.inverse(u_t, out=u_values)
+        peak = max(u_values.max(), -u_values.min())
         if not warned and boundary_contaminated(u_values, grid, peak):
             warnings.warn(
                 f"boundary shell contaminated at t={t}; enlarge the box",
                 stacklevel=2,
             )
             warned = True
-        series.append(measure(grid, t, u_t, ut_t, weight, peak))
+        weight_on_grid(weight_value, t, grid, weight, out=psi)
+        series.append(measure(grid, t, u_t, ut_t, psi, peak, scratch))
     return series

@@ -48,7 +48,14 @@ from .propagator import LinearState, evolve_coeffs, state_from_coeffs
 from .snapshots import write_snapshot
 from .spectral import Grid, RealField, boundary_contaminated, greens_multipliers
 from .timeseries import TimeSeries
-from .weights import SnapshotIntegrals, WeightParams, snapshot_integrals
+from .weights import (
+    Scratch,
+    SnapshotIntegrals,
+    WeightParams,
+    snapshot_integrals,
+    weight_on_grid,
+    weight_value,
+)
 
 
 class Nonlinearity(str, enum.Enum):
@@ -137,7 +144,9 @@ class Stepper:
         self.cfg = cfgs[0]
         grid = self.cfg.grid
         self.xi_sq = grid.freq_sq()
-        self.g, self.gdt = greens_multipliers(self.cfg.dt, self.xi_sq)
+        index = grid.freq_index()
+        g, gdt = greens_multipliers(self.cfg.dt, grid.freq_levels())
+        self.g, self.gdt = g[index], gdt[index]
         self.powers = [cfg.problem.p for cfg in cfgs]
         # 2/3 rule: heuristic for non-polynomial powers, but it removes
         # the worst of the aliasing from the pointwise source.
@@ -216,17 +225,17 @@ class _Member:
     snapshots: list[SnapshotIntegrals] = field(default_factory=list)
     contaminated: bool = False
 
-    def record(self, t, u_coeffs, ut_coeffs, u_values, peak) -> None:
+    def record(self, t, u_coeffs, ut_coeffs, u_values, peak, psi, scratch) -> None:
         grid = self.cfg.grid
-        self.series.append(measure(grid, t, u_coeffs, ut_coeffs, self.cfg.weight, peak))
+        self.series.append(measure(grid, t, u_coeffs, ut_coeffs, psi, peak, scratch))
         if not self.contaminated:
             self.contaminated = boundary_contaminated(u_values, grid, peak)
 
-    def snapshot(self, t, u_coeffs, u_values, ut_values) -> None:
+    def snapshot(self, t, u_coeffs, u_values, ut_values, scratch) -> None:
         grid, weight, p = self.cfg.grid, self.cfg.weight, self.cfg.problem.p
         path = self.snapshot_dir / f"snap_{len(self.snapshots):06d}.dwsn"
         write_snapshot(path, grid, t, u_values, ut_values, p, weight)
-        row = snapshot_integrals(grid, t, u_coeffs, u_values, ut_values, weight, p)
+        row = snapshot_integrals(grid, t, u_coeffs, u_values, ut_values, weight, p, scratch)
         self.snapshots.append(row)
 
     def outcome(self, final: LinearState, blowup_time: float | None = None) -> RunOutcome:
@@ -298,17 +307,21 @@ def run_ensemble(
             ~overflow, u_coeffs, ut_coeffs, u_values, f_hat
         )
     peaks = np.max(np.abs(u_values), axis=grid.axes)
+    # the members share the weight and the record times; every record
+    # and snapshot writes its intermediates into the same arrays
+    psi, scratch = np.empty(grid.shape), Scratch.for_grid(grid)
     next_snapshot = 0.0 if snapshot_every is not None else np.inf
 
     for n in range(n_steps + 1):
         t = n * cfg.dt
         if n % cfg.record_every == 0 or n == n_steps:
+            weight_on_grid(weight_value, t, grid, cfg.weight, out=psi)
             for row, m in enumerate(members):
-                m.record(t, u_coeffs[row], ut_coeffs[row], u_values[row], peaks[row])
+                m.record(t, u_coeffs[row], ut_coeffs[row], u_values[row], peaks[row], psi, scratch)
         if t >= next_snapshot - 1e-12:
             ut_values = grid.inverse(ut_coeffs)
             for row, m in enumerate(members):
-                m.snapshot(t, u_coeffs[row], u_values[row], ut_values[row])
+                m.snapshot(t, u_coeffs[row], u_values[row], ut_values[row], scratch)
             next_snapshot += snapshot_every
         if n == n_steps:
             break

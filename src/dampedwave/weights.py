@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import Grid
+from .spectral import Grid, gather
 
 # The trajectory audits need at least this many snapshots; runs with
 # fewer skip them.
@@ -79,6 +79,13 @@ def weight_dt(t, r_sq, w: WeightParams):
     r_sq = np.asarray(r_sq)
     base = weight_base(t, r_sq, w)
     return -w.power * r_sq / (1.0 + t) ** 2 * base ** (w.power - 1.0)
+
+
+def weight_on_grid(weight_fn, t, grid: Grid, w: WeightParams, out=None) -> np.ndarray:
+    """``weight_fn(t, grid.radius_sq(), w)`` for ``weight_value`` or
+    ``weight_dt``, evaluated once per distinct |x|^2 and gathered onto
+    the grid (into ``out`` when given); the floats are the same."""
+    return gather(weight_fn(t, grid.radius_levels(), w), grid.radius_index(), out=out)
 
 
 def weight_residual(t, r_sq, w: WeightParams):
@@ -141,34 +148,61 @@ def residual_audit(
 # Weighted energy
 # ---------------------------------------------------------------------------
 
-def gradient_sq(grid: Grid, u_coeffs: np.ndarray) -> np.ndarray:
+class Scratch(NamedTuple):
+    """Arrays of one grid that :func:`spectral_energy` and
+    ``diagnostics.measure`` fill instead of allocating: three fields and
+    one set of half-spectrum coefficients."""
+
+    density: np.ndarray
+    field: np.ndarray
+    ut_values: np.ndarray
+    coeffs: np.ndarray
+
+    @classmethod
+    def for_grid(cls, grid: Grid) -> Scratch:
+        fields = (np.empty(grid.shape) for _ in range(3))
+        return cls(*fields, np.empty(grid.half_shape, dtype=complex))
+
+
+def gradient_sq(grid: Grid, u_coeffs: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     """|grad u|^2 on the grid from the real-FFT coefficients of u (one
     inverse transform per axis; the Nyquist mode of each derivative is
-    zero, as for the derivative of any real field)."""
+    zero, as for the derivative of any real field).  It is written into
+    ``scratch.density``, with ``field`` and ``coeffs`` as work space."""
+    if scratch is None:
+        scratch = Scratch.for_grid(grid)
     xi = grid.derivative_freqs()
-    out = np.zeros(grid.shape)
+    out = scratch.density
+    out.fill(0.0)
     for axis in range(grid.dim):
-        derivative = grid.inverse(1j * grid.half_along(xi, axis) * u_coeffs)
+        coeffs = np.multiply(1j * grid.half_along(xi, axis), u_coeffs, out=scratch.coeffs)
+        derivative = grid.inverse(coeffs, out=scratch.field)
         out += np.square(derivative, out=derivative)
     return out
 
 
 def spectral_energy(
-    grid: Grid, u_coeffs: np.ndarray, ut_values: np.ndarray, psi: np.ndarray
+    grid: Grid,
+    u_coeffs: np.ndarray,
+    ut_values: np.ndarray,
+    psi: np.ndarray,
+    scratch: Scratch | None = None,
 ) -> float:
     """Weighted energy from the real-FFT coefficients of u, the values
-    of u_t and the weight values ``psi`` on the grid."""
-    # in place: the caller's psi is alive here, and one large temporary
-    # fewer keeps 2-D records from re-faulting heap pages on every call
-    density = gradient_sq(grid, u_coeffs)
-    density += ut_values**2
-    return float(grid.cell_volume * np.sum(density * psi))
+    of u_t and the weight values ``psi`` on the grid; the work arrays
+    are ``scratch``'s ``density``, ``field`` and ``coeffs``."""
+    if scratch is None:
+        scratch = Scratch.for_grid(grid)
+    density = gradient_sq(grid, u_coeffs, scratch)
+    density += np.square(ut_values, out=scratch.field)
+    density *= psi
+    return float(grid.cell_volume * np.sum(density))
 
 
 def weighted_energy(state, w: WeightParams) -> float:
     """Weighted energy of a :class:`~dampedwave.propagator.LinearState`."""
     grid = state.u.grid
-    psi = weight_value(state.t, grid.radius_sq(), w)
+    psi = weight_on_grid(weight_value, state.t, grid, w)
     return spectral_energy(grid, grid.forward(state.u.values), state.ut.values, psi)
 
 
@@ -176,7 +210,7 @@ def weighted_l2(state, w: WeightParams) -> float:
     """|| weight^(1/2) u ||_{L^2}: the companion norm of the local theory
     (the weighted energy controls u_t and the gradient, this one u)."""
     grid = state.u.grid
-    psi = weight_value(state.t, grid.radius_sq(), w)
+    psi = weight_on_grid(weight_value, state.t, grid, w)
     return float(np.sqrt(grid.cell_volume * np.sum(state.u.values**2 * psi)))
 
 
@@ -241,18 +275,19 @@ def snapshot_integrals(
     ut_values: np.ndarray,
     w: WeightParams,
     p: float,
+    scratch: Scratch | None = None,
 ) -> SnapshotIntegrals:
     """One audit row from the real-FFT coefficients and values of u and
-    the values of u_t at time t."""
-    r_sq = grid.radius_sq()
-    psi = weight_value(t, r_sq, w)
-    psi_dt = weight_dt(t, r_sq, w)
+    the values of u_t at time t; the energy's work arrays are
+    ``scratch``'s (see :func:`spectral_energy`)."""
+    psi = weight_on_grid(weight_value, t, grid, w)
+    psi_dt = weight_on_grid(weight_dt, t, grid, w)
     signed = np.abs(u_values) ** p * u_values
     source = np.abs(signed)
     h = grid.cell_volume
     return SnapshotIntegrals(
         t=t,
-        energy=spectral_energy(grid, u_coeffs, ut_values, psi),
+        energy=spectral_energy(grid, u_coeffs, ut_values, psi, scratch),
         signed=float(h * np.sum(signed * psi)),
         signed_dt=float(h * np.sum(signed * psi_dt)),
         source=float(h * np.sum(source * psi)),

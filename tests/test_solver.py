@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 
 from dampedwave.exponents import ProblemParams
 from dampedwave.initial_data import gaussian_field, zero_field
-from dampedwave import propagator, solver
+from dampedwave import diagnostics, propagator, solver, weights
 from dampedwave.propagator import decay_profile
 from dampedwave.solver import (
     Nonlinearity,
@@ -354,6 +354,25 @@ def test_multipliers_evaluated_once_per_lag(monkeypatch):
     times = [0.0, 0.5, 1.0, 4.0]
     assert len(decay_profile(data, times)) == len(times)
     assert calls == times
+
+
+def test_ensemble_evaluates_weight_once_per_record_time(monkeypatch):
+    # the members share the weight and the record times, so one
+    # evaluation per record time serves them all
+    calls = []
+    original = weights.weight_value
+
+    def counted(t, r_sq, w):
+        calls.append(t)
+        return original(t, r_sq, w)
+
+    for module in (weights, diagnostics, solver):
+        monkeypatch.setattr(module, "weight_value", counted, raising=False)
+    cfgs = [make_cfg(p=p, t_end=2.0) for p in (2.5, 3.0, 3.5, 4.0)]
+    data = (gaussian_field(cfgs[0].grid, 0.05, 2.0), zero_field(cfgs[0].grid))
+    outcomes = run_ensemble(cfgs, [data] * len(cfgs))
+    assert all(o.status is RunStatus.COMPLETED for o in outcomes)
+    assert calls == list(outcomes[0].series.column("t"))
 
 
 def test_run_path_uses_only_real_transforms(monkeypatch, tmp_path):

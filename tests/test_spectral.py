@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from dampedwave.diagnostics import spectral_l2
 from dampedwave.spectral import (
+    BRANCH_TOL,
     Grid,
     RealField,
     boundary_contaminated,
+    gather,
     greens_multipliers,
 )
+from dampedwave.weights import WeightParams, weight_dt, weight_on_grid, weight_value
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +187,13 @@ def test_parseval_after_multiplier(dim, points):
 
 GRID_ARRAYS = (
     Grid.freq_sq,
+    Grid.freq_levels,
+    Grid.freq_index,
     Grid.derivative_freqs,
     Grid.dealias_mask,
     Grid.radius_sq,
+    Grid.radius_levels,
+    Grid.radius_index,
     Grid.boundary_mask,
 )
 
@@ -208,6 +215,33 @@ def test_grid_arrays_built_once_and_read_only(dim):
     assert "_arrays" not in back.__dict__
     for method in GRID_ARRAYS:
         np.testing.assert_array_equal(method(back), method(g))
+
+
+# |xi|^2 at k = 1 is 1/4 - 5e-9, inside the Taylor window of the
+# multipliers, where t = 800 makes the series terms count
+TAYLOR_HALF_WIDTH = math.pi / math.sqrt(0.25 - 5e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_levels_give_the_full_grid_values(dim):
+    g = Grid(dim=dim, half_width=TAYLOR_HALF_WIDTH, points=16)
+    for values, levels, index in (
+        (g.freq_sq(), g.freq_levels(), g.freq_index()),
+        (g.radius_sq(), g.radius_levels(), g.radius_index()),
+    ):
+        assert index.dtype == np.intp and index.shape == values.shape
+        assert np.all(np.diff(levels) > 0.0)
+        assert np.array_equal(levels[index], values)
+    assert np.any(np.abs(g.freq_levels() - 0.25) < BRANCH_TOL)
+    for t in (0.0, 1.0, 37.5, 800.0):
+        full = greens_multipliers(t, g.freq_sq())
+        on_levels = greens_multipliers(t, g.freq_levels())
+        for whole, levels in zip(full, on_levels):
+            assert np.array_equal(gather(levels, g.freq_index()), whole)
+        for w in (WeightParams(4.0, 2.0), WeightParams(2.0, 1.65)):
+            for weight_fn in (weight_value, weight_dt):
+                expected = weight_fn(t, g.radius_sq(), w)
+                assert np.array_equal(weight_on_grid(weight_fn, t, g, w), expected)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
