@@ -188,7 +188,7 @@ def test_decay_profile_matches_full_grid_reference(dim):
 
 
 def _run_python(code: str) -> str:
-    env = {"PYTHONPATH": str(SRC), "OMP_NUM_THREADS": "1", "PATH": "/usr/bin:/bin"}
+    env = {"PYTHONPATH": str(SRC), "OMP_NUM_THREADS": "1"}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
