@@ -32,6 +32,7 @@ from .solver import RunOutcome, run, run_ensemble
 from .timeseries import decay_fit
 from .weights import (
     MIN_AUDIT_SNAPSHOTS,
+    ResidualAudit,
     decay_norm,
     energy_audit,
     residual_audit,
@@ -132,22 +133,29 @@ def simulate(
     data = build_data(setup)
     snap_dir = None if snapshot_every is None else out_dir / "snapshots"
     outcome = run(setup.solver, data, snapshot_every=snapshot_every, snapshot_dir=snap_dir)
-    return _write_run(setup, out_dir, outcome, time.perf_counter() - t0, seed, audit_samples)
+    t_post = time.perf_counter()
+    residual = residual_audit(samples=audit_samples, seed=seed)
+    return _write_run(setup, out_dir, outcome, residual, t_post - t0, t_post)
 
 
 def _write_run(
-    setup: RunSetup, out_dir: Path, outcome: RunOutcome, run_s: float, seed: int, samples: int
+    setup: RunSetup,
+    out_dir: Path,
+    outcome: RunOutcome,
+    residual: ResidualAudit,
+    run_s: float,
+    t_post: float,
 ) -> dict:
-    """Series, audits and report of a finished run.  ``run_s`` is the
-    wall time that produced ``outcome``; ``total_s`` adds the time spent
-    here."""
-    t0 = time.perf_counter()
+    """Series, audits and report of a finished run and its weight-slack
+    audit ``residual``.  ``run_s`` is the wall time that produced
+    ``outcome``; ``total_s`` adds the time since ``t_post``, the
+    ``perf_counter`` reading at which this run's post-run work began."""
     out_dir.mkdir(parents=True, exist_ok=True)
     report = _base_report(setup)
     outcome.series.to_csv(out_dir / "series.csv")
 
     audits = report["audits"]
-    audits["weight_residual"] = residual_audit(samples=samples, seed=seed).to_dict()
+    audits["weight_residual"] = residual.to_dict()
     rows = outcome.snapshots
     p = setup.problem.p
     if len(rows) >= MIN_AUDIT_SNAPSHOTS:
@@ -157,7 +165,7 @@ def _write_run(
     report["outcome"] = _outcome_dict(outcome)
     report["timings"] = {
         "run_s": run_s,
-        "total_s": run_s + time.perf_counter() - t0,
+        "total_s": run_s + time.perf_counter() - t_post,
     }
     _write_report(report, out_dir)
     return report
@@ -292,10 +300,12 @@ def sweep(setup: RunSetup, out_dir) -> list[dict]:
     ensemble in this process (memory is about the number of points times
     one run's fields).  Each point writes the artifacts of
     :func:`simulate` (seed 0, 10,000 audit samples) into its own
-    directory; its ``timings.run_s`` is the wall time of the whole
-    ensemble (building every point's data and stepping them) and
-    ``total_s`` adds the point's own post-run time.  A point that fails
-    (its config, its initial source or its artifacts) gets an
+    directory.  The weight-slack audit depends on neither p nor the
+    amplitude, so it runs once and every report carries it.  A point's
+    ``timings.run_s`` is the wall time of the shared work (building
+    every point's data, stepping them as one ensemble and the one
+    audit) and ``total_s`` adds the point's own post-run time.  A point
+    that fails (its config, its initial source or its artifacts) gets an
     ``error: ...`` row and the others still run."""
     if not setup.sweep_p or not setup.sweep_amplitude:
         raise ConfigError("sweep needs nonempty value lists", key="sweep.p/sweep.amplitude")
@@ -314,6 +324,7 @@ def sweep(setup: RunSetup, out_dir) -> list[dict]:
             results[index] = exc
     cfgs = [point_setup.solver for _, point_setup, _ in members]
     outcomes = run_ensemble(cfgs, [data for _, _, data in members])
+    residual = residual_audit(samples=10_000, seed=0)
     run_s = time.perf_counter() - t0
 
     point_dirs = _point_dirs(out_dir, points)
@@ -322,7 +333,7 @@ def sweep(setup: RunSetup, out_dir) -> list[dict]:
             if isinstance(outcome, Exception):
                 raise outcome
             report = _write_run(
-                point_setup, point_dirs[index], outcome, run_s, seed=0, samples=10_000
+                point_setup, point_dirs[index], outcome, residual, run_s, time.perf_counter()
             )
             results[index] = report["outcome"]
         except Exception as exc:

@@ -53,6 +53,7 @@ from .weights import (
     SnapshotIntegrals,
     WeightParams,
     snapshot_integrals,
+    weight_dt,
     weight_on_grid,
     weight_value,
 )
@@ -231,11 +232,13 @@ class _Member:
         if not self.contaminated:
             self.contaminated = boundary_contaminated(u_values, grid, peak)
 
-    def snapshot(self, t, u_coeffs, u_values, ut_values, scratch) -> None:
+    def snapshot(self, t, u_coeffs, u_values, ut_values, psi, psi_dt, scratch) -> None:
         grid, weight, p = self.cfg.grid, self.cfg.weight, self.cfg.problem.p
         path = self.snapshot_dir / f"snap_{len(self.snapshots):06d}.dwsn"
         write_snapshot(path, grid, t, u_values, ut_values, p, weight)
-        row = snapshot_integrals(grid, t, u_coeffs, u_values, ut_values, weight, p, scratch)
+        row = snapshot_integrals(
+            grid, t, u_coeffs, u_values, ut_values, psi, psi_dt, p, scratch
+        )
         self.snapshots.append(row)
 
     def outcome(self, final: LinearState, blowup_time: float | None = None) -> RunOutcome:
@@ -307,21 +310,27 @@ def run_ensemble(
             ~overflow, u_coeffs, ut_coeffs, u_values, f_hat
         )
     peaks = np.max(np.abs(u_values), axis=grid.axes)
-    # the members share the weight and the record times; every record
-    # and snapshot writes its intermediates into the same arrays
+    # the members share the weight and the record and snapshot times: the
+    # weight (and at snapshots its time derivative) is evaluated once per
+    # time, and every record and snapshot writes into the same arrays
     psi, scratch = np.empty(grid.shape), Scratch.for_grid(grid)
+    psi_dt = None if snapshot_every is None else np.empty(grid.shape)
     next_snapshot = 0.0 if snapshot_every is not None else np.inf
 
     for n in range(n_steps + 1):
         t = n * cfg.dt
-        if n % cfg.record_every == 0 or n == n_steps:
+        recorded = n % cfg.record_every == 0 or n == n_steps
+        if recorded:
             weight_on_grid(weight_value, t, grid, cfg.weight, out=psi)
             for row, m in enumerate(members):
                 m.record(t, u_coeffs[row], ut_coeffs[row], u_values[row], peaks[row], psi, scratch)
         if t >= next_snapshot - 1e-12:
+            if not recorded:
+                weight_on_grid(weight_value, t, grid, cfg.weight, out=psi)
+            weight_on_grid(weight_dt, t, grid, cfg.weight, out=psi_dt)
             ut_values = grid.inverse(ut_coeffs)
             for row, m in enumerate(members):
-                m.snapshot(t, u_coeffs[row], u_values[row], ut_values[row], scratch)
+                m.snapshot(t, u_coeffs[row], u_values[row], ut_values[row], psi, psi_dt, scratch)
             next_snapshot += snapshot_every
         if n == n_steps:
             break

@@ -9,7 +9,12 @@ where the left-hand ratio is *defined* through its algebraic
 simplification ``power * base^(power-1)`` (at x = 0 numerator and
 denominator both vanish and only the simplified form is meaningful).
 :func:`weight_residual` returns the slack of that bound; the Monte-Carlo
-audit samples it over the whole parameter box.
+audit samples it over the whole parameter box.  The audit streams its
+samples in blocks of AUDIT_BLOCK: the four coordinates (t, r, power,
+offset) come from four PCG64 generators with the same seed, generator j
+advanced by j * samples draws, so block by block they yield exactly the
+numbers that four consecutive full-length draws from one generator
+would, and the running minimum equals the one-shot minimum bit for bit.
 
 The weighted energy of a state (u, u_t) is the h^dim quadrature of
 (|u_t|^2 + |grad u|^2) * weight, with the gradient computed spectrally.
@@ -34,6 +39,9 @@ from .spectral import Grid, gather
 # The trajectory audits need at least this many snapshots; runs with
 # fewer skip them.
 MIN_AUDIT_SNAPSHOTS = 50
+
+# Samples per block of the residual audit: 512 KB per float64 array.
+AUDIT_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,17 @@ class ResidualAudit:
         return {**asdict(self), "passed": self.passed}
 
 
+def _audit_streams(samples: int, seed: int) -> list[np.random.Generator]:
+    """Four generators seeded with ``seed``, the j-th advanced by
+    j * samples draws: generator j yields what draw j of one
+    ``default_rng(seed)`` making four ``samples``-long uniform draws in a
+    row would (PCG64 spends one 64-bit output per double)."""
+    streams = [np.random.default_rng(seed) for _ in range(4)]
+    for j, rng in enumerate(streams):
+        rng.bit_generator.advance(j * samples)
+    return streams
+
+
 def residual_audit(
     samples: int = 1_000_000,
     seed: int = 0,
@@ -125,23 +144,34 @@ def residual_audit(
     offset in [power/2, 10*power], and additionally evaluates the
     equality corner offset = power/2, x = 0, t = 0 for a few small
     powers where the arithmetic is exact in floating point.
-    """
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, t_max, samples)
-    r_sq = rng.uniform(0.0, radius_max, samples) ** 2
-    power = rng.uniform(0.0, power_max, samples)
-    power = np.where(power == 0.0, power_max, power)  # (0, power_max]
-    offset = rng.uniform(0.5, 10.0, samples) * power
 
-    base = offset + r_sq / (1.0 + t)
-    residual = 2.0 * base**power - power * base ** (power - 1.0)
-    min_residual = float(np.min(residual))
+    The samples are drawn and evaluated AUDIT_BLOCK at a time, each
+    coordinate from its own generator of :func:`_audit_streams`, and the
+    minimum is kept running; memory stays at a few blocks whatever
+    ``samples`` is, and the result is the one of drawing t, r, power and
+    offset in full from one ``default_rng(seed)``, bit for bit.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    t_rng, r_rng, power_rng, offset_rng = _audit_streams(samples, seed)
+    min_residual = np.inf
+    for start in range(0, samples, AUDIT_BLOCK):
+        n = min(AUDIT_BLOCK, samples - start)
+        t = t_rng.uniform(0.0, t_max, n)
+        r_sq = r_rng.uniform(0.0, radius_max, n) ** 2
+        power = power_rng.uniform(0.0, power_max, n)
+        power = np.where(power == 0.0, power_max, power)  # (0, power_max]
+        offset = offset_rng.uniform(0.5, 10.0, n) * power
+
+        base = offset + r_sq / (1.0 + t)
+        residual = 2.0 * base**power - power * base ** (power - 1.0)
+        min_residual = np.minimum(min_residual, np.min(residual))  # NaN propagates
 
     gap = 0.0
     for p in (0.5, 1.0, 2.0, 3.0):
         corner = WeightParams(offset=0.5 * p, power=p)
         gap = max(gap, abs(float(weight_residual(0.0, 0.0, corner))))
-    return ResidualAudit(samples=samples, min_residual=min_residual, equality_gap=gap)
+    return ResidualAudit(samples=samples, min_residual=float(min_residual), equality_gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +303,33 @@ def snapshot_integrals(
     u_coeffs: np.ndarray,
     u_values: np.ndarray,
     ut_values: np.ndarray,
-    w: WeightParams,
+    psi: np.ndarray,
+    psi_dt: np.ndarray,
     p: float,
     scratch: Scratch | None = None,
 ) -> SnapshotIntegrals:
-    """One audit row from the real-FFT coefficients and values of u and
-    the values of u_t at time t; the energy's work arrays are
-    ``scratch``'s (see :func:`spectral_energy`)."""
-    psi = weight_on_grid(weight_value, t, grid, w)
-    psi_dt = weight_on_grid(weight_dt, t, grid, w)
-    signed = np.abs(u_values) ** p * u_values
-    source = np.abs(signed)
+    """One audit row from the real-FFT coefficients and values of u, the
+    values of u_t and the weight and its time derivative on the grid
+    (``psi``, ``psi_dt``) at time t.  The energy uses ``scratch``'s work
+    arrays (see :func:`spectral_energy`); then ``density`` holds
+    |u|^p u, ``field`` its absolute value and ``ut_values`` each product
+    in turn, so ``ut_values`` may be ``scratch.ut_values``."""
+    if scratch is None:
+        scratch = Scratch.for_grid(grid)
+    energy = spectral_energy(grid, u_coeffs, ut_values, psi, scratch)
+    signed = np.abs(u_values, out=scratch.density)
+    signed **= p
+    signed *= u_values
+    source = np.abs(signed, out=scratch.field)
+    product = scratch.ut_values
     h = grid.cell_volume
     return SnapshotIntegrals(
         t=t,
-        energy=spectral_energy(grid, u_coeffs, ut_values, psi, scratch),
-        signed=float(h * np.sum(signed * psi)),
-        signed_dt=float(h * np.sum(signed * psi_dt)),
-        source=float(h * np.sum(source * psi)),
-        source_dt=float(h * np.sum(source * np.abs(psi_dt))),
+        energy=energy,
+        signed=float(h * np.sum(np.multiply(signed, psi, out=product))),
+        signed_dt=float(h * np.sum(np.multiply(signed, psi_dt, out=product))),
+        source=float(h * np.sum(np.multiply(source, psi, out=product))),
+        source_dt=float(h * np.sum(np.multiply(source, np.abs(psi_dt, out=product), out=product))),
     )
 
 

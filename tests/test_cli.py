@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dampedwave import experiments
 from dampedwave.cli import main
 from dampedwave.snapshots import read_snapshot
 from dampedwave.timeseries import TimeSeries
@@ -223,6 +224,28 @@ def test_sweep_single_point_matches_simulate(grid_sweep, tmp_path, p, amplitude)
     assert point_report["config"]["values"]["problem.p"] == repr(p)
     timings = point_report["timings"]
     assert 0.0 < timings["run_s"] <= timings["total_s"]
+
+
+def test_sweep_runs_one_residual_audit(monkeypatch, tmp_path):
+    # the weight-slack audit depends on neither p nor the amplitude: one
+    # audit serves every point, and each report carries it
+    calls = []
+    original = experiments.residual_audit
+
+    def counted(**kwargs):
+        calls.append(kwargs)
+        return original(**kwargs)
+
+    monkeypatch.setattr(experiments, "residual_audit", counted)
+    cfg = write_cfg(tmp_path, SMALL + "sweep.p = 2.0, 4.0\nsweep.amplitude = 0.01, 0.02\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == [{"samples": 10_000, "seed": 0}]
+    expected = original(samples=10_000, seed=0).to_dict()
+    points = sorted(path for path in out.iterdir() if path.is_dir())
+    assert len(points) == 4
+    for point in points:
+        assert load_report(point)["audits"]["weight_residual"] == expected
 
 
 @pytest.mark.parametrize(

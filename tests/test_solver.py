@@ -375,6 +375,35 @@ def test_ensemble_evaluates_weight_once_per_record_time(monkeypatch):
     assert calls == list(outcomes[0].series.column("t"))
 
 
+def test_ensemble_evaluates_snapshot_weights_once_per_time(monkeypatch, tmp_path):
+    # the members share the weight and the snapshot times: one weight and
+    # one weight_dt evaluation per snapshot time, and a snapshot time that
+    # is also a record time reuses the record's weight
+    calls = {"value": [], "dt": []}
+
+    def counting(name, original):
+        def counted(t, r_sq, w):
+            calls[name].append(t)
+            return original(t, r_sq, w)
+
+        return counted
+
+    for name, attr in (("value", "weight_value"), ("dt", "weight_dt")):
+        counted = counting(name, getattr(weights, attr))
+        for module in (weights, diagnostics, solver):
+            monkeypatch.setattr(module, attr, counted, raising=False)
+    cfgs = [make_cfg(p=p, t_end=2.0) for p in (2.5, 3.0, 3.5, 4.0)]
+    data = (gaussian_field(cfgs[0].grid, 0.05, 2.0), zero_field(cfgs[0].grid))
+    dirs = [tmp_path / f"m{i}" for i in range(len(cfgs))]
+    outcomes = run_ensemble(cfgs, [data] * len(cfgs), snapshot_every=0.4, snapshot_dirs=dirs)
+    assert all(o.status is RunStatus.COMPLETED for o in outcomes)
+    snapshot_times = [row.t for row in outcomes[0].snapshots]
+    record_times = list(outcomes[0].series.column("t"))
+    assert len(snapshot_times) == 6
+    assert calls["dt"] == snapshot_times
+    assert calls["value"] == sorted(set(record_times) | set(snapshot_times))
+
+
 def test_run_path_uses_only_real_transforms(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("complex FFT on a real field")

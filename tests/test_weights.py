@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,21 @@ from dampedwave.exponents import ProblemParams
 from dampedwave.snapshots import read_snapshot
 from dampedwave.solver import Nonlinearity, SolverConfig, run
 from dampedwave.weights import (
+    AUDIT_BLOCK,
     MIN_AUDIT_SNAPSHOTS,
+    ResidualAudit,
+    Scratch,
     WeightParams,
+    _audit_streams,
     decay_norm,
     energy_audit,
     residual_audit,
     snapshot_integrals,
     source_bound_audit,
+    spectral_energy,
     weight_base,
     weight_dt,
+    weight_on_grid,
     weight_residual,
     weight_value,
     weighted_energy,
@@ -87,6 +94,62 @@ def test_residual_audit_small():
     assert audit.min_residual >= -1e-12
     assert audit.equality_gap < 1e-12
     assert audit.passed
+
+
+def _one_shot_residual_audit(samples, seed, t_max=100.0, radius_max=50.0, power_max=10.0):
+    """The audit drawing every sample at once, as it did before it
+    streamed blocks: the reference the streamed audit must reproduce."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, t_max, samples)
+    r_sq = rng.uniform(0.0, radius_max, samples) ** 2
+    power = rng.uniform(0.0, power_max, samples)
+    power = np.where(power == 0.0, power_max, power)
+    offset = rng.uniform(0.5, 10.0, samples) * power
+    base = offset + r_sq / (1.0 + t)
+    residual = 2.0 * base**power - power * base ** (power - 1.0)
+    gap = 0.0
+    for p in (0.5, 1.0, 2.0, 3.0):
+        gap = max(gap, abs(float(weight_residual(0.0, 0.0, WeightParams(0.5 * p, p)))))
+    return ResidualAudit(samples=samples, min_residual=float(np.min(residual)), equality_gap=gap)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [1, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1, 3 * AUDIT_BLOCK + 7, 200_000, 1_000_000],
+)
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_streamed_residual_audit_equals_one_shot(samples, seed):
+    assert residual_audit(samples, seed).to_dict() == _one_shot_residual_audit(samples, seed).to_dict()
+
+
+@pytest.mark.parametrize("samples", [1, AUDIT_BLOCK + 1, 3 * AUDIT_BLOCK + 7])
+def test_audit_streams_continue_the_one_shot_draws(samples):
+    # generator j, advanced by j * samples, draws block by block what the
+    # j-th full-length draw of one generator holds
+    rng = np.random.default_rng(3)
+    one_shot = [rng.uniform(0.0, 1.0, samples) for _ in range(4)]
+    for stream, expected in zip(_audit_streams(samples, 3), one_shot):
+        sizes = [min(AUDIT_BLOCK, samples - start) for start in range(0, samples, AUDIT_BLOCK)]
+        blocks = [stream.uniform(0.0, 1.0, n) for n in sizes]
+        assert np.array_equal(np.concatenate(blocks), expected)
+
+
+def test_residual_audit_memory_is_a_few_blocks():
+    # drawing all 1e6 samples at once peaks at about 61 MB
+    residual_audit(samples=1_000, seed=0)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        residual_audit(samples=1_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_residual_audit_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        residual_audit(samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +388,45 @@ def test_streamed_rows_match_written_snapshots(grid, tmp_path):
     for row, path in zip(outcome.snapshots, paths):
         state, meta = read_snapshot(path)
         u_coeffs = grid.forward(state.u.values)
+        psi = weight_on_grid(weight_value, state.t, grid, w)
+        psi_dt = weight_on_grid(weight_dt, state.t, grid, w)
         again = snapshot_integrals(
-            grid, state.t, u_coeffs, state.u.values, state.ut.values, w, meta.p
+            grid, state.t, u_coeffs, state.u.values, state.ut.values, psi, psi_dt, meta.p
         )
         assert again == pytest.approx(row, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 40.0, 256), Grid(2, 16.0, 32)], ids=["1d", "2d"])
+@pytest.mark.parametrize("p", [2.0, 2.5, 4.0])
+def test_snapshot_integrals_in_scratch_equal_fresh_arrays(grid, p):
+    # the row written through the scratch arrays, with u_t passed in the
+    # scratch's own u_t array, is the row of the allocating expressions
+    rng = np.random.default_rng(5)
+    w = WeightParams(4.0, 2.0)
+    t = 1.25
+    u_values = rng.standard_normal(grid.shape)
+    ut_source = rng.standard_normal(grid.shape)
+    u_coeffs = grid.forward(u_values)
+    psi = weight_on_grid(weight_value, t, grid, w)
+    psi_dt = weight_on_grid(weight_dt, t, grid, w)
+    signed = np.abs(u_values) ** p * u_values
+    source = np.abs(signed)
+    h = grid.cell_volume
+    energy = spectral_energy(grid, u_coeffs, ut_source, psi)
+    expected = (
+        t,
+        energy,
+        float(h * np.sum(signed * psi)),
+        float(h * np.sum(signed * psi_dt)),
+        float(h * np.sum(source * psi)),
+        float(h * np.sum(source * np.abs(psi_dt))),
+    )
+    scratch = Scratch.for_grid(grid)
+    scratch.ut_values[...] = ut_source
+    row = snapshot_integrals(
+        grid, t, u_coeffs, u_values, scratch.ut_values, psi, psi_dt, p, scratch
+    )
+    assert tuple(row) == expected
 
 
 def test_decay_norm_scales_linearly_in_small_regime():
