@@ -121,8 +121,11 @@ class RunOutcome:
             raise ValueError("blowup_time must be present exactly for blow-up runs")
 
 
-def source_term(u_values: np.ndarray, p: float, signed: bool = False) -> np.ndarray:
-    """Pointwise |u|^p (or |u|^(p-1)*u for the signed variant).
+def source_term(
+    u_values: np.ndarray, p: float, signed: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Pointwise |u|^p (or |u|^(p-1)*u for the signed variant), written
+    into ``out`` when given.
 
     Non-integer powers go through exp(p*log|u|) inside numpy, with the
     u = 0 limit equal to 0.  Overflow produces infinities which the
@@ -131,15 +134,40 @@ def source_term(u_values: np.ndarray, p: float, signed: bool = False) -> np.ndar
     if not p > 1.0:
         raise ValueError(f"p must be > 1, got {p}")
     with np.errstate(over="ignore", invalid="ignore"):
+        f = np.abs(u_values, out=out)
         if signed:
-            return np.abs(u_values) ** (p - 1.0) * u_values
-        return np.abs(u_values) ** p
+            f **= p - 1.0
+            f *= u_values
+        else:
+            f **= p
+        return f
+
+
+class _StepArrays:
+    """What :meth:`Stepper.advance` writes, for one member count: two
+    pairs of (u_coeffs, ut_coeffs), filled in turn because a step reads
+    the previous step's pair (and a blow-up step's start is its final
+    state), the new u values and source coefficients, and work space.
+    Full-size temporaries made and freed every step are given back to
+    the system and faulted in again; these arrays are made once."""
+
+    def __init__(self, coeffs: np.ndarray, values_shape: tuple[int, ...], half_shape):
+        self.pairs = [(np.empty_like(coeffs), np.empty_like(coeffs)) for _ in range(2)]
+        self.u_values, self.field = np.empty(values_shape), np.empty(values_shape)
+        self.f_hat, self.kick, self.work = (np.empty_like(coeffs) for _ in range(3))
+        self.stiffness = np.empty(half_shape)
+
+    def next_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pair the previous step did not write."""
+        self.pairs.reverse()
+        return self.pairs[0]
 
 
 class Stepper:
     """Multipliers for one (grid, dt) pair shared by every member of an
     ensemble, the members' powers and their stacked dealias mask.  The
-    arrays it steps carry a leading member axis."""
+    arrays it steps carry a leading member axis; it writes each step
+    into a :class:`_StepArrays` made for the current member count."""
 
     def __init__(self, cfgs: list[SolverConfig]):
         self.cfg = cfgs[0]
@@ -156,6 +184,7 @@ class Stepper:
             keep_all = np.ones(grid.half_shape, dtype=bool)
             masks = [grid.dealias_mask() if cfg.dealias_active else keep_all for cfg in cfgs]
             self.dealias_mask = np.stack(masks)
+        self.arrays: _StepArrays | None = None
 
     def retain(self, keep: np.ndarray, *stacks: np.ndarray | None) -> list:
         """Drop the members whose ``keep`` entry is False, here and from
@@ -163,35 +192,37 @@ class Stepper:
         self.powers = [p for p, kept in zip(self.powers, keep) if kept]
         if self.dealias_mask is not None:
             self.dealias_mask = self.dealias_mask[keep]
+        self.arrays = None  # made again for the new member count
         return [None if stack is None else stack[keep] for stack in stacks]
 
     def source_coeffs(
-        self, u_values: np.ndarray
+        self, u_values: np.ndarray, field: np.ndarray | None = None, out: np.ndarray | None = None
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Real-FFT coefficients of each member's source at the stacked
         ``u_values`` (dealiased where configured; None when the source is
         switched off) and the mask of members whose source has a
         non-finite entry (None if there is none).  Those rows are zeroed,
-        so an overflowed source is never transformed."""
+        so an overflowed source is never transformed.  The source values
+        go into ``field`` and the coefficients into ``out`` when given."""
         kind = self.cfg.nonlinearity
         if kind is Nonlinearity.NONE:
             return None, None
         signed = kind is Nonlinearity.SIGNED
         if len(set(self.powers)) == 1:  # one exponent: one evaluation, no copies
-            f = source_term(u_values, self.powers[0], signed=signed)
+            f = source_term(u_values, self.powers[0], signed=signed, out=field)
         else:
-            f = np.empty_like(u_values)
+            f = np.empty_like(u_values) if field is None else field
             for row, p in enumerate(self.powers):
                 # a scalar exponent per member keeps numpy's p = 2 square path
-                f[row] = source_term(u_values[row], p, signed=signed)
+                source_term(u_values[row], p, signed=signed, out=f[row])
         finite = np.isfinite(f)
         overflow = None
         if not np.all(finite):
             overflow = ~np.all(finite, axis=self.cfg.grid.axes)
             f[overflow] = 0.0
-        f_hat = self.cfg.grid.forward(f)
+        f_hat = self.cfg.grid.forward(f, out=out)
         if self.dealias_mask is not None:
-            f_hat = np.where(self.dealias_mask, f_hat, 0.0)
+            np.copyto(f_hat, 0.0, where=~self.dealias_mask)
         return f_hat, overflow
 
     def advance(
@@ -200,18 +231,30 @@ class Stepper:
         """One step from (u_n, ut_n) with f_n = ``f_hat``; returns the new
         (u_coeffs, ut_coeffs, u_values), f* (the source at the new u,
         which is the next step's f_n) and each member's max |u_{n+1}|,
-        inf where f* is non-finite: the step has blown up there."""
-        half_dt = 0.5 * self.cfg.dt
+        inf where f* is non-finite: the step has blown up there.  The
+        arrays are the stepper's own: the next step overwrites the u
+        values and f*, the step after next the coefficients."""
+        grid, half_dt = self.cfg.grid, 0.5 * self.cfg.dt
+        if self.arrays is None:
+            self.arrays = _StepArrays(u_coeffs, (len(u_coeffs), *grid.shape), grid.half_shape)
+        a = self.arrays
+        u_new, ut_new = a.next_pair()
         if f_hat is not None:
-            ut_coeffs = ut_coeffs + half_dt * f_hat
-        u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, self.g, self.gdt, self.xi_sq)
-        u_values_new = self.cfg.grid.inverse(u_new)
-        peaks = np.max(np.abs(u_values_new), axis=self.cfg.grid.axes)
-        f_star, overflow = self.source_coeffs(u_values_new)
+            ut_coeffs = np.add(ut_coeffs, np.multiply(half_dt, f_hat, out=a.kick), out=a.kick)
+        # evolve_coeffs reads u_sum before it writes work
+        u_sum = np.add(u_coeffs, ut_coeffs, out=a.work)
+        evolve_coeffs(
+            u_coeffs, ut_coeffs, self.g, self.gdt, self.xi_sq, u_sum,
+            out=(u_new, ut_new, a.work, a.stiffness),
+        )
+        u_values_new = grid.inverse(u_new, out=a.u_values)
+        peaks = np.max(np.abs(u_values_new, out=a.field), axis=grid.axes)
+        # f_hat has been read into the kick, so f* may take its place
+        f_star, overflow = self.source_coeffs(u_values_new, a.field, a.f_hat)
         if overflow is not None:
             peaks[overflow] = np.inf
         if f_star is not None:
-            ut_new = ut_new + half_dt * f_star
+            ut_new += np.multiply(half_dt, f_star, out=a.kick)
         return u_new, ut_new, u_values_new, f_star, peaks
 
 

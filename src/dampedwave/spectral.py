@@ -173,10 +173,10 @@ class Grid:
         :meth:`radius_levels` (grid shape)."""
         return np.searchsorted(self.radius_levels(), self.radius_sq())
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Real-FFT coefficients of a field (or of each field of a stack),
-        half-spectrum layout."""
-        return np.fft.rfftn(values, axes=self.axes)
+        half-spectrum layout, written into ``out`` when given."""
+        return np.fft.rfftn(values, axes=self.axes, out=out)
 
     def inverse(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Field (or stack of fields) with the given half-spectrum

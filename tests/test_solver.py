@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from dampedwave.exponents import ProblemParams
 from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave import diagnostics, propagator, solver, weights
-from dampedwave.propagator import decay_profile
+from dampedwave.propagator import decay_profile, evolve_coeffs
 from dampedwave.solver import (
     Nonlinearity,
     RunStatus,
@@ -326,9 +326,9 @@ def test_run_evaluates_source_once_per_step(monkeypatch):
     calls = []
     original = Stepper.source_coeffs
 
-    def counted(self, u_values):
+    def counted(self, u_values, *buffers):
         calls.append(1)
-        return original(self, u_values)
+        return original(self, u_values, *buffers)
 
     monkeypatch.setattr(Stepper, "source_coeffs", counted)
     cfg = make_cfg(t_end=2.0)
@@ -511,6 +511,88 @@ def test_ensemble_members_match_single_runs(dim, tmp_path):
         assert [f.read_bytes() for f in written] == [
             f.read_bytes() for f in sorted((tmp_path / "alone" / str(i)).iterdir())
         ]
+
+
+def _allocating_advance(stepper, u_coeffs, ut_coeffs, f_hat):
+    """One step with a fresh array for every intermediate, as the
+    stepper computed it before it wrote into arrays of its own."""
+    grid, half_dt = stepper.cfg.grid, 0.5 * stepper.cfg.dt
+    signed = stepper.cfg.nonlinearity is Nonlinearity.SIGNED
+    ut_coeffs = ut_coeffs + half_dt * f_hat
+    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, stepper.g, stepper.gdt, stepper.xi_sq)
+    u_values = grid.inverse(u_new)
+    peaks = np.max(np.abs(u_values), axis=grid.axes)
+    f = np.empty_like(u_values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, p in enumerate(stepper.powers):
+            magnitude = np.abs(u_values[row])
+            f[row] = magnitude ** (p - 1.0) * u_values[row] if signed else magnitude**p
+    overflow = ~np.all(np.isfinite(f), axis=grid.axes)
+    f[overflow] = 0.0
+    peaks[overflow] = np.inf
+    f_star = grid.forward(f)
+    if stepper.dealias_mask is not None:
+        f_star = np.where(stepper.dealias_mask, f_star, 0.0)
+    return u_new, ut_new + half_dt * f_star, u_values, f_star, peaks
+
+
+@pytest.mark.parametrize("kind", [Nonlinearity.SOURCE, Nonlinearity.SIGNED])
+@pytest.mark.parametrize("dim", [1, 2, 3], ids=["1d", "2d", "3d"])
+def test_step_arrays_give_the_allocating_step(dim, kind):
+    # steps write into arrays made once (the coefficients into two pairs
+    # in turn); the floats are those of the step that allocates them all
+    grid, _ = ENSEMBLE_GRIDS[dim]
+    cfgs = [
+        SolverConfig(
+            problem=ProblemParams(dim, p, 2.0),
+            grid=grid,
+            weight=WEIGHT,
+            dt=0.05,
+            t_end=1.0,
+            dealias=dealias,
+            nonlinearity=kind,
+        )
+        for p, _, dealias in MEMBERS
+    ]
+    stepper = Stepper(cfgs)
+    u_values = np.stack([gaussian_field(grid, a, 1.5).values for _, a, _ in MEMBERS])
+    u_coeffs = grid.forward(u_values)
+    ut_coeffs = grid.forward(0.1 * u_values)
+    f_hat, _ = stepper.source_coeffs(u_values)
+    state = expected = (u_coeffs, ut_coeffs, u_values, f_hat)
+    written = []
+    for _ in range(6):
+        expected = _allocating_advance(stepper, expected[0], expected[1], expected[3])
+        state = stepper.advance(state[0], state[1], state[3])
+        for got, want in zip(state, expected):
+            assert np.array_equal(got, want)
+        written.append(state[:4])
+    for earlier, later in zip(written, written[2:]):
+        assert all(a is b for a, b in zip(earlier, later))
+
+
+def test_steps_allocate_no_full_size_results():
+    # beyond the inverse transform's intermediates a step allocates
+    # nothing of grid size; fresh results and temporaries took about 12 fields
+    grid = Grid(3, 8.0, 32)
+    cfg = SolverConfig(
+        problem=ProblemParams(3, 2.5, 2.0), grid=grid, weight=WEIGHT, dt=0.05, t_end=1.0
+    )
+    stepper = Stepper([cfg])
+    u_values = gaussian_field(grid, 0.05, 1.5).values[None]
+    f_hat, _ = stepper.source_coeffs(u_values)
+    state = (grid.forward(u_values), np.zeros_like(f_hat), u_values, f_hat)
+    for _ in range(3):
+        state = stepper.advance(state[0], state[1], state[3])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            state = stepper.advance(state[0], state[1], state[3])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 3 * grid.size * 8
 
 
 def test_ensemble_initial_overflow_stays_per_member():

@@ -119,7 +119,8 @@ def _one_shot_residual_audit(samples, seed, t_max=100.0, radius_max=50.0, power_
 )
 @pytest.mark.parametrize("seed", [0, 7, 12345])
 def test_streamed_residual_audit_equals_one_shot(samples, seed):
-    assert residual_audit(samples, seed).to_dict() == _one_shot_residual_audit(samples, seed).to_dict()
+    expected = _one_shot_residual_audit(samples, seed).to_dict()
+    assert residual_audit(samples, seed).to_dict() == expected
 
 
 @pytest.mark.parametrize("samples", [1, AUDIT_BLOCK + 1, 3 * AUDIT_BLOCK + 7])
