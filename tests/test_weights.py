@@ -136,7 +136,7 @@ def test_audit_streams_continue_the_one_shot_draws(samples):
 
 
 def test_residual_audit_memory_is_a_few_blocks():
-    # drawing all 1e6 samples at once peaks at about 61 MB
+    # drawing all 1e6 samples at once peaks at about 64 MB
     residual_audit(samples=1_000, seed=0)  # imports and first-call caches
     tracemalloc.start()
     try:
