@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""In-process cost of one semilinear step and of one diagnostic record.
+
+Times ``solver.Stepper.advance`` (one member) and ``diagnostics.measure``
+on three grids: 1-D 1024 points (the shipped ``fujita_n1_p4``), 2-D 256^2
+(the grid of ``linear_decay_n2``) and 3-D 48^3 (perfbench's audit_3d
+grid).  Each is called WARMUP times untimed and then ``--repeats`` times,
+each call timed alone; the median of those calls is reported in
+microseconds.  BLAS/OpenMP pools are pinned to one thread before numpy
+is imported (numpy's FFTs run on one thread regardless).
+
+Usage:
+    step_timing.py [--repeats N]
+
+Prints one JSON line: ``{"repeats", "numpy", "advance_us": {grid: us},
+"measure_us": {grid: us}}``.  The package is imported from this
+checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np
+
+from dampedwave.diagnostics import measure
+from dampedwave.exponents import ProblemParams
+from dampedwave.initial_data import gaussian_field
+from dampedwave.solver import SolverConfig, Stepper
+from dampedwave.spectral import Grid
+from dampedwave.weights import Scratch, WeightParams, weight_on_grid, weight_value
+
+WARMUP = 3
+
+# name: (grid, p, weight, dt); the data is a Gaussian of amplitude 0.01
+# and width 2, small enough that no run of these steps grows large
+CASES = {
+    "1d_1024": (Grid(1, 160.0, 1024), 4.0, WeightParams(4.0, 2.0), 0.05),
+    "2d_256": (Grid(2, 200.0, 256), 3.0, WeightParams(3.0, 1.5), 0.1),
+    "3d_48": (Grid(3, 24.0, 48), 2.5, WeightParams(2.0, 1.65), 0.05),
+}
+
+
+def _median_us(samples: list[float]) -> float:
+    return 1e6 * statistics.median(samples[WARMUP:])
+
+
+def time_grid(grid: Grid, p: float, weight: WeightParams, dt: float, repeats: int):
+    """Median microseconds of one ``Stepper.advance`` and of one
+    ``measure`` on ``grid``."""
+    cfg = SolverConfig(
+        problem=ProblemParams(grid.dim, p, weight.power), grid=grid, weight=weight, dt=dt,
+        t_end=dt,
+    )
+    stepper = Stepper([cfg])
+    u_values = gaussian_field(grid, 0.01, 2.0).values[None]
+    f_hat, _ = stepper.source_coeffs(u_values)
+    state = (grid.forward(u_values), np.zeros_like(f_hat), u_values, f_hat)
+    step_s = []
+    for _ in range(WARMUP + repeats):
+        start = time.perf_counter()
+        state = stepper.advance(state[0], state[1], state[3])
+        step_s.append(time.perf_counter() - start)
+
+    u_coeffs, ut_coeffs, _, _, peaks = state
+    psi = weight_on_grid(weight_value, dt, grid, weight)
+    scratch = Scratch.for_grid(grid)
+    measure_s = []
+    for _ in range(WARMUP + repeats):
+        start = time.perf_counter()
+        measure(grid, dt, u_coeffs[0], ut_coeffs[0], psi, peaks[0], scratch)
+        measure_s.append(time.perf_counter() - start)
+    return _median_us(step_s), _median_us(measure_s)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=200, help="timed calls per grid")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    result = {"repeats": args.repeats, "numpy": np.__version__, "advance_us": {}, "measure_us": {}}
+    for name, case in CASES.items():
+        advance_us, measure_us = time_grid(*case, args.repeats)
+        result["advance_us"][name] = round(advance_us, 1)
+        result["measure_us"][name] = round(measure_us, 1)
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

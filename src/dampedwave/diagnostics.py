@@ -43,19 +43,22 @@ def measure(
     psi: np.ndarray,
     linf_u: float,
     scratch: Scratch,
+    ut_values: np.ndarray | None = None,
 ) -> dict:
     """Build one diagnostic record from real-FFT coefficients, the weight
     values ``psi`` at time t and the sup norm of u, which the caller has
     already evaluated, writing every intermediate array into ``scratch``.
 
     L^2 norms come from Parseval; the weighted energy needs physical
-    fields, so u_t and the gradient are transformed back.
+    fields, so u_t (unless the caller passes its ``ut_values``) and the
+    gradient are transformed back.
     """
     l2_u = spectral_l2(u_coeffs, grid)
     l2_grad = spectral_l2(u_coeffs, grid, grid.freq_sq(), out=scratch.coeffs)
     l2_ut = spectral_l2(ut_coeffs, grid)
 
-    ut_values = grid.inverse(ut_coeffs, out=scratch.ut_values)
+    if ut_values is None:
+        ut_values = grid.inverse(ut_coeffs, out=scratch.ut_values)
     e_weighted = spectral_energy(grid, u_coeffs, ut_values, psi, scratch)
 
     quarter = 0.25 * grid.dim

@@ -221,10 +221,20 @@ def energy_audit_experiment(
 ) -> dict:
     """Semilinear run with snapshots dense enough for the trajectory
     audits: every ``snapshot_every`` time units (default 0.5), tightened
-    so that the run keeps at least MIN_AUDIT_SNAPSHOTS of them."""
+    so that the run keeps at least MIN_AUDIT_SNAPSHOTS of them.  A run
+    takes at most one snapshot per step, so a config with fewer than
+    MIN_AUDIT_SNAPSHOTS - 1 steps is a ConfigError, raised before any
+    step."""
+    solver = setup.solver
+    if round(solver.t_end / solver.dt) + 1 < MIN_AUDIT_SNAPSHOTS:
+        raise ConfigError(
+            f"energy-audit needs at least {MIN_AUDIT_SNAPSHOTS - 1} steps for its "
+            f"{MIN_AUDIT_SNAPSHOTS} snapshots; t_end/dt = {solver.t_end / solver.dt:g}",
+            key="solver.t_end",
+        )
     if snapshot_every is None:
         snapshot_every = 0.5
-    span = setup.solver.t_end / (MIN_AUDIT_SNAPSHOTS - 1)
+    span = solver.t_end / (MIN_AUDIT_SNAPSHOTS - 1)
     return simulate(
         setup,
         out_dir,

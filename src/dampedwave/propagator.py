@@ -67,26 +67,26 @@ def evolve_coeffs(
     ut_coeffs: np.ndarray,
     g: np.ndarray,
     gdt: np.ndarray,
-    xi_sq: np.ndarray,
+    stiffness: np.ndarray,
     u_sum: np.ndarray | None = None,
     out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance spectral coefficients of (u, u_t) by the lag dt at which
-    ``g, gdt = greens_multipliers(dt, xi_sq)`` were evaluated (once per
-    lag; the stepper reuses one pair for every step).
+    ``g, gdt = greens_multipliers(dt, xi_sq)`` were evaluated, with
+    ``stiffness`` = xi_sq*g (all three once per lag; the stepper reuses
+    them for every step).
 
     ``u_sum`` is ``u_coeffs + ut_coeffs`` when the caller already holds
-    it.  ``out`` = (u_new, ut_new, work, stiffness) are arrays that
-    receive the results and the intermediates: three complex ones shaped
-    like the result and a real one shaped like ``g`` for xi_sq*g.
-    Without them every array is fresh; the floats are the same."""
-    u_new, ut_new, work, stiffness = (None,) * 4 if out is None else out
+    it.  ``out`` = (u_new, ut_new, work) are complex arrays shaped like
+    the result that receive the results and the intermediate.  Without
+    them every array is fresh; the floats are the same."""
+    u_new, ut_new, work = (None,) * 3 if out is None else out
     if u_sum is None:
         u_sum = u_coeffs + ut_coeffs
     u_new = np.multiply(g, u_sum, out=u_new)
     u_new += np.multiply(gdt, u_coeffs, out=work)
     ut_new = np.multiply(gdt, ut_coeffs, out=ut_new)
-    ut_new -= np.multiply(np.multiply(xi_sq, g, out=stiffness), u_coeffs, out=work)
+    ut_new -= np.multiply(stiffness, u_coeffs, out=work)
     return u_new, ut_new
 
 
@@ -99,7 +99,7 @@ def linear_evolve(state: LinearState, dt: float) -> LinearState:
     ut_coeffs = grid.forward(state.ut.values)
     index = grid.freq_index()
     g, gdt = (levels[index] for levels in greens_multipliers(dt, grid.freq_levels()))
-    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, grid.freq_sq())
+    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, grid.freq_sq() * g)
     return state_from_coeffs(grid, state.t + dt, u_new, ut_new)
 
 
@@ -135,7 +135,7 @@ def decay_profile(
     u_t, ut_t = np.empty_like(u_coeffs), np.empty_like(u_coeffs)
     psi = np.empty(grid.shape)
     scratch = Scratch.for_grid(grid)
-    buffers = (u_t, ut_t, scratch.coeffs, stiffness)
+    buffers = (u_t, ut_t, scratch.coeffs)
     # u's values are done with before measure fills u_t's into the array
     u_values = scratch.ut_values
 
@@ -145,7 +145,8 @@ def decay_profile(
         g_levels, gdt_levels = greens_multipliers(t, freq_levels)
         gather(g_levels, freq_index, out=g)
         gather(gdt_levels, freq_index, out=gdt)
-        evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, xi_sq, u_sum, out=buffers)
+        np.multiply(xi_sq, g, out=stiffness)
+        evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, stiffness, u_sum, out=buffers)
         grid.inverse(u_t, out=u_values)
         peak = max(u_values.max(), -u_values.min())
         if not warned and boundary_contaminated(u_values, grid, peak):

@@ -59,6 +59,11 @@ from .weights import (
 )
 
 
+# Sources below this are finite with room to spare (the largest double is
+# about 1.8e308); Stepper.overflow_limit is the peak that keeps them there.
+SOURCE_LIMIT = 1e300
+
+
 class Nonlinearity(str, enum.Enum):
     """Source shape: the sign-definite |u|^p of the problem, the signed
     |u|^(p-1)*u variant (exploration only), or disabled."""
@@ -151,11 +156,10 @@ class _StepArrays:
     Full-size temporaries made and freed every step are given back to
     the system and faulted in again; these arrays are made once."""
 
-    def __init__(self, coeffs: np.ndarray, values_shape: tuple[int, ...], half_shape):
+    def __init__(self, coeffs: np.ndarray, values_shape: tuple[int, ...]):
         self.pairs = [(np.empty_like(coeffs), np.empty_like(coeffs)) for _ in range(2)]
         self.u_values, self.field = np.empty(values_shape), np.empty(values_shape)
         self.f_hat, self.kick, self.work = (np.empty_like(coeffs) for _ in range(3))
-        self.stiffness = np.empty(half_shape)
 
     def next_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """The pair the previous step did not write."""
@@ -165,9 +169,10 @@ class _StepArrays:
 
 class Stepper:
     """Multipliers for one (grid, dt) pair shared by every member of an
-    ensemble, the members' powers and their stacked dealias mask.  The
-    arrays it steps carry a leading member axis; it writes each step
-    into a :class:`_StepArrays` made for the current member count."""
+    ensemble (g, g' and the stiffness xi_sq*g), the members' powers and
+    their stacked dealias mask.  The arrays it steps carry a leading
+    member axis; it writes each step into a :class:`_StepArrays` made
+    for the current member count."""
 
     def __init__(self, cfgs: list[SolverConfig]):
         self.cfg = cfgs[0]
@@ -176,7 +181,11 @@ class Stepper:
         index = grid.freq_index()
         g, gdt = greens_multipliers(self.cfg.dt, grid.freq_levels())
         self.g, self.gdt = g[index], gdt[index]
+        self.stiffness = self.xi_sq * self.g
         self.powers = [cfg.problem.p for cfg in cfgs]
+        # no member's |u|^p (or |u|^(p-1)*u) can overflow while every
+        # peak is at most this; NaN and larger peaks get the full check
+        self.overflow_limit = SOURCE_LIMIT ** (1.0 / max(self.powers))
         # 2/3 rule: heuristic for non-polynomial powers, but it removes
         # the worst of the aliasing from the pointwise source.
         self.dealias_mask = None
@@ -196,14 +205,20 @@ class Stepper:
         return [None if stack is None else stack[keep] for stack in stacks]
 
     def source_coeffs(
-        self, u_values: np.ndarray, field: np.ndarray | None = None, out: np.ndarray | None = None
+        self,
+        u_values: np.ndarray,
+        field: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+        peak: float = np.inf,
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Real-FFT coefficients of each member's source at the stacked
         ``u_values`` (dealiased where configured; None when the source is
         switched off) and the mask of members whose source has a
         non-finite entry (None if there is none).  Those rows are zeroed,
         so an overflowed source is never transformed.  The source values
-        go into ``field`` and the coefficients into ``out`` when given."""
+        go into ``field`` and the coefficients into ``out`` when given.
+        ``peak`` is max |u_values| when the caller holds it: at or below
+        :attr:`overflow_limit` the source is finite and is not scanned."""
         kind = self.cfg.nonlinearity
         if kind is Nonlinearity.NONE:
             return None, None
@@ -215,11 +230,12 @@ class Stepper:
             for row, p in enumerate(self.powers):
                 # a scalar exponent per member keeps numpy's p = 2 square path
                 source_term(u_values[row], p, signed=signed, out=f[row])
-        finite = np.isfinite(f)
         overflow = None
-        if not np.all(finite):
-            overflow = ~np.all(finite, axis=self.cfg.grid.axes)
-            f[overflow] = 0.0
+        if not peak <= self.overflow_limit:
+            finite = np.isfinite(f)
+            if not finite.all():
+                overflow = ~finite.all(axis=self.cfg.grid.axes)
+                f[overflow] = 0.0
         f_hat = self.cfg.grid.forward(f, out=out)
         if self.dealias_mask is not None:
             np.copyto(f_hat, 0.0, where=~self.dealias_mask)
@@ -236,7 +252,7 @@ class Stepper:
         values and f*, the step after next the coefficients."""
         grid, half_dt = self.cfg.grid, 0.5 * self.cfg.dt
         if self.arrays is None:
-            self.arrays = _StepArrays(u_coeffs, (len(u_coeffs), *grid.shape), grid.half_shape)
+            self.arrays = _StepArrays(u_coeffs, (len(u_coeffs), *grid.shape))
         a = self.arrays
         u_new, ut_new = a.next_pair()
         if f_hat is not None:
@@ -244,13 +260,13 @@ class Stepper:
         # evolve_coeffs reads u_sum before it writes work
         u_sum = np.add(u_coeffs, ut_coeffs, out=a.work)
         evolve_coeffs(
-            u_coeffs, ut_coeffs, self.g, self.gdt, self.xi_sq, u_sum,
-            out=(u_new, ut_new, a.work, a.stiffness),
+            u_coeffs, ut_coeffs, self.g, self.gdt, self.stiffness, u_sum,
+            out=(u_new, ut_new, a.work),
         )
         u_values_new = grid.inverse(u_new, out=a.u_values)
-        peaks = np.max(np.abs(u_values_new, out=a.field), axis=grid.axes)
+        peaks = np.abs(u_values_new, out=a.field).max(axis=grid.axes)
         # f_hat has been read into the kick, so f* may take its place
-        f_star, overflow = self.source_coeffs(u_values_new, a.field, a.f_hat)
+        f_star, overflow = self.source_coeffs(u_values_new, a.field, a.f_hat, peaks.max())
         if overflow is not None:
             peaks[overflow] = np.inf
         if f_star is not None:
@@ -269,18 +285,22 @@ class _Member:
     snapshots: list[SnapshotIntegrals] = field(default_factory=list)
     contaminated: bool = False
 
-    def record(self, t, u_coeffs, ut_coeffs, u_values, peak, psi, scratch) -> None:
+    def record(self, t, u_coeffs, ut_coeffs, u_values, peak, psi, scratch, ut_values) -> None:
         grid = self.cfg.grid
-        self.series.append(measure(grid, t, u_coeffs, ut_coeffs, psi, peak, scratch))
+        row = measure(grid, t, u_coeffs, ut_coeffs, psi, peak, scratch, ut_values)
+        self.series.append(row)
         if not self.contaminated:
             self.contaminated = boundary_contaminated(u_values, grid, peak)
 
-    def snapshot(self, t, u_coeffs, u_values, ut_values, psi, psi_dt, scratch) -> None:
+    def snapshot(self, t, u_coeffs, u_values, ut_values, psi, psi_dt, scratch, recorded) -> None:
+        """Write and reduce the state at t; when ``recorded``, this state's
+        record was just taken and its weighted energy is reused."""
         grid, weight, p = self.cfg.grid, self.cfg.weight, self.cfg.problem.p
         path = self.snapshot_dir / f"snap_{len(self.snapshots):06d}.dwsn"
         write_snapshot(path, grid, t, u_values, ut_values, p, weight)
+        energy = self.series.rows[-1]["weighted_energy"] if recorded else None
         row = snapshot_integrals(
-            grid, t, u_coeffs, u_values, ut_values, psi, psi_dt, p, scratch
+            grid, t, u_coeffs, u_values, ut_values, psi, psi_dt, p, scratch, energy
         )
         self.snapshots.append(row)
 
@@ -363,17 +383,26 @@ def run_ensemble(
     for n in range(n_steps + 1):
         t = n * cfg.dt
         recorded = n % cfg.record_every == 0 or n == n_steps
+        snapshot = t >= next_snapshot - 1e-12
+        # a snapshot inverts u_t for the whole stack; a record of the same
+        # state reads those values, and the snapshot reuses its energy
+        ut_values = grid.inverse(ut_coeffs) if snapshot else [None] * len(members)
         if recorded:
             weight_on_grid(weight_value, t, grid, cfg.weight, out=psi)
             for row, m in enumerate(members):
-                m.record(t, u_coeffs[row], ut_coeffs[row], u_values[row], peaks[row], psi, scratch)
-        if t >= next_snapshot - 1e-12:
+                m.record(
+                    t, u_coeffs[row], ut_coeffs[row], u_values[row], peaks[row], psi, scratch,
+                    ut_values[row],
+                )
+        if snapshot:
             if not recorded:
                 weight_on_grid(weight_value, t, grid, cfg.weight, out=psi)
             weight_on_grid(weight_dt, t, grid, cfg.weight, out=psi_dt)
-            ut_values = grid.inverse(ut_coeffs)
             for row, m in enumerate(members):
-                m.snapshot(t, u_coeffs[row], u_values[row], ut_values[row], psi, psi_dt, scratch)
+                m.snapshot(
+                    t, u_coeffs[row], u_values[row], ut_values[row], psi, psi_dt, scratch,
+                    recorded,
+                )
             next_snapshot += snapshot_every
         if n == n_steps:
             break

@@ -10,10 +10,11 @@ branch (|xi| < 1/2), a sin branch (|xi| > 1/2) and a short Taylor series
 near the branch point where the closed forms cancel catastrophically.
 
 Fields are real, so every transform is a real FFT on the half-spectrum
-layout: :meth:`Grid.forward` (``np.fft.rfftn``) keeps the last axis
-only for k = 0..M/2 (shape :attr:`Grid.half_shape`), the other axes in
-the full FFT layout, and :meth:`Grid.inverse` (``np.fft.irfftn``)
-returns a real array that owns its memory.  Hermitian symmetry is
+layout: :meth:`Grid.forward` (``np.fft.rfftn``, ``rfft`` in 1-D) keeps
+the last axis only for k = 0..M/2 (shape :attr:`Grid.half_shape`), the
+other axes in the full FFT layout, and :meth:`Grid.inverse`
+(``np.fft.irfftn``, ``irfft`` in 1-D) returns a real array that owns its
+memory.  Hermitian symmetry is
 structural, so no imaginary residue is ever discarded.  Every array in
 frequency space (:meth:`Grid.freq_sq`, the multipliers, the dealias
 mask) lives on that layout, and callers multiply coefficients by the
@@ -175,12 +176,19 @@ class Grid:
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Real-FFT coefficients of a field (or of each field of a stack),
-        half-spectrum layout, written into ``out`` when given."""
+        half-spectrum layout, written into ``out`` when given.  In 1-D
+        ``rfft`` gives the floats of ``rfftn`` without its n-D argument
+        handling, which costs more than the transform on small grids."""
+        if self.dim == 1:
+            return np.fft.rfft(values, axis=-1, out=out)
         return np.fft.rfftn(values, axes=self.axes, out=out)
 
     def inverse(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Field (or stack of fields) with the given half-spectrum
-        coefficients, written into ``out`` when given."""
+        coefficients, written into ``out`` when given (``irfft`` in 1-D,
+        as for :meth:`forward`)."""
+        if self.dim == 1:
+            return np.fft.irfft(coeffs, n=self.points, axis=-1, out=out)
         return np.fft.irfftn(coeffs, s=self.shape, axes=self.axes, out=out)
 
     def axis_freqs(self) -> np.ndarray:

@@ -307,16 +307,19 @@ def snapshot_integrals(
     psi_dt: np.ndarray,
     p: float,
     scratch: Scratch | None = None,
+    energy: float | None = None,
 ) -> SnapshotIntegrals:
     """One audit row from the real-FFT coefficients and values of u, the
     values of u_t and the weight and its time derivative on the grid
-    (``psi``, ``psi_dt``) at time t.  The energy uses ``scratch``'s work
-    arrays (see :func:`spectral_energy`); then ``density`` holds
-    |u|^p u, ``field`` its absolute value and ``ut_values`` each product
-    in turn, so ``ut_values`` may be ``scratch.ut_values``."""
+    (``psi``, ``psi_dt``) at time t.  The energy, unless the caller holds
+    this state's ``energy`` already, uses ``scratch``'s work arrays (see
+    :func:`spectral_energy`); then ``density`` holds |u|^p u, ``field``
+    its absolute value and ``ut_values`` each product in turn, so
+    ``ut_values`` may be ``scratch.ut_values``."""
     if scratch is None:
         scratch = Scratch.for_grid(grid)
-    energy = spectral_energy(grid, u_coeffs, ut_values, psi, scratch)
+    if energy is None:
+        energy = spectral_energy(grid, u_coeffs, ut_values, psi, scratch)
     signed = np.abs(u_values, out=scratch.density)
     signed **= p
     signed *= u_values

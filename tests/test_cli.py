@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dampedwave import experiments
+from dampedwave import diagnostics, experiments, weights
 from dampedwave.cli import main
+from dampedwave.config import ConfigError, load_setup
 from dampedwave.snapshots import read_snapshot
 from dampedwave.timeseries import TimeSeries
 
@@ -33,6 +35,9 @@ solver.t_end = 4.0
 data.amplitude = 5.0
 data.width = 2.0
 """
+
+
+FUJITA = Path(__file__).resolve().parents[1] / "configs" / "fujita_n1_p4.cfg"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -160,6 +165,44 @@ def test_energy_audit_verb(tmp_path):
     report = load_report(out)
     assert report["audits"]["energy"]["violation"] <= 1e-4
     assert report["audits"]["source_bound"]["applicable"]
+
+
+def test_energy_audit_refuses_too_few_steps(tmp_path, capsys):
+    # 20 steps give at most 21 snapshots, fewer than the 50 the audits
+    # need: the verb stops before stepping instead of writing a report
+    # without them
+    text = FUJITA.read_text().replace("solver.dt = 0.05", "solver.dt = 0.5")
+    text = text.replace("solver.t_end = 200.0", "solver.t_end = 10.0")
+    cfg = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match="at least 49 steps"):
+        experiments.energy_audit_experiment(load_setup(cfg), tmp_path / "direct")
+    out = tmp_path / "out"
+    assert main(["energy-audit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+    # 49 steps are enough for the 50 snapshots
+    text = text.replace("solver.t_end = 10.0", "solver.t_end = 24.5")
+    report = experiments.energy_audit_experiment(load_setup(write_cfg(tmp_path, text)), out)
+    assert report["audits"]["energy"]["snapshots"] == 50
+
+
+def test_energy_audit_measures_each_state_once(monkeypatch, tmp_path):
+    # all 401 snapshots of energy-audit fujita_n1_p4 fall on its 801
+    # records: each of the 801 states has its weighted energy computed
+    # once, and the snapshot row carries the record's value
+    calls = []
+    original = weights.spectral_energy
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in (weights, diagnostics):
+        monkeypatch.setattr(module, "spectral_energy", counted)
+    report = experiments.energy_audit_experiment(load_setup(FUJITA), tmp_path)
+    assert report["outcome"]["records"] == 801
+    assert report["audits"]["energy"]["snapshots"] == 401
+    assert len(calls) == 801
 
 
 def test_ckn_check_verb(tmp_path):

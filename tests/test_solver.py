@@ -519,7 +519,8 @@ def _allocating_advance(stepper, u_coeffs, ut_coeffs, f_hat):
     grid, half_dt = stepper.cfg.grid, 0.5 * stepper.cfg.dt
     signed = stepper.cfg.nonlinearity is Nonlinearity.SIGNED
     ut_coeffs = ut_coeffs + half_dt * f_hat
-    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, stepper.g, stepper.gdt, stepper.xi_sq)
+    stiffness = stepper.xi_sq * stepper.g
+    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, stepper.g, stepper.gdt, stiffness)
     u_values = grid.inverse(u_new)
     peaks = np.max(np.abs(u_values), axis=grid.axes)
     f = np.empty_like(u_values)
@@ -569,6 +570,45 @@ def test_step_arrays_give_the_allocating_step(dim, kind):
         written.append(state[:4])
     for earlier, later in zip(written, written[2:]):
         assert all(a is b for a, b in zip(earlier, later))
+
+
+@pytest.mark.parametrize("kind", [Nonlinearity.SOURCE, Nonlinearity.SIGNED])
+def test_overflow_limit_keeps_the_full_check_above_it(kind):
+    # the largest peak, 1e100, is above the limit of the p = 4 member
+    # (1e75): only that member's source overflows, though every peak is
+    # finite, and the step matches the one that always scans the source
+    grid = Grid(1, 20.0, 64)
+    cfgs = [make_cfg(p=p, grid=grid, dealias=False, nonlinearity=kind) for p in (2.0, 4.0)]
+    stepper = Stepper(cfgs)
+    assert stepper.overflow_limit == pytest.approx(1e75)
+    u_values = np.stack([gaussian_field(grid, a, 3.0).values for a in (1e50, 1e100)])
+    f_hat, overflow = stepper.source_coeffs(u_values, peak=1e100)
+    assert overflow.tolist() == [False, True]
+    assert not f_hat[1].any() and np.all(np.isfinite(f_hat[0]))
+    state = expected = (grid.forward(u_values), np.zeros_like(f_hat), u_values, f_hat)
+    state = stepper.advance(state[0], state[1], state[3])
+    expected = _allocating_advance(stepper, expected[0], expected[1], expected[3])
+    for got, want in zip(state, expected):
+        assert np.array_equal(got, want)
+    peaks = state[-1]
+    assert np.isfinite(peaks[0]) and peaks[1] == np.inf
+
+
+def test_overflow_limit_lets_nan_through_to_the_check():
+    grid = Grid(1, 20.0, 64)
+    stepper = Stepper([make_cfg(p=p, grid=grid) for p in (2.0, 3.0)])
+    u_values = np.stack([gaussian_field(grid, 0.1, 3.0).values] * 2)
+    u_values[1, 7] = np.nan
+    peak = np.abs(u_values).max()
+    f_hat, overflow = stepper.source_coeffs(u_values, peak=peak)
+    assert overflow.tolist() == [False, True]
+    assert not f_hat[1].any()
+    # below the limit the source is not scanned, and the floats are the same
+    u_values[1, 7] = 0.0
+    scanned, none = stepper.source_coeffs(u_values)
+    quiet, skipped = stepper.source_coeffs(u_values, peak=0.1)
+    assert none is None and skipped is None
+    assert np.array_equal(quiet, scanned)
 
 
 def test_steps_allocate_no_full_size_results():

@@ -262,6 +262,23 @@ def test_half_spectrum_layout_matches_full_layout(dim):
     np.testing.assert_array_equal(g.freq_sq(), full_xi_sq[half])
 
 
+@pytest.mark.parametrize("members", [None, 1, 7])
+def test_one_d_transforms_equal_the_n_d_ones(members):
+    # 1-D grids call rfft/irfft directly; the floats are those of rfftn/irfftn
+    g = Grid(dim=1, half_width=20.0, points=1024)
+    shape = g.shape if members is None else (members, *g.shape)
+    values = np.random.default_rng(5).standard_normal(shape)
+    coeffs = np.fft.rfftn(values, axes=g.axes)
+    field = np.fft.irfftn(coeffs, s=g.shape, axes=g.axes)
+    assert np.array_equal(g.forward(values), coeffs)
+    assert np.array_equal(g.inverse(coeffs), field)
+    out_coeffs, out_field = np.empty_like(coeffs), np.empty_like(field)
+    assert g.forward(values, out=out_coeffs) is out_coeffs
+    assert g.inverse(coeffs, out=out_field) is out_field
+    assert np.array_equal(out_coeffs, coeffs)
+    assert np.array_equal(out_field, field)
+
+
 def test_boundary_contamination_flag():
     g = Grid(dim=1, half_width=1.0, points=16)
     quiet = np.zeros(g.shape)
