@@ -59,11 +59,6 @@ from .weights import (
 )
 
 
-# Sources below this are finite with room to spare (the largest double is
-# about 1.8e308); Stepper.overflow_limit is the peak that keeps them there.
-SOURCE_LIMIT = 1e300
-
-
 class Nonlinearity(str, enum.Enum):
     """Source shape: the sign-definite |u|^p of the problem, the signed
     |u|^(p-1)*u variant (exploration only), or disabled."""
@@ -183,9 +178,9 @@ class Stepper:
         self.g, self.gdt = g[index], gdt[index]
         self.stiffness = self.xi_sq * self.g
         self.powers = [cfg.problem.p for cfg in cfgs]
-        # no member's |u|^p (or |u|^(p-1)*u) can overflow while every
-        # peak is at most this; NaN and larger peaks get the full check
-        self.overflow_limit = SOURCE_LIMIT ** (1.0 / max(self.powers))
+        # every member's |u|^p (or |u|^(p-1)*u) stays below 1e300 while
+        # every peak is at most this; NaN and larger peaks get the full check
+        self.overflow_limit = 1e300 ** (1.0 / max(self.powers))
         # 2/3 rule: heuristic for non-polynomial powers, but it removes
         # the worst of the aliasing from the pointwise source.
         self.dealias_mask = None

@@ -14,11 +14,10 @@ layout: :meth:`Grid.forward` (``np.fft.rfftn``, ``rfft`` in 1-D) keeps
 the last axis only for k = 0..M/2 (shape :attr:`Grid.half_shape`), the
 other axes in the full FFT layout, and :meth:`Grid.inverse`
 (``np.fft.irfftn``, ``irfft`` in 1-D) returns a real array that owns its
-memory.  Hermitian symmetry is
-structural, so no imaginary residue is ever discarded.  Every array in
-frequency space (:meth:`Grid.freq_sq`, the multipliers, the dealias
-mask) lives on that layout, and callers multiply coefficients by the
-multipliers directly.
+memory.  Hermitian symmetry is structural, so no imaginary residue is
+ever discarded.  Every array in frequency space (:meth:`Grid.freq_sq`,
+the multipliers, the dealias mask) lives on that layout, and callers
+multiply coefficients by the multipliers directly.
 
 Radial levels: |xi|^2 and |x|^2 take far fewer distinct values than
 there are grid points (7,465 of 33,024 half-spectrum points on a 2-D
