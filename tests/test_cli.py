@@ -188,8 +188,7 @@ def test_energy_audit_refuses_too_few_steps(tmp_path, capsys):
 
 def test_energy_audit_measures_each_state_once(monkeypatch, tmp_path):
     # all 401 snapshots of energy-audit fujita_n1_p4 fall on its 801
-    # records: each of the 801 states has its weighted energy computed
-    # once, and the snapshot row carries the record's value
+    # records: each of the 801 states has its weighted energy computed once
     calls = []
     original = weights.spectral_energy
 
