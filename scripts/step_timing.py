@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
 """In-process cost of one semilinear step and of one diagnostic record.
 
-Times ``solver.Stepper.advance`` (one member) and ``diagnostics.measure``
-on three grids: 1-D 1024 points (the shipped ``fujita_n1_p4``), 2-D 256^2
+Times ``solver.Stepper.advance`` (one member), ``diagnostics.measure`` of
+one state, and ``measure`` of a full record block (the
+``solver.RECORD_BLOCK_POINTS // grid points`` states a run measures in
+one call, or one state where a run measures each record at once) on
+three grids: 1-D 1024 points (the shipped ``fujita_n1_p4``), 2-D 256^2
 (the grid of ``linear_decay_n2``) and 3-D 48^3 (perfbench's audit_3d
 grid).  Each is called WARMUP times untimed and then ``--repeats`` times,
 each call timed alone; the median of those calls is reported in
-microseconds.  BLAS/OpenMP pools are pinned to one thread before numpy
-is imported (numpy's FFTs run on one thread regardless).
+microseconds (per record for the block).  BLAS/OpenMP pools are pinned
+to one thread before numpy is imported (numpy's FFTs run on one thread
+regardless).
 
 Usage:
     step_timing.py [--repeats N]
 
 Prints one JSON line: ``{"repeats", "numpy", "advance_us": {grid: us},
-"measure_us": {grid: us}}``.  The package is imported from this
+"measure_us": {grid: us}, "block_rows": {grid: rows},
+"block_record_us": {grid: us}}``.  The package is imported from this
 checkout's ``src``.
 """
 
@@ -38,7 +43,7 @@ import numpy as np
 from dampedwave.diagnostics import measure
 from dampedwave.exponents import ProblemParams
 from dampedwave.initial_data import gaussian_field
-from dampedwave.solver import SolverConfig, Stepper
+from dampedwave.solver import RECORD_BLOCK_POINTS, SolverConfig, Stepper
 from dampedwave.spectral import Grid
 from dampedwave.weights import Scratch, WeightParams, weight_on_grid, weight_value
 
@@ -58,8 +63,8 @@ def _median_us(samples: list[float]) -> float:
 
 
 def time_grid(grid: Grid, p: float, weight: WeightParams, dt: float, repeats: int):
-    """Median microseconds of one ``Stepper.advance`` and of one
-    ``measure`` on ``grid``."""
+    """Median microseconds of one ``Stepper.advance``, of one ``measure``
+    and of one record in a full block on ``grid``, and the block's rows."""
     cfg = SolverConfig(
         problem=ProblemParams(grid.dim, p, weight.power), grid=grid, weight=weight, dt=dt,
         t_end=dt,
@@ -82,7 +87,19 @@ def time_grid(grid: Grid, p: float, weight: WeightParams, dt: float, repeats: in
         start = time.perf_counter()
         measure(grid, dt, u_coeffs[0], ut_coeffs[0], psi, peaks[0], scratch)
         measure_s.append(time.perf_counter() - start)
-    return _median_us(step_s), _median_us(measure_s)
+
+    rows = RECORD_BLOCK_POINTS // grid.size
+    rows = rows if rows >= 2 else 1
+    times = dt * np.arange(1, rows + 1)
+    block = [np.repeat(a, rows, axis=0) for a in (u_coeffs, ut_coeffs, peaks)]
+    psi_rows = weight_on_grid(weight_value, times[:, None], grid, weight)
+    scratch = Scratch.for_grid(grid, (rows,))
+    block_s = []
+    for _ in range(WARMUP + repeats):
+        start = time.perf_counter()
+        measure(grid, times, *block[:2], psi_rows, block[2], scratch)
+        block_s.append((time.perf_counter() - start) / rows)
+    return _median_us(step_s), _median_us(measure_s), rows, _median_us(block_s)
 
 
 def main(argv=None) -> int:
@@ -91,11 +108,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    result = {"repeats": args.repeats, "numpy": np.__version__, "advance_us": {}, "measure_us": {}}
+    keys = ("advance_us", "measure_us", "block_rows", "block_record_us")
+    result = {"repeats": args.repeats, "numpy": np.__version__, **{key: {} for key in keys}}
     for name, case in CASES.items():
-        advance_us, measure_us = time_grid(*case, args.repeats)
-        result["advance_us"][name] = round(advance_us, 1)
-        result["measure_us"][name] = round(measure_us, 1)
+        for key, value in zip(keys, time_grid(*case, args.repeats)):
+            result[key][name] = round(value, 1) if key.endswith("_us") else value
     print(json.dumps(result))
     return 0
 

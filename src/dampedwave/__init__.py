@@ -34,7 +34,6 @@ from .weights import (
     weight_residual,
     weight_value,
     weighted_energy,
-    weighted_l2,
 )
 from .inequalities import TestFunction, ckn_ratio, ratio_sweep
 from .timeseries import TimeSeries, decay_fit
@@ -77,5 +76,4 @@ __all__ = [
     "weight_residual",
     "weight_value",
     "weighted_energy",
-    "weighted_l2",
 ]

@@ -149,12 +149,13 @@ def decay_profile(
         evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, stiffness, u_sum, out=buffers)
         grid.inverse(u_t, out=u_values)
         peak = max(u_values.max(), -u_values.min())
-        if not warned and boundary_contaminated(u_values, grid, peak):
+        if not warned and boundary_contaminated(u_values[grid.boundary_mask()], peak):
             warnings.warn(
                 f"boundary shell contaminated at t={t}; enlarge the box",
                 stacklevel=2,
             )
             warned = True
         weight_on_grid(weight_value, t, grid, weight, out=psi)
-        series.append(measure(grid, t, u_t, ut_t, psi, peak, scratch))
+        (record,) = measure(grid, t, u_t, ut_t, psi, peak, scratch)
+        series.append(record)
     return series

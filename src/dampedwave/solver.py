@@ -32,11 +32,17 @@ overflows (it is checked before it is transformed).  The reported
 blow-up time is the midpoint of the bracketing step, since divergence of
 the norms is the only available characterization of the maximal
 existence time.
+
+Record states are measured in blocks of up to RECORD_BLOCK_POINTS grid
+points, one stacked call per operation (:class:`_Recorder`); the rows
+are those of measuring every state alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import itertools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -46,7 +52,7 @@ from .diagnostics import measure
 from .exponents import ProblemParams
 from .propagator import LinearState, evolve_coeffs, state_from_coeffs
 from .snapshots import write_snapshot
-from .spectral import Grid, RealField, boundary_contaminated, greens_multipliers
+from .spectral import Grid, RealField, boundary_contaminated, gather, greens_multipliers
 from .timeseries import TimeSeries
 from .weights import (
     Scratch,
@@ -57,6 +63,13 @@ from .weights import (
     weight_on_grid,
     weight_value,
 )
+
+
+# Grid points of the record states a run copies into one block to measure
+# together: 8 states of a 1,024-point grid.  Where the block would hold
+# fewer than two record times of the ensemble (48^3, 256^2), each record
+# is measured at once from the live arrays and nothing is copied.
+RECORD_BLOCK_POINTS = 2**13
 
 
 class Nonlinearity(str, enum.Enum):
@@ -129,18 +142,18 @@ def source_term(
 
     Non-integer powers go through exp(p*log|u|) inside numpy, with the
     u = 0 limit equal to 0.  Overflow produces infinities which the
-    caller treats as a blow-up candidate.
+    caller treats as a blow-up candidate; a caller that may overflow
+    silences numpy's floating-point warnings around the call.
     """
     if not p > 1.0:
         raise ValueError(f"p must be > 1, got {p}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = np.abs(u_values, out=out)
-        if signed:
-            f **= p - 1.0
-            f *= u_values
-        else:
-            f **= p
-        return f
+    f = np.abs(u_values, out=out)
+    if signed:
+        f **= p - 1.0
+        f *= u_values
+    else:
+        f **= p
+    return f
 
 
 class _StepArrays:
@@ -165,9 +178,10 @@ class _StepArrays:
 class Stepper:
     """Multipliers for one (grid, dt) pair shared by every member of an
     ensemble (g, g' and the stiffness xi_sq*g), the members' powers and
-    their stacked dealias mask.  The arrays it steps carry a leading
-    member axis; it writes each step into a :class:`_StepArrays` made
-    for the current member count."""
+    their stacked dealias mask with its complement, the modes it
+    discards.  The arrays it steps carry a leading member axis; it
+    writes each step into a :class:`_StepArrays` made for the current
+    member count."""
 
     def __init__(self, cfgs: list[SolverConfig]):
         self.cfg = cfgs[0]
@@ -183,11 +197,12 @@ class Stepper:
         self.overflow_limit = 1e300 ** (1.0 / max(self.powers))
         # 2/3 rule: heuristic for non-polynomial powers, but it removes
         # the worst of the aliasing from the pointwise source.
-        self.dealias_mask = None
+        self.dealias_mask = self.discard = None
         if any(cfg.dealias_active for cfg in cfgs):
             keep_all = np.ones(grid.half_shape, dtype=bool)
             masks = [grid.dealias_mask() if cfg.dealias_active else keep_all for cfg in cfgs]
             self.dealias_mask = np.stack(masks)
+            self.discard = ~self.dealias_mask
         self.arrays: _StepArrays | None = None
 
     def retain(self, keep: np.ndarray, *stacks: np.ndarray | None) -> list:
@@ -195,7 +210,7 @@ class Stepper:
         ``stacks`` (None passes through)."""
         self.powers = [p for p, kept in zip(self.powers, keep) if kept]
         if self.dealias_mask is not None:
-            self.dealias_mask = self.dealias_mask[keep]
+            self.dealias_mask, self.discard = self.dealias_mask[keep], self.discard[keep]
         self.arrays = None  # made again for the new member count
         return [None if stack is None else stack[keep] for stack in stacks]
 
@@ -213,27 +228,30 @@ class Stepper:
         so an overflowed source is never transformed.  The source values
         go into ``field`` and the coefficients into ``out`` when given.
         ``peak`` is max |u_values| when the caller holds it: at or below
-        :attr:`overflow_limit` the source is finite and is not scanned."""
+        :attr:`overflow_limit` the source is finite, so it is neither
+        scanned nor evaluated under ``np.errstate``."""
         kind = self.cfg.nonlinearity
         if kind is Nonlinearity.NONE:
             return None, None
         signed = kind is Nonlinearity.SIGNED
-        if len(set(self.powers)) == 1:  # one exponent: one evaluation, no copies
-            f = source_term(u_values, self.powers[0], signed=signed, out=field)
-        else:
-            f = np.empty_like(u_values) if field is None else field
-            for row, p in enumerate(self.powers):
-                # a scalar exponent per member keeps numpy's p = 2 square path
-                source_term(u_values[row], p, signed=signed, out=f[row])
+        quiet = peak <= self.overflow_limit
+        with contextlib.nullcontext() if quiet else np.errstate(over="ignore", invalid="ignore"):
+            if len(set(self.powers)) == 1:  # one exponent: one evaluation, no copies
+                f = source_term(u_values, self.powers[0], signed=signed, out=field)
+            else:
+                f = np.empty_like(u_values) if field is None else field
+                for row, p in enumerate(self.powers):
+                    # a scalar exponent per member keeps numpy's p = 2 square path
+                    source_term(u_values[row], p, signed=signed, out=f[row])
         overflow = None
-        if not peak <= self.overflow_limit:
+        if not quiet:
             finite = np.isfinite(f)
             if not finite.all():
                 overflow = ~finite.all(axis=self.cfg.grid.axes)
                 f[overflow] = 0.0
         f_hat = self.cfg.grid.forward(f, out=out)
-        if self.dealias_mask is not None:
-            np.copyto(f_hat, 0.0, where=~self.dealias_mask)
+        if self.discard is not None:
+            np.copyto(f_hat, 0.0, where=self.discard)
         return f_hat, overflow
 
     def advance(
@@ -280,25 +298,6 @@ class _Member:
     snapshots: list[SnapshotIntegrals] = field(default_factory=list)
     contaminated: bool = False
 
-    def record(self, t, u_coeffs, ut_coeffs, u_values, peak, psi, scratch, ut_values) -> None:
-        grid = self.cfg.grid
-        row = measure(grid, t, u_coeffs, ut_coeffs, psi, peak, scratch, ut_values)
-        self.series.append(row)
-        if not self.contaminated:
-            self.contaminated = boundary_contaminated(u_values, grid, peak)
-
-    def snapshot(self, t, u_coeffs, u_values, ut_values, psi, psi_dt, scratch, recorded) -> None:
-        """Write and reduce the state at t; when ``recorded``, this state's
-        record was just taken and its weighted energy is reused."""
-        grid, weight, p = self.cfg.grid, self.cfg.weight, self.cfg.problem.p
-        path = self.snapshot_dir / f"snap_{len(self.snapshots):06d}.dwsn"
-        write_snapshot(path, grid, t, u_values, ut_values, p, weight)
-        energy = self.series.rows[-1]["weighted_energy"] if recorded else None
-        row = snapshot_integrals(
-            grid, t, u_coeffs, u_values, ut_values, psi, psi_dt, p, scratch, energy
-        )
-        self.snapshots.append(row)
-
     def outcome(self, final: LinearState, blowup_time: float | None = None) -> RunOutcome:
         if blowup_time is not None:
             self.series.append_blowup_marker(blowup_time)
@@ -308,6 +307,114 @@ class _Member:
         else:
             status = RunStatus.COMPLETED
         return RunOutcome(status, final, self.series, blowup_time, self.snapshots)
+
+
+class _Recorder:
+    """Measures the members' record states into their series and takes
+    their snapshots.
+
+    Where RECORD_BLOCK_POINTS holds two or more record times of the
+    members, :meth:`record` copies each member's coefficients, peak and
+    boundary-shell values into the next row of a block, and
+    :meth:`flush` measures the filled rows together.  Otherwise, and on
+    a snapshot step, the records are measured at once from the live
+    arrays, after a flush.  Each state is measured once, each series gets
+    its rows in time order, and the weight is evaluated once per time
+    for all members.  A recorder serves one member list: the loop flushes
+    it and makes another when members leave.
+    """
+
+    def __init__(self, cfg: SolverConfig, members: list[_Member]):
+        grid = self.grid = cfg.grid
+        self.weight, self.members = cfg.weight, members
+        self.shell = np.flatnonzero(grid.boundary_mask())
+        capacity = RECORD_BLOCK_POINTS // (grid.size * len(members))
+        self.capacity = capacity if capacity >= 2 else 0
+        lead = (max(self.capacity, 1), len(members))
+        self.scratch = Scratch.for_grid(grid, lead)
+        self.psi, self.psi_dt = np.empty((lead[0], *grid.shape)), None
+        self.filled = 0
+        if self.capacity:
+            self.times = np.empty(self.capacity)
+            self.u_coeffs = np.empty(lead + grid.half_shape, dtype=complex)
+            self.ut_coeffs = np.empty_like(self.u_coeffs)
+            self.peaks = np.empty(lead)
+            self.edges = np.empty(lead + self.shell.shape)
+
+    def record(self, t, u_coeffs, ut_coeffs, u_values, peaks) -> None:
+        """The members' (stacked) states at t: one block row, or measured
+        at once when there is no block."""
+        if not self.capacity:
+            self._measure_now(t, u_coeffs, ut_coeffs, u_values, peaks)
+            return
+        row = self.filled
+        self.times[row] = t
+        self.u_coeffs[row], self.ut_coeffs[row] = u_coeffs, ut_coeffs
+        self.peaks[row] = peaks
+        self._edges(u_values, out=self.edges[row])
+        self.filled += 1
+        if self.filled == self.capacity:
+            self.flush()
+
+    def flush(self) -> None:
+        """Measure the filled block rows."""
+        rows, self.filled = self.filled, 0
+        if rows:
+            self._measure(
+                self.times[:rows], self.u_coeffs[:rows], self.ut_coeffs[:rows],
+                self.peaks[:rows], self.edges[:rows],
+            )
+
+    def snapshot(self, t, u_coeffs, ut_coeffs, u_values, peaks, recorded) -> None:
+        """Write and reduce the members' states at t, after a flush, so
+        the weight is evaluated in time order.  One transform of the
+        stacked u_t serves the snapshots and, when ``recorded``, the
+        record measured first, whose weight and energies they reuse."""
+        grid = self.grid
+        self.flush()
+        ut_values = grid.inverse(ut_coeffs)
+        if recorded:
+            self._measure_now(t, u_coeffs, ut_coeffs, u_values, peaks, ut_values)
+        else:
+            weight_on_grid(weight_value, t, grid, self.weight, out=self.psi[0])
+        if self.psi_dt is None:
+            self.psi_dt = np.empty(grid.shape)
+        weight_on_grid(weight_dt, t, grid, self.weight, out=self.psi_dt)
+        scratch = self.scratch._make(a[0, 0] for a in self.scratch)
+        for m, u_hat, u, ut in zip(self.members, u_coeffs, u_values, ut_values):
+            p = m.cfg.problem.p
+            path = m.snapshot_dir / f"snap_{len(m.snapshots):06d}.dwsn"
+            write_snapshot(path, grid, t, u, ut, p, self.weight)
+            energy = m.series.rows[-1]["weighted_energy"] if recorded else None
+            m.snapshots.append(snapshot_integrals(
+                grid, t, u_hat, u, ut, self.psi[0], self.psi_dt, p, scratch, energy
+            ))
+
+    def _measure_now(self, t, u_coeffs, ut_coeffs, u_values, peaks, ut_values=None) -> None:
+        """Measure the live states at t as one record time, without a copy."""
+        self._measure(
+            np.array([t]), u_coeffs[None], ut_coeffs[None], peaks[None],
+            self._edges(u_values)[None], None if ut_values is None else ut_values[None],
+        )
+
+    def _edges(self, u_values, out=None) -> np.ndarray:
+        """Each member's boundary-shell values (members, shell points),
+        into ``out`` when given."""
+        return gather(u_values.reshape(len(u_values), -1), self.shell, out=out)
+
+    def _measure(self, times, u_coeffs, ut_coeffs, peaks, edges, ut_values=None) -> None:
+        """Measure states stacked as (record time, member) and append
+        their rows."""
+        grid, rows, column = self.grid, len(times), times[:, None]
+        psi = weight_on_grid(weight_value, column, grid, self.weight, out=self.psi[:rows])
+        scratch = self.scratch._make(a[:rows] for a in self.scratch)
+        records = measure(
+            grid, column, u_coeffs, ut_coeffs, psi[:, None], peaks, scratch, ut_values
+        )
+        leaks = boundary_contaminated(edges, peaks).ravel().tolist()
+        for m, record, leak in zip(itertools.cycle(self.members), records, leaks):
+            m.series.append(record)
+            m.contaminated = m.contaminated or leak
 
 
 def run_ensemble(
@@ -368,37 +475,17 @@ def run_ensemble(
             ~overflow, u_coeffs, ut_coeffs, u_values, f_hat
         )
     peaks = np.max(np.abs(u_values), axis=grid.axes)
-    # the members share the weight and the record and snapshot times: the
-    # weight (and at snapshots its time derivative) is evaluated once per
-    # time, and every record and snapshot writes into the same arrays
-    psi, scratch = np.empty(grid.shape), Scratch.for_grid(grid)
-    psi_dt = None if snapshot_every is None else np.empty(grid.shape)
+    recorder = _Recorder(cfg, members)
     next_snapshot = 0.0 if snapshot_every is not None else np.inf
 
     for n in range(n_steps + 1):
         t = n * cfg.dt
         recorded = n % cfg.record_every == 0 or n == n_steps
-        snapshot = t >= next_snapshot - 1e-12
-        # a snapshot inverts u_t for the whole stack; a record of the same
-        # state reads those values, and the snapshot reuses its energy
-        ut_values = grid.inverse(ut_coeffs) if snapshot else [None] * len(members)
-        if recorded:
-            weight_on_grid(weight_value, t, grid, cfg.weight, out=psi)
-            for row, m in enumerate(members):
-                m.record(
-                    t, u_coeffs[row], ut_coeffs[row], u_values[row], peaks[row], psi, scratch,
-                    ut_values[row],
-                )
-        if snapshot:
-            if not recorded:
-                weight_on_grid(weight_value, t, grid, cfg.weight, out=psi)
-            weight_on_grid(weight_dt, t, grid, cfg.weight, out=psi_dt)
-            for row, m in enumerate(members):
-                m.snapshot(
-                    t, u_coeffs[row], u_values[row], ut_values[row], psi, psi_dt, scratch,
-                    recorded,
-                )
+        if t >= next_snapshot - 1e-12:
+            recorder.snapshot(t, u_coeffs, ut_coeffs, u_values, peaks, recorded)
             next_snapshot += snapshot_every
+        elif recorded:
+            recorder.record(t, u_coeffs, ut_coeffs, u_values, peaks)
         if n == n_steps:
             break
 
@@ -406,6 +493,7 @@ def run_ensemble(
         peaks = step[-1]
         # the members' peaks decide the step: NaN fails the comparison
         if not peaks.max() <= cfg.blowup_threshold:
+            recorder.flush()
             blown = ~(peaks <= cfg.blowup_threshold)
             for row in np.flatnonzero(blown):
                 if np.isfinite(peaks[row]):
@@ -416,9 +504,11 @@ def run_ensemble(
             if blown.all():
                 return outcomes
             members = [m for m, failed in zip(members, blown) if not failed]
+            recorder = _Recorder(cfg, members)
             step = stepper.retain(~blown, *step)
         u_coeffs, ut_coeffs, u_values, f_hat, peaks = step
 
+    recorder.flush()
     for row, m in enumerate(members):
         final = state_from_coeffs(grid, t, u_coeffs[row], ut_coeffs[row])
         outcomes[m.index] = m.outcome(final)

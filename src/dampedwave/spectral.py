@@ -348,18 +348,19 @@ def greens_multipliers(t: float, xi_sq) -> tuple[np.ndarray | float, np.ndarray 
 
 
 def gather(values: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``values[index]``, written into ``out`` when given.  The indices of
+    """``values[..., index]``: level values (one row per leading entry)
+    placed on the grid, written into ``out`` when given.  The indices of
     the radial levels are valid by construction, so mode "clip" never
     clips; the default mode "raise" would stage the result in a copy of
     ``out`` on every call."""
-    return np.take(values, index, out=out, mode="clip")
+    return np.take(values, index, axis=-1, out=out, mode="clip")
 
 
-def boundary_contaminated(values: np.ndarray, grid: Grid, peak: float) -> bool:
-    """True when the boundary shell carries more than BOUNDARY_FRACTION of
-    the field maximum ``peak`` (max |values|, which the caller already
-    holds), i.e. the periodic images have started to talk."""
-    if peak == 0.0 or not np.isfinite(peak):
-        return False
-    edge = np.max(np.abs(values[grid.boundary_mask()]))
-    return bool(edge > BOUNDARY_FRACTION * peak)
+def boundary_contaminated(edges: np.ndarray, peaks) -> np.ndarray:
+    """Per field, True when its boundary shell values (the last axis of
+    ``edges``, taken as ``values[..., grid.boundary_mask()]``) exceed
+    BOUNDARY_FRACTION of its maximum ``peaks`` (max |values|, which the
+    caller already holds), i.e. the periodic images have started to talk.
+    The shell lies inside the field, so a zero or non-finite peak never
+    counts."""
+    return np.max(np.abs(edges), axis=-1) > BOUNDARY_FRACTION * np.asarray(peaks)

@@ -92,7 +92,9 @@ def weight_dt(t, r_sq, w: WeightParams):
 def weight_on_grid(weight_fn, t, grid: Grid, w: WeightParams, out=None) -> np.ndarray:
     """``weight_fn(t, grid.radius_sq(), w)`` for ``weight_value`` or
     ``weight_dt``, evaluated once per distinct |x|^2 and gathered onto
-    the grid (into ``out`` when given); the floats are the same."""
+    the grid (into ``out`` when given); the floats are the same.  A
+    column of k times gives k weights in one evaluation, shape
+    (k, *grid.shape)."""
     return gather(weight_fn(t, grid.radius_levels(), w), grid.radius_index(), out=out)
 
 
@@ -181,7 +183,8 @@ def residual_audit(
 class Scratch(NamedTuple):
     """Arrays of one grid that :func:`spectral_energy` and
     ``diagnostics.measure`` fill instead of allocating: three fields and
-    one set of half-spectrum coefficients."""
+    one set of half-spectrum coefficients, each with the leading axes
+    ``lead`` of the stack of states they serve."""
 
     density: np.ndarray
     field: np.ndarray
@@ -189,9 +192,9 @@ class Scratch(NamedTuple):
     coeffs: np.ndarray
 
     @classmethod
-    def for_grid(cls, grid: Grid) -> Scratch:
-        fields = (np.empty(grid.shape) for _ in range(3))
-        return cls(*fields, np.empty(grid.half_shape, dtype=complex))
+    def for_grid(cls, grid: Grid, lead: tuple[int, ...] = ()) -> Scratch:
+        fields = (np.empty(lead + grid.shape) for _ in range(3))
+        return cls(*fields, np.empty(lead + grid.half_shape, dtype=complex))
 
 
 def gradient_sq(grid: Grid, u_coeffs: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
@@ -217,31 +220,28 @@ def spectral_energy(
     ut_values: np.ndarray,
     psi: np.ndarray,
     scratch: Scratch | None = None,
-) -> float:
-    """Weighted energy from the real-FFT coefficients of u, the values
-    of u_t and the weight values ``psi`` on the grid; the work arrays
-    are ``scratch``'s ``density``, ``field`` and ``coeffs``."""
+) -> np.ndarray:
+    """Weighted energy of each state of a stack (leading axes ``lead``,
+    none for one state) from the real-FFT coefficients of u, the values
+    of u_t and the weight values ``psi`` on the grid (broadcast against
+    the stack); an array of shape ``lead``.  The work arrays are
+    ``scratch``'s ``density``, ``field`` and ``coeffs``.  Each state's
+    density is summed along its own contiguous run of entries, so a
+    stack gives every state the float it gets alone."""
+    lead = ut_values.shape[: ut_values.ndim - grid.dim]
     if scratch is None:
-        scratch = Scratch.for_grid(grid)
+        scratch = Scratch.for_grid(grid, lead)
     density = gradient_sq(grid, u_coeffs, scratch)
     density += np.square(ut_values, out=scratch.field)
     density *= psi
-    return float(grid.cell_volume * np.sum(density))
+    return grid.cell_volume * np.sum(density.reshape(*lead, -1), axis=-1)
 
 
 def weighted_energy(state, w: WeightParams) -> float:
     """Weighted energy of a :class:`~dampedwave.propagator.LinearState`."""
     grid = state.u.grid
     psi = weight_on_grid(weight_value, state.t, grid, w)
-    return spectral_energy(grid, grid.forward(state.u.values), state.ut.values, psi)
-
-
-def weighted_l2(state, w: WeightParams) -> float:
-    """|| weight^(1/2) u ||_{L^2}: the companion norm of the local theory
-    (the weighted energy controls u_t and the gradient, this one u)."""
-    grid = state.u.grid
-    psi = weight_on_grid(weight_value, state.t, grid, w)
-    return float(np.sqrt(grid.cell_volume * np.sum(state.u.values**2 * psi)))
+    return float(spectral_energy(grid, grid.forward(state.u.values), state.ut.values, psi))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def snapshot_integrals(
     if scratch is None:
         scratch = Scratch.for_grid(grid)
     if energy is None:
-        energy = spectral_energy(grid, u_coeffs, ut_values, psi, scratch)
+        energy = float(spectral_energy(grid, u_coeffs, ut_values, psi, scratch))
     signed = np.abs(u_values, out=scratch.density)
     signed **= p
     signed *= u_values

@@ -188,20 +188,22 @@ def test_energy_audit_refuses_too_few_steps(tmp_path, capsys):
 
 def test_energy_audit_measures_each_state_once(monkeypatch, tmp_path):
     # all 401 snapshots of energy-audit fujita_n1_p4 fall on its 801
-    # records: each of the 801 states has its weighted energy computed once
+    # records: each of the 801 states has its weighted energy computed
+    # once, in calls that each measure a stack of states
     calls = []
     original = weights.spectral_energy
 
     def counted(*args):
-        calls.append(1)
-        return original(*args)
+        energies = original(*args)
+        calls.append(np.size(energies))
+        return energies
 
     for module in (weights, diagnostics):
         monkeypatch.setattr(module, "spectral_energy", counted)
     report = experiments.energy_audit_experiment(load_setup(FUJITA), tmp_path)
     assert report["outcome"]["records"] == 801
     assert report["audits"]["energy"]["snapshots"] == 401
-    assert len(calls) == 801
+    assert sum(calls) == 801
 
 
 def test_ckn_check_verb(tmp_path):

@@ -181,7 +181,8 @@ def test_decay_profile_matches_full_grid_reference(dim):
         u_t, ut_t = evolve_coeffs(u_coeffs, ut_coeffs, g_t, gdt_t, g.freq_sq() * g_t)
         peak = np.max(np.abs(g.inverse(u_t)))
         psi = weight_value(t, g.radius_sq(), w)
-        expected.append(measure(g, t, u_t, ut_t, psi, peak, Scratch.for_grid(g)))
+        (record,) = measure(g, t, u_t, ut_t, psi, peak, Scratch.for_grid(g))
+        expected.append(record)
     got = decay_profile((u0, u1), times, weight=w)
     for column in expected.rows[0]:
         assert np.array_equal(got.column(column), expected.column(column)), column

@@ -10,6 +10,7 @@ from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave import diagnostics, propagator, solver, weights
 from dampedwave.propagator import decay_profile, evolve_coeffs
 from dampedwave.solver import (
+    RECORD_BLOCK_POINTS,
     Nonlinearity,
     RunStatus,
     SolverConfig,
@@ -20,7 +21,7 @@ from dampedwave.solver import (
 )
 from dampedwave.spectral import Grid, RealField, greens_multipliers
 from dampedwave.snapshots import read_snapshot
-from dampedwave.weights import SnapshotIntegrals, WeightParams, weighted_energy
+from dampedwave.weights import SnapshotIntegrals, WeightParams, weight_value, weighted_energy
 
 WEIGHT = WeightParams(4.0, 2.0)
 
@@ -358,12 +359,13 @@ def test_multipliers_evaluated_once_per_lag(monkeypatch):
 
 def test_ensemble_evaluates_weight_once_per_record_time(monkeypatch):
     # the members share the weight and the record times, so one
-    # evaluation per record time serves them all
+    # evaluation per record time serves them all (a block of record
+    # times is evaluated in one call with a column of times)
     calls = []
     original = weights.weight_value
 
     def counted(t, r_sq, w):
-        calls.append(t)
+        calls.extend(np.ravel(t))
         return original(t, r_sq, w)
 
     for module in (weights, diagnostics, solver):
@@ -383,7 +385,7 @@ def test_ensemble_evaluates_snapshot_weights_once_per_time(monkeypatch, tmp_path
 
     def counting(name, original):
         def counted(t, r_sq, w):
-            calls[name].append(t)
+            calls[name].extend(np.ravel(t))
             return original(t, r_sq, w)
 
         return counted
@@ -511,6 +513,146 @@ def test_ensemble_members_match_single_runs(dim, tmp_path):
         assert [f.read_bytes() for f in written] == [
             f.read_bytes() for f in sorted((tmp_path / "alone" / str(i)).iterdir())
         ]
+
+
+def _measure_alone(grid, t, u_coeffs, ut_coeffs, peak):
+    """One record measured alone, as before records were measured in
+    blocks: Parseval sums by np.vdot, the weight at every grid point, a
+    fresh array for every intermediate and np.sum over the state."""
+
+    def l2(coeffs, xi_sq=None):
+        weighted = coeffs if xi_sq is None else xi_sq * coeffs
+        total = (
+            2.0 * np.vdot(coeffs, weighted)
+            - np.vdot(coeffs[..., 0], weighted[..., 0])
+            - np.vdot(coeffs[..., -1], weighted[..., -1])
+        )
+        return float(np.sqrt(grid.cell_volume * total.real / grid.size))
+
+    xi = grid.derivative_freqs()
+    density = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        density += grid.inverse(1j * grid.half_along(xi, axis) * u_coeffs) ** 2
+    density += grid.inverse(ut_coeffs) ** 2
+    density *= weight_value(t, grid.radius_sq(), WEIGHT)
+    energy = float(grid.cell_volume * np.sum(density))
+    l2_u, l2_grad, l2_ut = l2(u_coeffs), l2(u_coeffs, grid.freq_sq()), l2(ut_coeffs)
+    quarter, growth = 0.25 * grid.dim, 1.0 + t
+    return {
+        "t": t,
+        "l2_u": l2_u,
+        "l2_grad_u": l2_grad,
+        "l2_ut": l2_ut,
+        "linf_u": peak,
+        "weighted_energy": energy,
+        "xn_energy": float(np.sqrt(max(energy, 0.0))),
+        "xn_ut": growth ** (quarter + 1.0) * l2_ut,
+        "xn_grad": growth ** (quarter + 0.5) * l2_grad,
+        "xn_l2": growth**quarter * l2_u,
+        "mean_u": float(u_coeffs.flat[0].real / grid.size),
+    }
+
+
+def _one_at_a_time(grid, times, u_coeffs, ut_coeffs, psi, peaks, scratch, ut_values=None):
+    """``diagnostics.measure`` with every state of the stack measured
+    alone by :func:`_measure_alone`."""
+    lead = u_coeffs.shape[: u_coeffs.ndim - grid.dim]
+    times, peaks = np.broadcast_to(times, lead), np.broadcast_to(peaks, lead)
+    return [
+        _measure_alone(grid, float(times[i]), u_coeffs[i], ut_coeffs[i], float(peaks[i]))
+        for i in np.ndindex(lead)
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3], ids=["1d", "2d", "3d"])
+def test_record_blocks_equal_single_records(dim, monkeypatch, tmp_path):
+    # blocks of 1 (each record measured at once), 2, 3 and all record
+    # times give the rows of the reference that measures every state
+    # alone; the members blow up at three different steps, one is
+    # contaminated, and snapshots fall on and off record steps
+    grid, t_end = ENSEMBLE_GRIDS[dim]
+    cfgs = [
+        SolverConfig(
+            problem=ProblemParams(dim, p, 2.0),
+            grid=grid,
+            weight=WEIGHT,
+            dt=0.05,
+            t_end=t_end,
+            dealias=dealias,
+            record_every=4,
+        )
+        for p, _, dealias in MEMBERS
+    ]
+    datas = [(gaussian_field(grid, a, 1.5), zero_field(grid)) for _, a, _ in MEMBERS]
+
+    def run_with(points, measure, name):
+        monkeypatch.setattr(solver, "RECORD_BLOCK_POINTS", points)
+        monkeypatch.setattr(solver, "measure", measure)
+        dirs = [tmp_path / name / str(i) for i in range(len(cfgs))]
+        return run_ensemble(cfgs, datas, snapshot_every=0.3, snapshot_dirs=dirs)
+
+    expected = run_with(0, _one_at_a_time, "alone")
+    statuses = [outcome.status for outcome in expected]
+    assert RunStatus.BOUNDARY_CONTAMINATED in statuses
+    assert len({o.blowup_time for o in expected if o.blowup_time is not None}) == 3
+    record_times = round(t_end / 0.05) // 4 + 1
+    completed = expected[statuses.index(RunStatus.COMPLETED)]
+    snapshot_times = {row.t for row in completed.snapshots}
+    assert 0 < len(snapshot_times & set(completed.series.column("t"))) < len(snapshot_times)
+    for times in (1, 2, 3, record_times):
+        got = run_with(times * len(cfgs) * grid.size, diagnostics.measure, f"block_{times}")
+        for outcome, want in zip(got, expected, strict=True):
+            assert outcome.status is want.status
+            assert outcome.blowup_time == want.blowup_time
+            assert outcome.series.rows == want.series.rows
+            assert outcome.snapshots == want.snapshots
+
+
+@pytest.mark.parametrize(
+    "grid, members",
+    [(Grid(1, 20.0, 64), 1), (Grid(1, 160.0, 1024), 1), (Grid(1, 40.0, 512), 8),
+     (Grid(1, 40.0, 1024), 8), (Grid(2, 10.0, 32), 3), (Grid(2, 200.0, 256), 1)],
+)
+def test_record_block_stays_within_its_points(grid, members):
+    cfg = make_cfg(grid=grid)
+    recorder = solver._Recorder(cfg, [solver._Member(i, cfg, None) for i in range(members)])
+    per_time = members * grid.size
+    if 2 * per_time > RECORD_BLOCK_POINTS:
+        # no block: the work arrays hold one record time
+        assert recorder.capacity == 0
+        assert recorder.scratch.density.shape == (1, members, *grid.shape)
+        return
+    assert 2 <= recorder.capacity <= RECORD_BLOCK_POINTS // per_time
+    block = (recorder.u_coeffs, recorder.ut_coeffs, recorder.psi, *recorder.scratch)
+    assert all(array.size <= RECORD_BLOCK_POINTS for array in block)
+
+
+def test_3d_records_are_measured_from_the_live_arrays(monkeypatch):
+    # a 48^3 record time does not fit twice in a block, so each record
+    # is measured from the stepper's own arrays and nothing is copied
+    grid = Grid(3, 24.0, 48)
+    cfg = SolverConfig(
+        problem=ProblemParams(3, 2.5, 1.65), grid=grid, weight=WeightParams(2.0, 1.65),
+        dt=0.05, t_end=0.5, record_every=5,
+    )
+    stepped, measured = [], []
+    advance = Stepper.advance
+
+    def recording_advance(self, *args):
+        step = advance(self, *args)
+        stepped.append(step[0])
+        return step
+
+    def recording_measure(grid, times, u_coeffs, *args):
+        measured.append(u_coeffs)
+        return diagnostics.measure(grid, times, u_coeffs, *args)
+
+    monkeypatch.setattr(Stepper, "advance", recording_advance)
+    monkeypatch.setattr(solver, "measure", recording_measure)
+    outcome = run(cfg, (gaussian_field(grid, 0.05, 3.0), zero_field(grid)))
+    assert len(outcome.series) == len(measured) == 3
+    for u_coeffs in measured[1:]:
+        assert any(np.shares_memory(u_coeffs, own) for own in stepped)
 
 
 def _allocating_advance(stepper, u_coeffs, ut_coeffs, f_hat):

@@ -18,9 +18,10 @@ def test_step_timing_prints_one_json_line():
     (line,) = proc.stdout.splitlines()
     result = json.loads(line)
     assert result["repeats"] == 2
-    for key in ("advance_us", "measure_us"):
+    for key in ("advance_us", "measure_us", "block_record_us"):
         assert list(result[key]) == ["1d_1024", "2d_256", "3d_48"]
         assert all(us > 0.0 for us in result[key].values())
+    assert result["block_rows"] == {"1d_1024": 8, "2d_256": 1, "3d_48": 1}
 
 
 def test_step_timing_rejects_no_repeats():

@@ -206,19 +206,6 @@ def test_gradient_matches_complex_transform_with_nyquist_content(dim, points):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_weighted_l2_gaussian_oracle():
-    # || psi^(1/2) u ||^2 with power 1: int (A + x^2) e^{-2x^2}
-    #   = A sqrt(pi/2) + sqrt(pi/2)/4
-    from dampedwave.weights import weighted_l2
-
-    g = Grid(1, 12.0, 256)
-    x = g.axis_coords()
-    state = LinearState(0.0, RealField(g, np.exp(-(x**2))), zero_field(g))
-    w = WeightParams(2.0, 1.0)
-    want = math.sqrt(2.0 * math.sqrt(math.pi / 2) + math.sqrt(math.pi / 2) / 4.0)
-    assert weighted_l2(state, w) == pytest.approx(want, rel=1e-12)
-
-
 def test_energy_dominates_offset_power_times_unweighted():
     g = Grid(1, 15.0, 128)
     state = LinearState(0.0, gaussian_field(g, 1.0, 2.0), gaussian_field(g, 0.5, 1.5))
