@@ -11,15 +11,18 @@ grid).  Each is called WARMUP times untimed and then ``--repeats`` times,
 each call timed alone; the median of those calls is reported in
 microseconds (per record for the block).  BLAS/OpenMP pools are pinned
 to one thread before numpy is imported (numpy's FFTs run on one thread
-regardless).
+regardless).  ``run_peak_mib`` is the tracemalloc peak of a short
+``solver.run`` on each grid (one member, 10 steps, one snapshot), taken
+on the second of two runs so that the grid's cached arrays are not
+counted: memory regressions of the run loop show here.
 
 Usage:
     step_timing.py [--repeats N]
 
 Prints one JSON line: ``{"repeats", "numpy", "advance_us": {grid: us},
 "measure_us": {grid: us}, "block_rows": {grid: rows},
-"block_record_us": {grid: us}}``.  The package is imported from this
-checkout's ``src``.
+"block_record_us": {grid: us}, "run_peak_mib": {grid: MiB}}``.  The
+package is imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ import argparse
 import json
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -42,8 +47,8 @@ import numpy as np
 
 from dampedwave.diagnostics import measure
 from dampedwave.exponents import ProblemParams
-from dampedwave.initial_data import gaussian_field
-from dampedwave.solver import RECORD_BLOCK_POINTS, SolverConfig, Stepper
+from dampedwave.initial_data import gaussian_field, zero_field
+from dampedwave.solver import RECORD_BLOCK_POINTS, SolverConfig, Stepper, run
 from dampedwave.spectral import Grid
 from dampedwave.weights import Scratch, WeightParams, weight_on_grid, weight_value
 
@@ -102,17 +107,37 @@ def time_grid(grid: Grid, p: float, weight: WeightParams, dt: float, repeats: in
     return _median_us(step_s), _median_us(measure_s), rows, _median_us(block_s)
 
 
+def run_peak_mib(grid: Grid, p: float, weight: WeightParams, dt: float) -> float:
+    """Traced peak in MiB of the second of two 10-step runs on ``grid``
+    that take one snapshot, at t = 0."""
+    cfg = SolverConfig(
+        problem=ProblemParams(grid.dim, p, weight.power), grid=grid, weight=weight, dt=dt,
+        t_end=10 * dt,
+    )
+    data = (gaussian_field(grid, 0.01, 2.0), zero_field(grid))
+    with tempfile.TemporaryDirectory() as snapshot_dir:
+        run(cfg, data, snapshot_every=20 * dt, snapshot_dir=snapshot_dir)
+        tracemalloc.start()
+        try:
+            run(cfg, data, snapshot_every=20 * dt, snapshot_dir=snapshot_dir)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak / 2**20
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=200, help="timed calls per grid")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    keys = ("advance_us", "measure_us", "block_rows", "block_record_us")
+    keys = ("advance_us", "measure_us", "block_rows", "block_record_us", "run_peak_mib")
     result = {"repeats": args.repeats, "numpy": np.__version__, **{key: {} for key in keys}}
     for name, case in CASES.items():
-        for key, value in zip(keys, time_grid(*case, args.repeats)):
-            result[key][name] = round(value, 1) if key.endswith("_us") else value
+        values = (*time_grid(*case, args.repeats), run_peak_mib(*case))
+        for key, value in zip(keys, values):
+            result[key][name] = value if key == "block_rows" else round(value, 1)
     print(json.dumps(result))
     return 0
 

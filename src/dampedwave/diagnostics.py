@@ -79,7 +79,7 @@ def measure(
     l2_ut = spectral_l2(ut_coeffs, grid)
 
     if ut_values is None:
-        ut_values = grid.inverse(ut_coeffs, out=scratch.ut_values)
+        ut_values = grid.inverse(ut_coeffs, scratch.ut_values, scratch.coeffs)
     energies = spectral_energy(grid, u_coeffs, ut_values, psi, scratch)
     means = u_coeffs[(...,) + (0,) * grid.dim].real / grid.size
 

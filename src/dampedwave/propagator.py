@@ -147,7 +147,7 @@ def decay_profile(
         gather(gdt_levels, freq_index, out=gdt)
         np.multiply(xi_sq, g, out=stiffness)
         evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, stiffness, u_sum, out=buffers)
-        grid.inverse(u_t, out=u_values)
+        grid.inverse(u_t, u_values, scratch.coeffs)
         peak = max(u_values.max(), -u_values.min())
         if not warned and boundary_contaminated(u_values[grid.boundary_mask()], peak):
             warnings.warn(

@@ -54,7 +54,7 @@ def write_snapshot(
     p: float,
     weight: WeightParams,
 ) -> None:
-    """Write the fields (u, u_t) at time t in the layout above."""
+    """Write the fields (u, u_t) at time t in the layout above, from their own buffers."""
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -68,8 +68,8 @@ def write_snapshot(
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(u_values, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ut_values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(u_values, dtype="<f8"))
+        fh.write(np.ascontiguousarray(ut_values, dtype="<f8"))
 
 
 def read_snapshot(path) -> tuple[LinearState, SnapshotMeta]:

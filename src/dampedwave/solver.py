@@ -22,9 +22,9 @@ so every member's numbers are bit for bit those of its own run.
 :func:`run` is the one-member case.
 
 The predictor f* = |u_{n+1}|^p is exactly the next step's f_n, so the
-source is evaluated once per step: the loop computes f_0 before it
-starts, and :meth:`Stepper.advance` returns f* for the loop to pass into
-the next step.
+source is evaluated once per step: :meth:`Stepper.start` computes f_0
+with the initial stacks, and :meth:`Stepper.advance` returns f* for the
+loop to pass into the next step.
 
 A step blows up for a member when the sup norm of its u_{n+1} is
 non-finite or crosses the configured threshold, or when its source f*
@@ -160,14 +160,15 @@ class _StepArrays:
     """What :meth:`Stepper.advance` writes, for one member count: two
     pairs of (u_coeffs, ut_coeffs), filled in turn because a step reads
     the previous step's pair (and a blow-up step's start is its final
-    state), the new u values and source coefficients, and work space.
-    Full-size temporaries made and freed every step are given back to
-    the system and faulted in again; these arrays are made once."""
+    state), the new u values and source coefficients (which hold the
+    kicked u_t until f* replaces them), and work space.  Made once, so
+    that no step faults in fresh pages."""
 
-    def __init__(self, coeffs: np.ndarray, values_shape: tuple[int, ...]):
-        self.pairs = [(np.empty_like(coeffs), np.empty_like(coeffs)) for _ in range(2)]
-        self.u_values, self.field = np.empty(values_shape), np.empty(values_shape)
-        self.f_hat, self.kick, self.work = (np.empty_like(coeffs) for _ in range(3))
+    def __init__(self, members: int, grid: Grid):
+        coeffs, values = (members, *grid.half_shape), (members, *grid.shape)
+        self.pairs = [(np.empty(coeffs, complex), np.empty(coeffs, complex)) for _ in range(2)]
+        self.u_values, self.field = np.empty(values), np.empty(values)
+        self.f_hat, self.work = np.empty(coeffs, complex), np.empty(coeffs, complex)
 
     def next_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """The pair the previous step did not write."""
@@ -213,6 +214,19 @@ class Stepper:
             self.dealias_mask, self.discard = self.dealias_mask[keep], self.discard[keep]
         self.arrays = None  # made again for the new member count
         return [None if stack is None else stack[keep] for stack in stacks]
+
+    def start(self, datas: list[tuple[RealField, RealField]]) -> tuple[tuple, np.ndarray | None]:
+        """Initial (u_coeffs, ut_coeffs, u_values, f_0, peaks), written into
+        new step arrays, and the overflow mask of :meth:`source_coeffs`."""
+        grid = self.cfg.grid
+        a = self.arrays = _StepArrays(len(datas), grid)
+        u_coeffs, ut_coeffs = a.pairs[0]
+        u_values = np.stack([u0.values for u0, _ in datas], out=a.u_values)
+        grid.forward(u_values, out=u_coeffs)
+        grid.forward(np.stack([u1.values for _, u1 in datas], out=a.field), out=ut_coeffs)
+        f_hat, overflow = self.source_coeffs(u_values, a.field, a.f_hat)
+        peaks = np.abs(u_values, out=a.field).max(axis=grid.axes)
+        return (u_coeffs, ut_coeffs, u_values, f_hat, peaks), overflow
 
     def source_coeffs(
         self,
@@ -262,28 +276,29 @@ class Stepper:
         which is the next step's f_n) and each member's max |u_{n+1}|,
         inf where f* is non-finite: the step has blown up there.  The
         arrays are the stepper's own: the next step overwrites the u
-        values and f*, the step after next the coefficients."""
+        values and f* (its ``f_hat``, which it first fills with the kicked
+        u_t), the step after next the coefficients."""
         grid, half_dt = self.cfg.grid, 0.5 * self.cfg.dt
         if self.arrays is None:
-            self.arrays = _StepArrays(u_coeffs, (len(u_coeffs), *grid.shape))
+            self.arrays = _StepArrays(len(u_coeffs), grid)
         a = self.arrays
         u_new, ut_new = a.next_pair()
         if f_hat is not None:
-            ut_coeffs = np.add(ut_coeffs, np.multiply(half_dt, f_hat, out=a.kick), out=a.kick)
+            ut_coeffs = np.add(ut_coeffs, np.multiply(half_dt, f_hat, out=a.f_hat), out=a.f_hat)
         # evolve_coeffs reads u_sum before it writes work
         u_sum = np.add(u_coeffs, ut_coeffs, out=a.work)
         evolve_coeffs(
             u_coeffs, ut_coeffs, self.g, self.gdt, self.stiffness, u_sum,
             out=(u_new, ut_new, a.work),
         )
-        u_values_new = grid.inverse(u_new, out=a.u_values)
+        u_values_new = grid.inverse(u_new, a.u_values, a.work)
         peaks = np.abs(u_values_new, out=a.field).max(axis=grid.axes)
-        # f_hat has been read into the kick, so f* may take its place
+        # evolve_coeffs has read the kicked u_t, so f* may take its place
         f_star, overflow = self.source_coeffs(u_values_new, a.field, a.f_hat, peaks.max())
         if overflow is not None:
             peaks[overflow] = np.inf
         if f_star is not None:
-            ut_new += np.multiply(half_dt, f_star, out=a.kick)
+            ut_new += np.multiply(half_dt, f_star, out=a.work)
         return u_new, ut_new, u_values_new, f_star, peaks
 
 
@@ -368,18 +383,16 @@ class _Recorder:
     def snapshot(self, t, u_coeffs, ut_coeffs, u_values, peaks, recorded) -> None:
         """Write and reduce the members' states at t, after a flush, so
         the weight is evaluated in time order.  One transform of the
-        stacked u_t serves the snapshots and, when ``recorded``, the
-        record measured first, whose weight and energies they reuse."""
+        stacked u_t into ``scratch.ut_values[0]`` serves the snapshots and,
+        when ``recorded``, the record measured first (weight, energies)."""
         grid = self.grid
         self.flush()
-        ut_values = grid.inverse(ut_coeffs)
+        ut_values = grid.inverse(ut_coeffs, self.scratch.ut_values[0], self.scratch.coeffs[0])
         if recorded:
             self._measure_now(t, u_coeffs, ut_coeffs, u_values, peaks, ut_values)
         else:
             weight_on_grid(weight_value, t, grid, self.weight, out=self.psi[0])
-        if self.psi_dt is None:
-            self.psi_dt = np.empty(grid.shape)
-        weight_on_grid(weight_dt, t, grid, self.weight, out=self.psi_dt)
+        self.psi_dt = weight_on_grid(weight_dt, t, grid, self.weight, out=self.psi_dt)
         scratch = self.scratch._make(a[0, 0] for a in self.scratch)
         for m, u_hat, u, ut in zip(self.members, u_coeffs, u_values, ut_values):
             p = m.cfg.problem.p
@@ -460,10 +473,7 @@ def run_ensemble(
     stepper = Stepper(cfgs)
     n_steps = int(round(cfg.t_end / cfg.dt))
 
-    u_values = np.stack([u0.values for u0, _ in datas])
-    u_coeffs = grid.forward(u_values)
-    ut_coeffs = grid.forward(np.stack([u1.values for _, u1 in datas]))
-    f_hat, overflow = stepper.source_coeffs(u_values)
+    step, overflow = stepper.start(datas)
     outcomes: list = [None] * len(cfgs)
     if overflow is not None:
         for row in np.flatnonzero(overflow):
@@ -471,10 +481,8 @@ def run_ensemble(
         if overflow.all():
             return outcomes
         members = [m for m, failed in zip(members, overflow) if not failed]
-        u_coeffs, ut_coeffs, u_values, f_hat = stepper.retain(
-            ~overflow, u_coeffs, ut_coeffs, u_values, f_hat
-        )
-    peaks = np.max(np.abs(u_values), axis=grid.axes)
+        step = stepper.retain(~overflow, *step)
+    u_coeffs, ut_coeffs, u_values, f_hat, peaks = step
     recorder = _Recorder(cfg, members)
     next_snapshot = 0.0 if snapshot_every is not None else np.inf
 
@@ -509,6 +517,7 @@ def run_ensemble(
         u_coeffs, ut_coeffs, u_values, f_hat, peaks = step
 
     recorder.flush()
+    del recorder  # its arrays are not needed for the final states
     for row, m in enumerate(members):
         final = state_from_coeffs(grid, t, u_coeffs[row], ut_coeffs[row])
         outcomes[m.index] = m.outcome(final)

@@ -12,17 +12,16 @@ near the branch point where the closed forms cancel catastrophically.
 Fields are real, so every transform is a real FFT on the half-spectrum
 layout: :meth:`Grid.forward` (``np.fft.rfftn``, ``rfft`` in 1-D) keeps
 the last axis only for k = 0..M/2 (shape :attr:`Grid.half_shape`), the
-other axes in the full FFT layout, and :meth:`Grid.inverse`
-(``np.fft.irfftn``, ``irfft`` in 1-D) returns a real array that owns its
+other axes in the full FFT layout, and :meth:`Grid.inverse` (``ifft``
+on the leading axes, then ``irfft``) returns a real array that owns its
 memory.  Hermitian symmetry is structural, so no imaginary residue is
 ever discarded.  Every array in frequency space (:meth:`Grid.freq_sq`,
 the multipliers, the dealias mask) lives on that layout, and callers
 multiply coefficients by the multipliers directly.
 
 Radial levels: |xi|^2 and |x|^2 take far fewer distinct values than
-there are grid points (7,465 of 33,024 half-spectrum points on a 2-D
-256^2 grid, 5,924 of 65,536 grid points), and the multipliers and the
-weight depend on nothing else.  :meth:`Grid.freq_levels` and
+there are grid points, and the multipliers and the weight depend on
+nothing else.  :meth:`Grid.freq_levels` and
 :meth:`Grid.radius_levels` hold the sorted distinct values,
 :meth:`Grid.freq_index` and :meth:`Grid.radius_index` the position of
 every point among them, so a radial function is evaluated once per
@@ -80,9 +79,8 @@ def _built_once(method):
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of ``values``.  A sort and a comparison of
-    neighbours keep numpy.ma out of the process: numpy's set routines
-    import it lazily, about 1.7 MB of resident memory."""
+    """Sorted distinct entries of ``values``, by a sort and a comparison
+    of neighbours: numpy's set routines would import numpy.ma."""
     flat = np.sort(values, axis=None)
     keep = np.empty(flat.size, dtype=bool)
     keep[0] = True
@@ -182,13 +180,16 @@ class Grid:
             return np.fft.rfft(values, axis=-1, out=out)
         return np.fft.rfftn(values, axes=self.axes, out=out)
 
-    def inverse(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def inverse(
+        self, coeffs: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+    ) -> np.ndarray:
         """Field (or stack of fields) with the given half-spectrum
-        coefficients, written into ``out`` when given (``irfft`` in 1-D,
-        as for :meth:`forward`)."""
-        if self.dim == 1:
-            return np.fft.irfft(coeffs, n=self.points, axis=-1, out=out)
-        return np.fft.irfftn(coeffs, s=self.shape, axes=self.axes, out=out)
+        coefficients, into ``out`` when given: ``irfftn``'s calls, with
+        the leading axes inverted in place in ``work`` (complex, shaped
+        like ``coeffs``, which it may be) or in one fresh array."""
+        for axis in self.axes[:-1]:
+            coeffs = work = np.fft.ifft(coeffs, axis=axis, out=work)
+        return np.fft.irfft(coeffs, n=self.points, axis=-1, out=out)
 
     def axis_freqs(self) -> np.ndarray:
         """Angular frequencies pi*k/L along one axis, full FFT layout."""

@@ -8,6 +8,7 @@ row whose value columns are infinite; every earlier entry is finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,17 +37,16 @@ class TimeSeries:
     rows: list[dict] = field(default_factory=list)
 
     def append(self, record: dict) -> None:
-        missing = set(COLUMNS) - set(record)
-        if missing:
-            raise ValueError(f"record is missing columns {sorted(missing)}")
-        if self.rows and record["t"] <= self.rows[-1]["t"]:
-            raise ValueError(
-                f"record time {record['t']} does not increase past "
-                f"{self.rows[-1]['t']}"
-            )
-        if self.rows and not np.isfinite(self.rows[-1]["linf_u"]):
+        try:
+            row = {name: float(record[name]) for name in COLUMNS}
+        except KeyError:
+            missing = sorted(set(COLUMNS) - set(record))
+            raise ValueError(f"record is missing columns {missing}") from None
+        if self.rows and row["t"] <= self.rows[-1]["t"]:
+            raise ValueError(f"record time {row['t']} does not increase past {self.rows[-1]['t']}")
+        if self.rows and not math.isfinite(self.rows[-1]["linf_u"]):
             raise ValueError("cannot append past a terminal blow-up marker")
-        self.rows.append({k: float(record[k]) for k in COLUMNS})
+        self.rows.append(row)
 
     def append_blowup_marker(self, t: float) -> None:
         marker = {name: np.inf for name in COLUMNS}

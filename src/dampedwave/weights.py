@@ -40,8 +40,8 @@ from .spectral import Grid, gather
 # fewer skip them.
 MIN_AUDIT_SNAPSHOTS = 50
 
-# Samples per block of the residual audit: 512 KB per float64 array.
-AUDIT_BLOCK = 65_536
+# Samples per block of the residual audit: 64 KB per float64 array.
+AUDIT_BLOCK = 8_192
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def gradient_sq(grid: Grid, u_coeffs: np.ndarray, scratch: Scratch | None = None
     out.fill(0.0)
     for axis in range(grid.dim):
         coeffs = np.multiply(1j * grid.half_along(xi, axis), u_coeffs, out=scratch.coeffs)
-        derivative = grid.inverse(coeffs, out=scratch.field)
+        derivative = grid.inverse(coeffs, scratch.field, coeffs)
         out += np.square(derivative, out=derivative)
     return out
 

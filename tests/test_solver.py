@@ -754,8 +754,8 @@ def test_overflow_limit_lets_nan_through_to_the_check():
 
 
 def test_steps_allocate_no_full_size_results():
-    # beyond the inverse transform's intermediates a step allocates
-    # nothing of grid size; fresh results and temporaries took about 12 fields
+    # a step allocates nothing of grid size; fresh results and temporaries
+    # took about 12 fields, and irfftn's intermediates 2
     grid = Grid(3, 8.0, 32)
     cfg = SolverConfig(
         problem=ProblemParams(3, 2.5, 2.0), grid=grid, weight=WEIGHT, dt=0.05, t_end=1.0
@@ -774,7 +774,33 @@ def test_steps_allocate_no_full_size_results():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - start < 3 * grid.size * 8
+    assert peak - start < grid.size * 8
+
+
+@pytest.mark.parametrize("snapshots", [False, True], ids=["records", "snapshots"])
+def test_run_holds_each_full_size_array_once(snapshots, tmp_path):
+    # the initial stacks live in the step arrays, a step keeps no kick
+    # array, inverse transforms use work arrays the run holds, snapshots
+    # invert u_t into the record scratch and the final states are built
+    # without the recorder: the second run (the grid's cached arrays
+    # exist) peaks at about 16.4 fields, 17.4 with snapshots, where fresh
+    # initial stacks, a kick array, irfftn's intermediates and a fresh
+    # u_t stack per snapshot reached 22.6 and 23.6
+    grid = Grid(3, 16.0, 32)
+    cfg = SolverConfig(
+        problem=ProblemParams(3, 2.5, 1.65), grid=grid, weight=WeightParams(2.0, 1.65),
+        dt=0.05, t_end=0.5, record_every=2,
+    )
+    data = (gaussian_field(grid, 0.05, 3.0), zero_field(grid))
+    kwargs = dict(snapshot_every=0.2, snapshot_dir=tmp_path) if snapshots else {}
+    run(cfg, data, **kwargs)
+    tracemalloc.start()
+    try:
+        run(cfg, data, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * grid.size * 8
 
 
 def test_ensemble_initial_overflow_stays_per_member():
@@ -788,6 +814,43 @@ def test_ensemble_initial_overflow_stays_per_member():
     assert isinstance(failed, ValueError) and "overflows" in str(failed)
     assert outcome.status is RunStatus.COMPLETED
     assert outcome.series.rows == run(cfgs[1], datas[1]).series.rows
+
+
+@pytest.mark.parametrize("dim", [1, 3], ids=["1d", "3d"])
+def test_ensemble_members_own_their_arrays_after_retain(dim, tmp_path):
+    # the middle member's source overflows at its initial data, so the
+    # others step on from retained copies (f_0 included) before the step
+    # arrays exist; the first member blows up mid-run and leaves again
+    grid, _ = ENSEMBLE_GRIDS[dim]
+    members = [(2.0, 6.0), (2.0, 1e200), (3.0, 0.05)]
+    cfgs = [
+        SolverConfig(
+            problem=ProblemParams(dim, p, 2.0), grid=grid, weight=WEIGHT, dt=0.05,
+            t_end=3.0, record_every=4,
+        )
+        for p, _ in members
+    ]
+    datas = [(gaussian_field(grid, a, 1.5), zero_field(grid)) for _, a in members]
+    dirs = [tmp_path / "ensemble" / str(i) for i in range(len(members))]
+    outcomes = run_ensemble(cfgs, datas, snapshot_every=0.3, snapshot_dirs=dirs)
+    assert outcomes[0].status is RunStatus.BLEW_UP
+    assert isinstance(outcomes[1], ValueError)
+    assert outcomes[2].status is not RunStatus.BLEW_UP
+    for i, (cfg, data, outcome) in enumerate(zip(cfgs, datas, outcomes)):
+        alone_dir = tmp_path / "alone" / str(i)
+        if isinstance(outcome, ValueError):
+            with pytest.raises(ValueError, match=str(outcome)):
+                run(cfg, data, snapshot_every=0.3, snapshot_dir=alone_dir)
+        else:
+            alone = run(cfg, data, snapshot_every=0.3, snapshot_dir=alone_dir)
+            assert outcome.status is alone.status
+            assert outcome.blowup_time == alone.blowup_time
+            assert outcome.series.rows == alone.series.rows
+            assert outcome.snapshots == alone.snapshots
+            np.testing.assert_array_equal(outcome.final_state.u.values, alone.final_state.u.values)
+        written = [f.read_bytes() for f in sorted(dirs[i].iterdir())]
+        assert written == [f.read_bytes() for f in sorted(alone_dir.iterdir())]
+        assert (len(written) > 1) is not isinstance(outcome, ValueError)
 
 
 @pytest.mark.parametrize(

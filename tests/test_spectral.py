@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,30 @@ def test_one_d_transforms_equal_the_n_d_ones(members):
     assert g.inverse(coeffs, out=out_field) is out_field
     assert np.array_equal(out_coeffs, coeffs)
     assert np.array_equal(out_field, field)
+
+
+@pytest.mark.parametrize("members", [None, 1, 3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_inverse_is_irfftn_without_its_intermediates(dim, members):
+    # ifft on each leading axis, in place in one array, then irfft: the
+    # calls of irfftn, which makes a fresh intermediate per leading axis
+    g = Grid(dim=dim, half_width=10.0, points=16 if dim == 3 else 64)
+    shape = g.shape if members is None else (members, *g.shape)
+    values = np.random.default_rng(6).standard_normal(shape)
+    coeffs = g.forward(values)
+    expected = np.fft.irfftn(coeffs, s=g.shape, axes=g.axes)
+    assert np.array_equal(g.inverse(coeffs), expected)
+    kept, out, work = coeffs.copy(), np.empty_like(values), np.empty_like(coeffs)
+    tracemalloc.start()
+    try:
+        assert g.inverse(coeffs, out, work) is out
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 8
+    assert np.array_equal(out, expected) and np.array_equal(coeffs, kept)
+    work[...] = coeffs  # work may be the input itself
+    assert np.array_equal(g.inverse(work, work=work), expected)
 
 
 def test_boundary_contamination_flag():

@@ -22,6 +22,10 @@ def test_step_timing_prints_one_json_line():
         assert list(result[key]) == ["1d_1024", "2d_256", "3d_48"]
         assert all(us > 0.0 for us in result[key].values())
     assert result["block_rows"] == {"1d_1024": 8, "2d_256": 1, "3d_48": 1}
+    peaks = result["run_peak_mib"]
+    assert list(peaks) == ["1d_1024", "2d_256", "3d_48"]
+    # a 48^3 field is 0.84 MiB, and a run holds more than ten of them
+    assert 0.0 < peaks["1d_1024"] < peaks["3d_48"] and peaks["3d_48"] > 8.4
 
 
 def test_step_timing_rejects_no_repeats():

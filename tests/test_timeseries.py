@@ -28,9 +28,20 @@ def test_append_requires_increasing_time():
 def test_append_requires_all_columns():
     series = TimeSeries()
     row = make_row(0.0)
-    del row["mean_u"]
-    with pytest.raises(ValueError):
+    del row["mean_u"], row["l2_u"]
+    with pytest.raises(ValueError, match=r"^record is missing columns \['l2_u', 'mean_u'\]$"):
         series.append(row)
+
+
+def test_append_stores_exactly_the_columns_as_floats():
+    series = TimeSeries()
+    row = make_row(np.float64(0.25), np.float32(2.0))
+    row["extra"] = "ignored"
+    series.append(row)
+    (stored,) = series.rows
+    assert list(stored) == list(COLUMNS)
+    assert all(type(value) is float for value in stored.values())
+    assert stored["t"] == 0.25 and stored["l2_u"] == 2.0
 
 
 def test_blowup_marker_is_terminal():

@@ -113,9 +113,11 @@ def _one_shot_residual_audit(samples, seed, t_max=100.0, radius_max=50.0, power_
     return ResidualAudit(samples=samples, min_residual=float(np.min(residual)), equality_gap=gap)
 
 
+# around one block, and around 8 blocks (65,536) and 24 blocks (196,608)
 @pytest.mark.parametrize(
     "samples",
-    [1, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1, 3 * AUDIT_BLOCK + 7, 200_000, 1_000_000],
+    [1, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1, 65_535, 65_536, 65_537, 196_615,
+     200_000, 1_000_000],
 )
 @pytest.mark.parametrize("seed", [0, 7, 12345])
 def test_streamed_residual_audit_equals_one_shot(samples, seed):
@@ -123,7 +125,7 @@ def test_streamed_residual_audit_equals_one_shot(samples, seed):
     assert residual_audit(samples, seed).to_dict() == expected
 
 
-@pytest.mark.parametrize("samples", [1, AUDIT_BLOCK + 1, 3 * AUDIT_BLOCK + 7])
+@pytest.mark.parametrize("samples", [1, AUDIT_BLOCK + 1, 3 * AUDIT_BLOCK + 7, 65_537, 196_615])
 def test_audit_streams_continue_the_one_shot_draws(samples):
     # generator j, advanced by j * samples, draws block by block what the
     # j-th full-length draw of one generator holds
@@ -144,7 +146,7 @@ def test_residual_audit_memory_is_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("samples", [0, -3])
