@@ -14,15 +14,20 @@ to one thread before numpy is imported (numpy's FFTs run on one thread
 regardless).  ``run_peak_mib`` is the tracemalloc peak of a short
 ``solver.run`` on each grid (one member, 10 steps, one snapshot), taken
 on the second of two runs so that the grid's cached arrays are not
-counted: memory regressions of the run loop show here.
+counted: memory regressions of the run loop show here.  ``snapshot_run``
+gives the wall and process CPU time in milliseconds of a 10-step
+one-member run on the 3-D grid that takes a snapshot and a record every
+step (the second of two runs): its records are measured on a worker
+thread while the loop steps, so CPU above wall shows the overlap.
 
 Usage:
     step_timing.py [--repeats N]
 
 Prints one JSON line: ``{"repeats", "numpy", "advance_us": {grid: us},
 "measure_us": {grid: us}, "block_rows": {grid: rows},
-"block_record_us": {grid: us}, "run_peak_mib": {grid: MiB}}``.  The
-package is imported from this checkout's ``src``.
+"block_record_us": {grid: us}, "run_peak_mib": {grid: MiB},
+"snapshot_run": {"wall_ms", "cpu_ms"}}``.  The package is imported from
+this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -126,6 +131,22 @@ def run_peak_mib(grid: Grid, p: float, weight: WeightParams, dt: float) -> float
     return peak / 2**20
 
 
+def snapshot_run_ms(grid: Grid, p: float, weight: WeightParams, dt: float) -> dict:
+    """Wall and process CPU milliseconds of the second of two 10-step
+    runs on ``grid`` with a snapshot and a record every step."""
+    cfg = SolverConfig(
+        problem=ProblemParams(grid.dim, p, weight.power), grid=grid, weight=weight, dt=dt,
+        t_end=10 * dt, record_every=1,
+    )
+    data = (gaussian_field(grid, 0.01, 2.0), zero_field(grid))
+    with tempfile.TemporaryDirectory() as snapshot_dir:
+        for _ in range(2):
+            wall, cpu = time.perf_counter(), time.process_time()
+            run(cfg, data, snapshot_every=dt, snapshot_dir=snapshot_dir)
+            wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    return {"wall_ms": round(1e3 * wall, 1), "cpu_ms": round(1e3 * cpu, 1)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=200, help="timed calls per grid")
@@ -138,6 +159,7 @@ def main(argv=None) -> int:
         values = (*time_grid(*case, args.repeats), run_peak_mib(*case))
         for key, value in zip(keys, values):
             result[key][name] = value if key == "block_rows" else round(value, 1)
+    result["snapshot_run"] = snapshot_run_ms(*CASES["3d_48"])
     print(json.dumps(result))
     return 0
 

@@ -139,6 +139,7 @@ def decay_profile(
     # u's values are done with before measure fills u_t's into the array
     u_values = scratch.ut_values
 
+    shell = grid.boundary_index()
     series = TimeSeries()
     warned = False
     for t in times.tolist():
@@ -149,7 +150,7 @@ def decay_profile(
         evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, stiffness, u_sum, out=buffers)
         grid.inverse(u_t, u_values, scratch.coeffs)
         peak = max(u_values.max(), -u_values.min())
-        if not warned and boundary_contaminated(u_values[grid.boundary_mask()], peak):
+        if not warned and boundary_contaminated(gather(u_values.reshape(-1), shell), peak):
             warnings.warn(
                 f"boundary shell contaminated at t={t}; enlarge the box",
                 stacklevel=2,

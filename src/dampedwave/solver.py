@@ -35,7 +35,9 @@ existence time.
 
 Record states are measured in blocks of up to RECORD_BLOCK_POINTS grid
 points, one stacked call per operation (:class:`_Recorder`); the rows
-are those of measuring every state alone.
+are those of measuring every state alone.  Where a block would not hold
+two record times, each record and snapshot is measured on one worker
+thread while the loop takes the next step, with the same rows.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import itertools
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -59,6 +62,7 @@ from .weights import (
     SnapshotIntegrals,
     WeightParams,
     snapshot_integrals,
+    spectral_energy,
     weight_dt,
     weight_on_grid,
     weight_value,
@@ -147,7 +151,11 @@ def source_term(
     """
     if not p > 1.0:
         raise ValueError(f"p must be > 1, got {p}")
-    f = np.abs(u_values, out=out)
+    return _raise_abs(np.abs(u_values, out=out), u_values, p, signed)
+
+
+def _raise_abs(f: np.ndarray, u_values: np.ndarray, p: float, signed: bool) -> np.ndarray:
+    """:func:`source_term` from |u_values| in ``f``, written in place."""
     if signed:
         f **= p - 1.0
         f *= u_values
@@ -193,6 +201,7 @@ class Stepper:
         self.g, self.gdt = g[index], gdt[index]
         self.stiffness = self.xi_sq * self.g
         self.powers = [cfg.problem.p for cfg in cfgs]
+        self.one_power = len(set(self.powers)) == 1
         # every member's |u|^p (or |u|^(p-1)*u) stays below 1e300 while
         # every peak is at most this; NaN and larger peaks get the full check
         self.overflow_limit = 1e300 ** (1.0 / max(self.powers))
@@ -210,6 +219,7 @@ class Stepper:
         """Drop the members whose ``keep`` entry is False, here and from
         ``stacks`` (None passes through)."""
         self.powers = [p for p, kept in zip(self.powers, keep) if kept]
+        self.one_power = len(set(self.powers)) == 1
         if self.dealias_mask is not None:
             self.dealias_mask, self.discard = self.dealias_mask[keep], self.discard[keep]
         self.arrays = None  # made again for the new member count
@@ -224,8 +234,8 @@ class Stepper:
         u_values = np.stack([u0.values for u0, _ in datas], out=a.u_values)
         grid.forward(u_values, out=u_coeffs)
         grid.forward(np.stack([u1.values for _, u1 in datas], out=a.field), out=ut_coeffs)
-        f_hat, overflow = self.source_coeffs(u_values, a.field, a.f_hat)
         peaks = np.abs(u_values, out=a.field).max(axis=grid.axes)
+        f_hat, overflow = self.source_coeffs(u_values, a.field, a.f_hat)
         return (u_coeffs, ut_coeffs, u_values, f_hat, peaks), overflow
 
     def source_coeffs(
@@ -239,8 +249,9 @@ class Stepper:
         ``u_values`` (dealiased where configured; None when the source is
         switched off) and the mask of members whose source has a
         non-finite entry (None if there is none).  Those rows are zeroed,
-        so an overflowed source is never transformed.  The source values
-        go into ``field`` and the coefficients into ``out`` when given.
+        so an overflowed source is never transformed.  ``field``, when
+        given, holds |u_values| and receives the source values; the
+        coefficients go into ``out`` when given.
         ``peak`` is max |u_values| when the caller holds it: at or below
         :attr:`overflow_limit` the source is finite, so it is neither
         scanned nor evaluated under ``np.errstate``."""
@@ -250,13 +261,13 @@ class Stepper:
         signed = kind is Nonlinearity.SIGNED
         quiet = peak <= self.overflow_limit
         with contextlib.nullcontext() if quiet else np.errstate(over="ignore", invalid="ignore"):
-            if len(set(self.powers)) == 1:  # one exponent: one evaluation, no copies
-                f = source_term(u_values, self.powers[0], signed=signed, out=field)
+            f = np.abs(u_values) if field is None else field
+            if self.one_power:  # one exponent: one evaluation, no copies
+                _raise_abs(f, u_values, self.powers[0], signed)
             else:
-                f = np.empty_like(u_values) if field is None else field
                 for row, p in enumerate(self.powers):
                     # a scalar exponent per member keeps numpy's p = 2 square path
-                    source_term(u_values[row], p, signed=signed, out=f[row])
+                    _raise_abs(f[row], u_values[row], p, signed)
         overflow = None
         if not quiet:
             finite = np.isfinite(f)
@@ -293,7 +304,8 @@ class Stepper:
         )
         u_values_new = grid.inverse(u_new, a.u_values, a.work)
         peaks = np.abs(u_values_new, out=a.field).max(axis=grid.axes)
-        # evolve_coeffs has read the kicked u_t, so f* may take its place
+        # the source starts from |u| in field; evolve_coeffs has read the
+        # kicked u_t, so f* may take its place
         f_star, overflow = self.source_coeffs(u_values_new, a.field, a.f_hat, peaks.max())
         if overflow is not None:
             peaks[overflow] = np.inf
@@ -324,6 +336,10 @@ class _Member:
         return RunOutcome(status, final, self.series, blowup_time, self.snapshots)
 
 
+# Seconds between checks that a waited-for record worker still runs.
+WORKER_WAIT_S = 10.0
+
+
 class _Recorder:
     """Measures the members' record states into their series and takes
     their snapshots.
@@ -337,12 +353,19 @@ class _Recorder:
     its rows in time order, and the weight is evaluated once per time
     for all members.  A recorder serves one member list: the loop flushes
     it and makes another when members leave.
+
+    Without a block, each measured state's coefficient work (norms,
+    gradient and u_t inverses, energies) is a job for one worker thread,
+    started on the first job, while the loop steps on; work that reads
+    u's values (the shell gather; for snapshots the u_t inverse, the
+    integrals and the file) stays on the loop.  Jobs run one at a time in
+    time order, and :meth:`flush` waits for the last one.
     """
 
     def __init__(self, cfg: SolverConfig, members: list[_Member]):
         grid = self.grid = cfg.grid
         self.weight, self.members = cfg.weight, members
-        self.shell = np.flatnonzero(grid.boundary_mask())
+        self.shell = grid.boundary_index()
         capacity = RECORD_BLOCK_POINTS // (grid.size * len(members))
         self.capacity = capacity if capacity >= 2 else 0
         lead = (max(self.capacity, 1), len(members))
@@ -355,12 +378,18 @@ class _Recorder:
             self.ut_coeffs = np.empty_like(self.u_coeffs)
             self.peaks = np.empty(lead)
             self.edges = np.empty(lead + self.shell.shape)
+        self.worker, self.job, self.error, self.age = None, None, None, 2
+        self.posted, self.done = threading.Semaphore(0), threading.Event()
+        self.done.set()
 
     def record(self, t, u_coeffs, ut_coeffs, u_values, peaks) -> None:
-        """The members' (stacked) states at t: one block row, or measured
-        at once when there is no block."""
+        """The members' (stacked) states at t: one block row, or a job
+        that measures the live arrays when there is no block."""
         if not self.capacity:
-            self._measure_now(t, u_coeffs, ut_coeffs, u_values, peaks)
+            edges = self._edges(u_values)[None]
+            self._submit(lambda: self._measure(
+                np.array([t]), u_coeffs[None], ut_coeffs[None], peaks[None], edges
+            ))
             return
         row = self.filled
         self.times[row] = t
@@ -372,7 +401,8 @@ class _Recorder:
             self.flush()
 
     def flush(self) -> None:
-        """Measure the filled block rows."""
+        """Wait for the worker's job and measure the filled block rows."""
+        self._settle()
         rows, self.filled = self.filled, 0
         if rows:
             self._measure(
@@ -382,44 +412,99 @@ class _Recorder:
 
     def snapshot(self, t, u_coeffs, ut_coeffs, u_values, peaks, recorded) -> None:
         """Write and reduce the members' states at t, after a flush, so
-        the weight is evaluated in time order.  One transform of the
-        stacked u_t into ``scratch.ut_values[0]`` serves the snapshots and,
-        when ``recorded``, the record measured first (weight, energies)."""
+        the weight is evaluated in time order.  The u_t stack inverted
+        into ``scratch.ut_values[0]`` serves the files, the integrals (in
+        the idle scratch) and the job, which measures the record when
+        ``recorded`` (else the energies) and puts the energies in the rows."""
         grid = self.grid
         self.flush()
         ut_values = grid.inverse(ut_coeffs, self.scratch.ut_values[0], self.scratch.coeffs[0])
-        if recorded:
-            self._measure_now(t, u_coeffs, ut_coeffs, u_values, peaks, ut_values)
-        else:
-            weight_on_grid(weight_value, t, grid, self.weight, out=self.psi[0])
+        psi = weight_on_grid(weight_value, t, grid, self.weight, out=self.psi[0])
         self.psi_dt = weight_on_grid(weight_dt, t, grid, self.weight, out=self.psi_dt)
         scratch = self.scratch._make(a[0, 0] for a in self.scratch)
-        for m, u_hat, u, ut in zip(self.members, u_coeffs, u_values, ut_values):
+        rows = []
+        for m, u, ut in zip(self.members, u_values, ut_values):
             p = m.cfg.problem.p
             path = m.snapshot_dir / f"snap_{len(m.snapshots):06d}.dwsn"
             write_snapshot(path, grid, t, u, ut, p, self.weight)
-            energy = m.series.rows[-1]["weighted_energy"] if recorded else None
-            m.snapshots.append(snapshot_integrals(
-                grid, t, u_hat, u, ut, self.psi[0], self.psi_dt, p, scratch, energy
+            rows.append(snapshot_integrals(
+                grid, t, None, u, ut, psi, self.psi_dt, p, scratch, energy=0.0
             ))
+        edges = self._edges(u_values)[None] if recorded else None
 
-    def _measure_now(self, t, u_coeffs, ut_coeffs, u_values, peaks, ut_values=None) -> None:
-        """Measure the live states at t as one record time, without a copy."""
-        self._measure(
-            np.array([t]), u_coeffs[None], ut_coeffs[None], peaks[None],
-            self._edges(u_values)[None], None if ut_values is None else ut_values[None],
-        )
+        def job() -> None:
+            if recorded:
+                self._measure(
+                    np.array([t]), u_coeffs[None], ut_coeffs[None], peaks[None], edges,
+                    ut_values[None], psi[None],
+                )
+                energies = [m.series.rows[-1]["weighted_energy"] for m in self.members]
+            else:
+                stack = self.scratch._make(a[0] for a in self.scratch)
+                energies = spectral_energy(grid, u_coeffs, ut_values, psi, stack).tolist()
+            for m, row, energy in zip(self.members, rows, energies):
+                m.snapshots.append(row._replace(energy=energy))
+
+        self._submit(job)
+
+    def before_step(self) -> None:
+        """Wait before the second step after a job's time, which
+        overwrites the coefficient pair the job reads."""
+        self.age += 1
+        if self.age == 2:
+            self._settle()
+
+    def close(self) -> None:
+        """Stop the worker thread, dropping a job that has not begun."""
+        if self.worker is not None:
+            self.job = None
+            self.posted.release()
+            self.worker.join(WORKER_WAIT_S)
+            self.worker = None
+
+    def _submit(self, job) -> None:
+        """Run ``job`` after the previous one: inline with a block, else on
+        the worker thread."""
+        if self.capacity:
+            job()
+            return
+        if self.worker is None:
+            self.worker = threading.Thread(target=self._serve, daemon=True)
+            self.worker.start()
+        self._settle()
+        self.job, self.age = job, 0
+        self.done.clear()
+        self.posted.release()
+
+    def _serve(self) -> None:
+        """The worker thread: run each posted job until ``job`` is None."""
+        while self.posted.acquire() and (job := self.job) is not None:
+            try:
+                job()
+            except Exception as error:  # raised on the loop thread by the next wait
+                self.error = error
+            self.done.set()
+
+    def _settle(self) -> None:
+        """Wait for the posted job and raise its error here."""
+        while not self.done.wait(WORKER_WAIT_S):
+            if not self.worker.is_alive():
+                raise RuntimeError("the record worker thread stopped during a job")
+        if self.error is not None:
+            error, self.error = self.error, None
+            raise error
 
     def _edges(self, u_values, out=None) -> np.ndarray:
         """Each member's boundary-shell values (members, shell points),
         into ``out`` when given."""
         return gather(u_values.reshape(len(u_values), -1), self.shell, out=out)
 
-    def _measure(self, times, u_coeffs, ut_coeffs, peaks, edges, ut_values=None) -> None:
-        """Measure states stacked as (record time, member) and append
-        their rows."""
+    def _measure(self, times, u_coeffs, ut_coeffs, peaks, edges, ut_values=None, psi=None) -> None:
+        """Measure states stacked as (record time, member), with the
+        weight ``psi`` at ``times`` when given, and append their rows."""
         grid, rows, column = self.grid, len(times), times[:, None]
-        psi = weight_on_grid(weight_value, column, grid, self.weight, out=self.psi[:rows])
+        if psi is None:
+            psi = weight_on_grid(weight_value, column, grid, self.weight, out=self.psi[:rows])
         scratch = self.scratch._make(a[:rows] for a in self.scratch)
         records = measure(
             grid, column, u_coeffs, ut_coeffs, psi[:, None], peaks, scratch, ut_values
@@ -485,38 +570,41 @@ def run_ensemble(
     u_coeffs, ut_coeffs, u_values, f_hat, peaks = step
     recorder = _Recorder(cfg, members)
     next_snapshot = 0.0 if snapshot_every is not None else np.inf
+    try:
+        for n in range(n_steps + 1):
+            t = n * cfg.dt
+            recorded = n % cfg.record_every == 0 or n == n_steps
+            if t >= next_snapshot - 1e-12:
+                recorder.snapshot(t, u_coeffs, ut_coeffs, u_values, peaks, recorded)
+                next_snapshot += snapshot_every
+            elif recorded:
+                recorder.record(t, u_coeffs, ut_coeffs, u_values, peaks)
+            if n == n_steps:
+                break
 
-    for n in range(n_steps + 1):
-        t = n * cfg.dt
-        recorded = n % cfg.record_every == 0 or n == n_steps
-        if t >= next_snapshot - 1e-12:
-            recorder.snapshot(t, u_coeffs, ut_coeffs, u_values, peaks, recorded)
-            next_snapshot += snapshot_every
-        elif recorded:
-            recorder.record(t, u_coeffs, ut_coeffs, u_values, peaks)
-        if n == n_steps:
-            break
-
-        step = stepper.advance(u_coeffs, ut_coeffs, f_hat)
-        peaks = step[-1]
-        # the members' peaks decide the step: NaN fails the comparison
-        if not peaks.max() <= cfg.blowup_threshold:
-            recorder.flush()
-            blown = ~(peaks <= cfg.blowup_threshold)
-            for row in np.flatnonzero(blown):
-                if np.isfinite(peaks[row]):
-                    final = state_from_coeffs(grid, t + cfg.dt, step[0][row], step[1][row])
-                else:
-                    final = state_from_coeffs(grid, t, u_coeffs[row], ut_coeffs[row])
-                outcomes[members[row].index] = members[row].outcome(final, t + 0.5 * cfg.dt)
-            if blown.all():
-                return outcomes
-            members = [m for m, failed in zip(members, blown) if not failed]
-            recorder = _Recorder(cfg, members)
-            step = stepper.retain(~blown, *step)
-        u_coeffs, ut_coeffs, u_values, f_hat, peaks = step
-
-    recorder.flush()
+            recorder.before_step()
+            step = stepper.advance(u_coeffs, ut_coeffs, f_hat)
+            peaks = step[-1]
+            # the members' peaks decide the step: NaN fails the comparison
+            if not peaks.max() <= cfg.blowup_threshold:
+                recorder.flush()
+                blown = ~(peaks <= cfg.blowup_threshold)
+                for row in np.flatnonzero(blown):
+                    if np.isfinite(peaks[row]):
+                        final = state_from_coeffs(grid, t + cfg.dt, step[0][row], step[1][row])
+                    else:
+                        final = state_from_coeffs(grid, t, u_coeffs[row], ut_coeffs[row])
+                    outcomes[members[row].index] = members[row].outcome(final, t + 0.5 * cfg.dt)
+                if blown.all():
+                    return outcomes
+                members = [m for m, failed in zip(members, blown) if not failed]
+                recorder.close()
+                recorder = _Recorder(cfg, members)
+                step = stepper.retain(~blown, *step)
+            u_coeffs, ut_coeffs, u_values, f_hat, peaks = step
+        recorder.flush()
+    finally:
+        recorder.close()
     del recorder  # its arrays are not needed for the final states
     for row, m in enumerate(members):
         final = state_from_coeffs(grid, t, u_coeffs[row], ut_coeffs[row])

@@ -94,8 +94,8 @@ class Grid:
     per axis.  ``points`` must be even and at least 8; three-dimensional
     grids are capped at 128 points per axis to bound memory.
     The arrays of :meth:`freq_sq`, :meth:`derivative_freqs`,
-    :meth:`dealias_mask`, :meth:`radius_sq`, :meth:`boundary_mask` and
-    the radial levels and indices (:meth:`freq_levels`,
+    :meth:`dealias_mask`, :meth:`radius_sq`, :meth:`boundary_mask`,
+    :meth:`boundary_index` and the radial levels and indices (:meth:`freq_levels`,
     :meth:`freq_index`, :meth:`radius_levels`, :meth:`radius_index`) are
     built once per instance, on first use, and returned read-only."""
 
@@ -262,6 +262,12 @@ class Grid:
             mask[tuple(index)] = True
         return mask
 
+    @_built_once
+    def boundary_index(self) -> np.ndarray:
+        """Flat (C-order) indices of the :meth:`boundary_mask` points:
+        ``gather(values.reshape(*lead, -1), index)`` takes the shell."""
+        return np.flatnonzero(self.boundary_mask())
+
 
 @dataclass
 class RealField:
@@ -359,7 +365,7 @@ def gather(values: np.ndarray, index: np.ndarray, out: np.ndarray | None = None)
 
 def boundary_contaminated(edges: np.ndarray, peaks) -> np.ndarray:
     """Per field, True when its boundary shell values (the last axis of
-    ``edges``, taken as ``values[..., grid.boundary_mask()]``) exceed
+    ``edges``, gathered at ``grid.boundary_index()``) exceed
     BOUNDARY_FRACTION of its maximum ``peaks`` (max |values|, which the
     caller already holds), i.e. the periodic images have started to talk.
     The shell lies inside the field, so a zero or non-finite peak never

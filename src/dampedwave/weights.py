@@ -266,11 +266,14 @@ class EnergyAudit:
     snapshot rows of a trajectory.
 
     ``discrepancy`` is the largest signed violation (left side minus
-    right side, relative to the energy scale); negative values mean the
-    inequality held with slack everywhere.  ``violation`` clips it at
-    zero.  ``signed_source_min`` reports how negative the signed source
-    integral ever became; sign-changing solutions are thereby visible in
-    the audit rather than silently folded in.
+    right side, relative to the energy scale) over every row, t = 0
+    included.  At t = 0 both sides are E(0), so the excess there is zero
+    up to rounding and ``discrepancy`` never reports slack: it is at
+    least about zero even when the inequality holds everywhere else.
+    ``violation`` clips it at zero.  ``signed_source_min`` reports how
+    negative the signed source integral ever became; sign-changing
+    solutions are thereby visible in the audit rather than silently
+    folded in.
     """
 
     snapshots: int
@@ -313,9 +316,11 @@ def snapshot_integrals(
     values of u_t and the weight and its time derivative on the grid
     (``psi``, ``psi_dt``) at time t.  The energy, unless the caller holds
     this state's ``energy`` already, uses ``scratch``'s work arrays (see
-    :func:`spectral_energy`); then ``density`` holds |u|^p u, ``field``
-    its absolute value and ``ut_values`` each product in turn, so
-    ``ut_values`` may be ``scratch.ut_values``."""
+    :func:`spectral_energy`); then ``density`` holds |u|^p u and
+    ``field`` each product in turn.  The source products are the
+    absolute values of the signed ones (the weight is nonnegative, and
+    |a*b| is |a|*|b| in floating point), so ``ut_values`` is only read
+    and ``coeffs`` only by the energy."""
     if scratch is None:
         scratch = Scratch.for_grid(grid)
     if energy is None:
@@ -323,17 +328,14 @@ def snapshot_integrals(
     signed = np.abs(u_values, out=scratch.density)
     signed **= p
     signed *= u_values
-    source = np.abs(signed, out=scratch.field)
-    product = scratch.ut_values
     h = grid.cell_volume
-    return SnapshotIntegrals(
-        t=t,
-        energy=energy,
-        signed=float(h * np.sum(np.multiply(signed, psi, out=product))),
-        signed_dt=float(h * np.sum(np.multiply(signed, psi_dt, out=product))),
-        source=float(h * np.sum(np.multiply(source, psi, out=product))),
-        source_dt=float(h * np.sum(np.multiply(source, np.abs(psi_dt, out=product), out=product))),
-    )
+
+    def against(weight: np.ndarray) -> tuple[float, float]:
+        product = np.multiply(signed, weight, out=scratch.field)
+        return float(h * np.sum(product)), float(h * np.sum(np.abs(product, out=product)))
+
+    (signed_sum, source), (signed_dt, source_dt) = against(psi), against(psi_dt)
+    return SnapshotIntegrals(t, energy, signed_sum, signed_dt, source, source_dt)
 
 
 def _cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -20,7 +23,7 @@ from dampedwave.solver import (
     source_term,
 )
 from dampedwave.spectral import Grid, RealField, greens_multipliers
-from dampedwave.snapshots import read_snapshot
+from dampedwave.snapshots import read_snapshot, write_snapshot
 from dampedwave.weights import SnapshotIntegrals, WeightParams, weight_value, weighted_energy
 
 WEIGHT = WeightParams(4.0, 2.0)
@@ -477,8 +480,9 @@ ENSEMBLE_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3], ids=["1d", "2d", "3d"])
-def test_ensemble_members_match_single_runs(dim, tmp_path):
+def _mixed_ensemble(dim):
+    """Configs and data of the MEMBERS on the grid of ENSEMBLE_GRIDS[dim],
+    recording every 4 steps of 0.05."""
     grid, t_end = ENSEMBLE_GRIDS[dim]
     cfgs = [
         SolverConfig(
@@ -493,6 +497,12 @@ def test_ensemble_members_match_single_runs(dim, tmp_path):
         for p, _, dealias in MEMBERS
     ]
     datas = [(gaussian_field(grid, a, 1.5), zero_field(grid)) for _, a, _ in MEMBERS]
+    return cfgs, datas
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3], ids=["1d", "2d", "3d"])
+def test_ensemble_members_match_single_runs(dim, tmp_path):
+    cfgs, datas = _mixed_ensemble(dim)
     dirs = [tmp_path / "ensemble" / str(i) for i in range(len(MEMBERS))]
     outcomes = run_ensemble(cfgs, datas, snapshot_every=1.0, snapshot_dirs=dirs)
     statuses = [outcome.status for outcome in outcomes]
@@ -571,19 +581,7 @@ def test_record_blocks_equal_single_records(dim, monkeypatch, tmp_path):
     # alone; the members blow up at three different steps, one is
     # contaminated, and snapshots fall on and off record steps
     grid, t_end = ENSEMBLE_GRIDS[dim]
-    cfgs = [
-        SolverConfig(
-            problem=ProblemParams(dim, p, 2.0),
-            grid=grid,
-            weight=WEIGHT,
-            dt=0.05,
-            t_end=t_end,
-            dealias=dealias,
-            record_every=4,
-        )
-        for p, _, dealias in MEMBERS
-    ]
-    datas = [(gaussian_field(grid, a, 1.5), zero_field(grid)) for _, a, _ in MEMBERS]
+    cfgs, datas = _mixed_ensemble(dim)
 
     def run_with(points, measure, name):
         monkeypatch.setattr(solver, "RECORD_BLOCK_POINTS", points)
@@ -653,6 +651,123 @@ def test_3d_records_are_measured_from_the_live_arrays(monkeypatch):
     assert len(outcome.series) == len(measured) == 3
     for u_coeffs in measured[1:]:
         assert any(np.shares_memory(u_coeffs, own) for own in stepped)
+
+
+def _lagging(function, seconds=0.002):
+    """``function`` called after a sleep, so a worker running it lags
+    behind the loop before it reads its arguments."""
+
+    def lagging(*args, **kwargs):
+        time.sleep(seconds)
+        return function(*args, **kwargs)
+
+    return lagging
+
+
+@pytest.mark.parametrize("record_every", [4, 1])
+@pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
+def test_worker_jobs_equal_inline_jobs(dim, record_every, monkeypatch, tmp_path):
+    # without blocks every record and snapshot is a job for the worker
+    # thread; the members blow up at three different steps, one is
+    # contaminated, and snapshots fall on and off record steps (records
+    # every step post a job before the last one is waited for at a step).
+    # With the worker lagging and threads switching as often as they
+    # can, the outcomes and files equal those of running every job inline
+    cfgs, datas = _mixed_ensemble(dim)
+    cfgs = [replace(cfg, record_every=record_every) for cfg in cfgs]
+    monkeypatch.setattr(solver, "RECORD_BLOCK_POINTS", 0)
+
+    def run_into(name):
+        dirs = [tmp_path / name / str(i) for i in range(len(cfgs))]
+        return run_ensemble(cfgs, datas, snapshot_every=0.3, snapshot_dirs=dirs), dirs
+
+    with monkeypatch.context() as inline:
+        inline.setattr(solver._Recorder, "_submit", lambda self, job: job())
+        expected, expected_dirs = run_into("inline")
+    statuses = [outcome.status for outcome in expected]
+    assert RunStatus.BOUNDARY_CONTAMINATED in statuses
+    assert len({o.blowup_time for o in expected if o.blowup_time is not None}) == 3
+    completed = expected[statuses.index(RunStatus.COMPLETED)]
+    snapshot_times = {row.t for row in completed.snapshots}
+    on_records = len(snapshot_times & set(completed.series.column("t")))
+    assert 0 < on_records < len(snapshot_times) or record_every == 1
+
+    monkeypatch.setattr(solver, "measure", _lagging(diagnostics.measure))
+    monkeypatch.setattr(solver, "spectral_energy", _lagging(weights.spectral_energy))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, dirs = run_into("worker")
+    finally:
+        sys.setswitchinterval(interval)
+    for outcome, want, folder, want_folder in zip(got, expected, dirs, expected_dirs, strict=True):
+        assert outcome.status is want.status
+        assert outcome.blowup_time == want.blowup_time
+        assert outcome.series.rows == want.series.rows
+        assert outcome.snapshots == want.snapshots
+        written = sorted(folder.iterdir())
+        assert [f.name for f in written] == [f.name for f in sorted(want_folder.iterdir())]
+        assert all(f.read_bytes() == (want_folder / f.name).read_bytes() for f in written)
+
+
+def _at_once_run():
+    """A 3-D 32^3 run whose records do not fit twice in a block."""
+    grid = Grid(3, 16.0, 32)
+    cfg = SolverConfig(
+        problem=ProblemParams(3, 2.5, 1.65), grid=grid, weight=WeightParams(2.0, 1.65),
+        dt=0.05, t_end=0.5, record_every=2,
+    )
+    return cfg, (gaussian_field(grid, 0.05, 3.0), zero_field(grid))
+
+
+@pytest.mark.parametrize("failing", ["write", "measure"])
+def test_run_errors_propagate_and_stop_the_worker(failing, monkeypatch, tmp_path):
+    # the third snapshot write fails on the loop thread while the worker
+    # measures, or the third measurement fails on the worker; either way
+    # run raises the error and leaves no thread behind
+    cfg, data = _at_once_run()
+    calls, threads = [], []
+
+    def fail_third(function):
+        def failing_call(*args):
+            calls.append(1)
+            threads.append(threading.active_count())
+            if len(calls) == 3:
+                raise OSError("no space left")
+            return function(*args)
+
+        return failing_call
+
+    measure = _lagging(diagnostics.measure)
+    if failing == "write":
+        monkeypatch.setattr(solver, "write_snapshot", fail_third(write_snapshot))
+    else:
+        measure = fail_third(measure)
+    monkeypatch.setattr(solver, "measure", measure)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="no space left"):
+        run(cfg, data, snapshot_every=0.1, snapshot_dir=tmp_path)
+    assert threads[-1] == before + 1
+    assert threading.active_count() == before
+
+
+def test_only_runs_without_record_blocks_start_a_thread(monkeypatch, tmp_path):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    cfg = make_cfg(t_end=2.0)
+    data = (gaussian_field(cfg.grid, 0.05, 2.0), zero_field(cfg.grid))
+    assert run(cfg, data, snapshot_every=0.5, snapshot_dir=tmp_path / "1d").series
+    assert len(decay_profile(_at_once_run()[1], [0.0, 0.5, 1.0])) == 3
+    assert started == []
+    cfg, data = _at_once_run()
+    run(cfg, data, snapshot_every=0.1, snapshot_dir=tmp_path / "3d")
+    assert len(started) == 1 and not started[0].is_alive()
 
 
 def _allocating_advance(stepper, u_coeffs, ut_coeffs, f_hat):

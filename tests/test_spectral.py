@@ -196,6 +196,7 @@ GRID_ARRAYS = (
     Grid.radius_levels,
     Grid.radius_index,
     Grid.boundary_mask,
+    Grid.boundary_index,
 )
 
 

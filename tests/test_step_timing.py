@@ -26,6 +26,9 @@ def test_step_timing_prints_one_json_line():
     assert list(peaks) == ["1d_1024", "2d_256", "3d_48"]
     # a 48^3 field is 0.84 MiB, and a run holds more than ten of them
     assert 0.0 < peaks["1d_1024"] < peaks["3d_48"] and peaks["3d_48"] > 8.4
+    snapshot_run = result["snapshot_run"]
+    assert list(snapshot_run) == ["wall_ms", "cpu_ms"]
+    assert all(ms > 0.0 for ms in snapshot_run.values())
 
 
 def test_step_timing_rejects_no_repeats():
