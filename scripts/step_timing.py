@@ -3,7 +3,7 @@
 
 Times ``solver.Stepper.advance`` (one member), ``diagnostics.measure`` of
 one state, and ``measure`` of a full record block (the
-``solver.RECORD_BLOCK_POINTS // grid points`` states a run measures in
+``diagnostics.RECORD_BLOCK_POINTS // grid points`` states a run measures in
 one call, or one state where a run measures each record at once) on
 three grids: 1-D 1024 points (the shipped ``fujita_n1_p4``), 2-D 256^2
 (the grid of ``linear_decay_n2``) and 3-D 48^3 (perfbench's audit_3d
@@ -19,6 +19,9 @@ gives the wall and process CPU time in milliseconds of a 10-step
 one-member run on the 3-D grid that takes a snapshot and a record every
 step (the second of two runs): its records are measured on a worker
 thread while the loop steps, so CPU above wall shows the overlap.
+``decay_run`` gives the same for the second of two ``decay_profile``
+calls on the 2-D grid at 101 times with the data of ``linear_decay_n2``:
+each time is measured on a job thread while the next one is evolved.
 
 Usage:
     step_timing.py [--repeats N]
@@ -26,7 +29,7 @@ Usage:
 Prints one JSON line: ``{"repeats", "numpy", "advance_us": {grid: us},
 "measure_us": {grid: us}, "block_rows": {grid: rows},
 "block_record_us": {grid: us}, "run_peak_mib": {grid: MiB},
-"snapshot_run": {"wall_ms", "cpu_ms"}}``.  The package is imported from
+"snapshot_run": {"wall_ms", "cpu_ms"}, "decay_run": {"wall_ms", "cpu_ms"}}``.  The package is imported from
 this checkout's ``src``.
 """
 
@@ -50,10 +53,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from dampedwave.diagnostics import measure
+from dampedwave.diagnostics import RECORD_BLOCK_POINTS, measure
 from dampedwave.exponents import ProblemParams
 from dampedwave.initial_data import gaussian_field, zero_field
-from dampedwave.solver import RECORD_BLOCK_POINTS, SolverConfig, Stepper, run
+from dampedwave.propagator import decay_profile
+from dampedwave.solver import SolverConfig, Stepper, run
 from dampedwave.spectral import Grid
 from dampedwave.weights import Scratch, WeightParams, weight_on_grid, weight_value
 
@@ -147,6 +151,18 @@ def snapshot_run_ms(grid: Grid, p: float, weight: WeightParams, dt: float) -> di
     return {"wall_ms": round(1e3 * wall, 1), "cpu_ms": round(1e3 * cpu, 1)}
 
 
+def decay_run_ms(grid: Grid, weight: WeightParams) -> dict:
+    """Wall and process CPU milliseconds of the second of two
+    ``decay_profile`` calls on ``grid`` at the times 0, 1, ..., 100."""
+    data = (gaussian_field(grid, 1.0, 3.25), zero_field(grid))
+    times = np.linspace(0.0, 100.0, 101)
+    for _ in range(2):
+        wall, cpu = time.perf_counter(), time.process_time()
+        decay_profile(data, times, weight)
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    return {"wall_ms": round(1e3 * wall, 1), "cpu_ms": round(1e3 * cpu, 1)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=200, help="timed calls per grid")
@@ -160,6 +176,8 @@ def main(argv=None) -> int:
         for key, value in zip(keys, values):
             result[key][name] = value if key == "block_rows" else round(value, 1)
     result["snapshot_run"] = snapshot_run_ms(*CASES["3d_48"])
+    grid, _, weight, _ = CASES["2d_256"]
+    result["decay_run"] = decay_run_ms(grid, weight)
     print(json.dumps(result))
     return 0
 

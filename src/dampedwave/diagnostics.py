@@ -12,16 +12,94 @@ measures a block of record states at once.  Every reduction runs along
 one state's own contiguous entries (``np.vecdot`` and ``np.sum`` on
 ``(*lead, -1)`` reshapes), so each record holds the floats that
 measuring its state alone gives.
+
+Where a block of RECORD_BLOCK_POINTS grid points would not hold two
+record times (:func:`block_rows`), a caller measures each state as it
+comes, as a job for a :class:`JobThread` while it computes the next
+state: the run loop's recorder and the exact linear flow's
+``decay_profile`` alike.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from .spectral import Grid
 from .weights import Scratch, spectral_energy
+
+
+# Grid points of the record states a caller copies into one block to
+# measure together: 8 states of a 1,024-point grid.  Where the block would
+# hold fewer than two record times (48^3, 256^2), each state is measured
+# at once from the live arrays, on a job thread, and nothing is copied.
+RECORD_BLOCK_POINTS = 2**13
+
+# Seconds between checks that a waited-for job thread still runs.
+WORKER_WAIT_S = 10.0
+
+
+def block_rows(points: int) -> int:
+    """Record times of ``points`` grid points each that one block holds,
+    or 0 where fewer than two fit: the rule for starting a job thread."""
+    rows = RECORD_BLOCK_POINTS // points
+    return rows if rows >= 2 else 0
+
+
+class JobThread:
+    """Runs jobs one at a time in the order they are submitted, on one
+    worker thread started on the first job, or at once in :meth:`submit`
+    when ``inline``.  Submitting a job waits for the previous one, so a
+    job may read arrays that the caller overwrites only after its next
+    submit or :meth:`wait`; a job's exception is raised on the caller's
+    thread at that wait.  :meth:`close` stops the thread."""
+
+    def __init__(self, inline: bool = False):
+        self.inline = inline
+        self.thread, self.job, self.error = None, None, None
+        self.posted, self.done = threading.Semaphore(0), threading.Event()
+        self.done.set()
+
+    def submit(self, job) -> None:
+        """Run ``job`` after the previous one."""
+        if self.inline:
+            job()
+            return
+        if self.thread is None:
+            self.thread = threading.Thread(target=self._serve, daemon=True)
+            self.thread.start()
+        self.wait()
+        self.job = job
+        self.done.clear()
+        self.posted.release()
+
+    def wait(self) -> None:
+        """Wait for the submitted job and raise its error here."""
+        while not self.done.wait(WORKER_WAIT_S):
+            if not self.thread.is_alive():
+                raise RuntimeError("the job thread stopped during a job")
+        if self.error is not None:
+            error, self.error = self.error, None
+            raise error
+
+    def close(self) -> None:
+        """Stop the thread, dropping a job that has not begun."""
+        if self.thread is not None:
+            self.job = None
+            self.posted.release()
+            self.thread.join(WORKER_WAIT_S)
+            self.thread = None
+
+    def _serve(self) -> None:
+        """The worker thread: run each posted job until ``job`` is None."""
+        while self.posted.acquire() and (job := self.job) is not None:
+            try:
+                job()
+            except Exception as error:  # raised on the caller's thread by the next wait
+                self.error = error
+            self.done.set()
 
 
 def spectral_l2(

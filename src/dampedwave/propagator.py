@@ -20,12 +20,14 @@ call it with multipliers they evaluated beforehand.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import measure
+from .diagnostics import JobThread, block_rows, measure
 from .spectral import Grid, RealField, boundary_contaminated, gather, greens_multipliers
 from .timeseries import TimeSeries
 from .weights import Scratch, WeightParams, weight_on_grid, weight_value
@@ -115,11 +117,18 @@ def decay_profile(
     energy column; it defaults to offset 1, power 1.  A warning is
     issued when the boundary shell becomes contaminated.  Every time
     writes into the same arrays, allocated once per call.
+
+    Where ``diagnostics.block_rows`` holds fewer than two times of the
+    grid, each time's norms and energy are measured as a job for a
+    ``diagnostics.JobThread`` while this thread evolves the next time
+    into the other of two slots of arrays; the rows are the same.
     """
     u0, u1 = data
     if u0.grid != u1.grid:
         raise ValueError("data fields live on different grids")
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times.size and (np.any(np.diff(times) <= 0.0) or times[0] < 0.0):
         raise ValueError("times must be nonnegative and strictly increasing")
     if weight is None:
@@ -130,33 +139,57 @@ def decay_profile(
     freq_levels, freq_index = grid.freq_levels(), grid.freq_index()
     u_coeffs = grid.forward(u0.values)
     ut_coeffs = grid.forward(u1.values)
-    u_sum = u_coeffs + ut_coeffs
-    g, gdt, stiffness = (np.empty(grid.half_shape) for _ in range(3))
-    u_t, ut_t = np.empty_like(u_coeffs), np.empty_like(u_coeffs)
-    psi = np.empty(grid.shape)
+    # g and gdt share one buffer, which holds u's values once
+    # evolve_coeffs has read them
+    multipliers = np.empty((2, *grid.half_shape))
+    g, gdt = multipliers
+    u_values = _floats(multipliers, grid.shape)
+    stiffness = np.empty(grid.half_shape)
+    # a slot holds one time's coefficients of u and u_t and a work array
+    # whose floats then hold the weight; a job reads one slot while this
+    # thread fills the other
+    slots = []
+    for _ in range(2):
+        u_t, ut_t, work = (np.empty_like(u_coeffs) for _ in range(3))
+        slots.append((u_t, ut_t, work, _floats(work, grid.shape)))
     scratch = Scratch.for_grid(grid)
-    buffers = (u_t, ut_t, scratch.coeffs)
-    # u's values are done with before measure fills u_t's into the array
-    u_values = scratch.ut_values
-
+    jobs = JobThread(inline=bool(block_rows(grid.size)))
     shell = grid.boundary_index()
     series = TimeSeries()
+
+    def record(t: float, u_t: np.ndarray, ut_t: np.ndarray, psi: np.ndarray, peak: float) -> None:
+        (row,) = measure(grid, t, u_t, ut_t, psi, peak, scratch)
+        series.append(row)
+
     warned = False
-    for t in times.tolist():
-        g_levels, gdt_levels = greens_multipliers(t, freq_levels)
-        gather(g_levels, freq_index, out=g)
-        gather(gdt_levels, freq_index, out=gdt)
-        np.multiply(xi_sq, g, out=stiffness)
-        evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, stiffness, u_sum, out=buffers)
-        grid.inverse(u_t, u_values, scratch.coeffs)
-        peak = max(u_values.max(), -u_values.min())
-        if not warned and boundary_contaminated(gather(u_values.reshape(-1), shell), peak):
-            warnings.warn(
-                f"boundary shell contaminated at t={t}; enlarge the box",
-                stacklevel=2,
-            )
-            warned = True
-        weight_on_grid(weight_value, t, grid, weight, out=psi)
-        (record,) = measure(grid, t, u_t, ut_t, psi, peak, scratch)
-        series.append(record)
+    try:
+        for k, t in enumerate(times.tolist()):
+            # the job that read this slot was waited for at the last submit
+            u_t, ut_t, work, psi = slots[k % 2]
+            g_levels, gdt_levels = greens_multipliers(t, freq_levels)
+            gather(g_levels, freq_index, out=g)
+            gather(gdt_levels, freq_index, out=gdt)
+            np.multiply(xi_sq, g, out=stiffness)
+            u_sum = np.add(u_coeffs, ut_coeffs, out=u_t)
+            evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, stiffness, u_sum, out=(u_t, ut_t, work))
+            grid.inverse(u_t, u_values, work)
+            peak = max(u_values.max(), -u_values.min())
+            if not warned and boundary_contaminated(gather(u_values.reshape(-1), shell), peak):
+                warnings.warn(
+                    f"boundary shell contaminated at t={t}; enlarge the box",
+                    stacklevel=2,
+                )
+                warned = True
+            weight_on_grid(weight_value, t, grid, weight, out=psi)
+            jobs.submit(functools.partial(record, t, u_t, ut_t, psi, peak))
+        jobs.wait()
+    finally:
+        jobs.close()
     return series
+
+
+def _floats(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading floats of a contiguous real or complex ``buffer`` as an
+    array of ``shape``.  One complex half-spectrum array, or two real
+    ones, hold (M + 2) * M^(dim-1) floats: more than a field's M^dim."""
+    return buffer.reshape(-1).view(float)[: math.prod(shape)].reshape(shape)

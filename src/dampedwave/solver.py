@@ -33,11 +33,12 @@ blow-up time is the midpoint of the bracketing step, since divergence of
 the norms is the only available characterization of the maximal
 existence time.
 
-Record states are measured in blocks of up to RECORD_BLOCK_POINTS grid
-points, one stacked call per operation (:class:`_Recorder`); the rows
-are those of measuring every state alone.  Where a block would not hold
-two record times, each record and snapshot is measured on one worker
-thread while the loop takes the next step, with the same rows.
+Record states are measured in blocks of up to
+``diagnostics.RECORD_BLOCK_POINTS`` grid points, one stacked call per
+operation (:class:`_Recorder`); the rows are those of measuring every
+state alone.  Where a block would not hold two record times, each record
+and snapshot is measured on a ``diagnostics.JobThread`` while the loop
+takes the next step, with the same rows.
 """
 
 from __future__ import annotations
@@ -45,13 +46,12 @@ from __future__ import annotations
 import contextlib
 import enum
 import itertools
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import measure
+from .diagnostics import JobThread, block_rows, measure
 from .exponents import ProblemParams
 from .propagator import LinearState, evolve_coeffs, state_from_coeffs
 from .snapshots import write_snapshot
@@ -67,13 +67,6 @@ from .weights import (
     weight_on_grid,
     weight_value,
 )
-
-
-# Grid points of the record states a run copies into one block to measure
-# together: 8 states of a 1,024-point grid.  Where the block would hold
-# fewer than two record times of the ensemble (48^3, 256^2), each record
-# is measured at once from the live arrays and nothing is copied.
-RECORD_BLOCK_POINTS = 2**13
 
 
 class Nonlinearity(str, enum.Enum):
@@ -336,16 +329,12 @@ class _Member:
         return RunOutcome(status, final, self.series, blowup_time, self.snapshots)
 
 
-# Seconds between checks that a waited-for record worker still runs.
-WORKER_WAIT_S = 10.0
-
-
 class _Recorder:
     """Measures the members' record states into their series and takes
     their snapshots.
 
-    Where RECORD_BLOCK_POINTS holds two or more record times of the
-    members, :meth:`record` copies each member's coefficients, peak and
+    Where ``diagnostics.block_rows`` holds two or more record times of
+    the members, :meth:`record` copies each member's coefficients, peak and
     boundary-shell values into the next row of a block, and
     :meth:`flush` measures the filled rows together.  Otherwise, and on
     a snapshot step, the records are measured at once from the live
@@ -355,19 +344,19 @@ class _Recorder:
     it and makes another when members leave.
 
     Without a block, each measured state's coefficient work (norms,
-    gradient and u_t inverses, energies) is a job for one worker thread,
-    started on the first job, while the loop steps on; work that reads
+    gradient and u_t inverses, energies) is a job for a
+    ``diagnostics.JobThread`` while the loop steps on; work that reads
     u's values (the shell gather; for snapshots the u_t inverse, the
     integrals and the file) stays on the loop.  Jobs run one at a time in
-    time order, and :meth:`flush` waits for the last one.
+    time order, :meth:`flush` waits for the last one, and the loop closes
+    ``jobs`` when it drops the recorder.
     """
 
     def __init__(self, cfg: SolverConfig, members: list[_Member]):
         grid = self.grid = cfg.grid
         self.weight, self.members = cfg.weight, members
         self.shell = grid.boundary_index()
-        capacity = RECORD_BLOCK_POINTS // (grid.size * len(members))
-        self.capacity = capacity if capacity >= 2 else 0
+        self.capacity = block_rows(grid.size * len(members))
         lead = (max(self.capacity, 1), len(members))
         self.scratch = Scratch.for_grid(grid, lead)
         self.psi, self.psi_dt = np.empty((lead[0], *grid.shape)), None
@@ -378,9 +367,7 @@ class _Recorder:
             self.ut_coeffs = np.empty_like(self.u_coeffs)
             self.peaks = np.empty(lead)
             self.edges = np.empty(lead + self.shell.shape)
-        self.worker, self.job, self.error, self.age = None, None, None, 2
-        self.posted, self.done = threading.Semaphore(0), threading.Event()
-        self.done.set()
+        self.jobs, self.age = JobThread(inline=bool(self.capacity)), 2
 
     def record(self, t, u_coeffs, ut_coeffs, u_values, peaks) -> None:
         """The members' (stacked) states at t: one block row, or a job
@@ -401,8 +388,8 @@ class _Recorder:
             self.flush()
 
     def flush(self) -> None:
-        """Wait for the worker's job and measure the filled block rows."""
-        self._settle()
+        """Wait for the job thread and measure the filled block rows."""
+        self.jobs.wait()
         rows, self.filled = self.filled, 0
         if rows:
             self._measure(
@@ -452,47 +439,13 @@ class _Recorder:
         overwrites the coefficient pair the job reads."""
         self.age += 1
         if self.age == 2:
-            self._settle()
-
-    def close(self) -> None:
-        """Stop the worker thread, dropping a job that has not begun."""
-        if self.worker is not None:
-            self.job = None
-            self.posted.release()
-            self.worker.join(WORKER_WAIT_S)
-            self.worker = None
+            self.jobs.wait()
 
     def _submit(self, job) -> None:
         """Run ``job`` after the previous one: inline with a block, else on
-        the worker thread."""
-        if self.capacity:
-            job()
-            return
-        if self.worker is None:
-            self.worker = threading.Thread(target=self._serve, daemon=True)
-            self.worker.start()
-        self._settle()
-        self.job, self.age = job, 0
-        self.done.clear()
-        self.posted.release()
-
-    def _serve(self) -> None:
-        """The worker thread: run each posted job until ``job`` is None."""
-        while self.posted.acquire() and (job := self.job) is not None:
-            try:
-                job()
-            except Exception as error:  # raised on the loop thread by the next wait
-                self.error = error
-            self.done.set()
-
-    def _settle(self) -> None:
-        """Wait for the posted job and raise its error here."""
-        while not self.done.wait(WORKER_WAIT_S):
-            if not self.worker.is_alive():
-                raise RuntimeError("the record worker thread stopped during a job")
-        if self.error is not None:
-            error, self.error = self.error, None
-            raise error
+        the job thread."""
+        self.jobs.submit(job)
+        self.age = 0
 
     def _edges(self, u_values, out=None) -> np.ndarray:
         """Each member's boundary-shell values (members, shell points),
@@ -598,13 +551,13 @@ def run_ensemble(
                 if blown.all():
                     return outcomes
                 members = [m for m, failed in zip(members, blown) if not failed]
-                recorder.close()
+                recorder.jobs.close()
                 recorder = _Recorder(cfg, members)
                 step = stepper.retain(~blown, *step)
             u_coeffs, ut_coeffs, u_values, f_hat, peaks = step
         recorder.flush()
     finally:
-        recorder.close()
+        recorder.jobs.close()
     del recorder  # its arrays are not needed for the final states
     for row, m in enumerate(members):
         final = state_from_coeffs(grid, t, u_coeffs[row], ut_coeffs[row])

@@ -319,8 +319,8 @@ def greens_multipliers(t: float, xi_sq) -> tuple[np.ndarray | float, np.ndarray 
     velocity to the solution of the linear damped wave equation at time
     t, and its time derivative.  Floats for a scalar ``xi_sq``, arrays
     otherwise."""
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     xi_sq = np.asarray(xi_sq, dtype=np.float64)
     delta = 0.25 - np.atleast_1d(xi_sq)
     low = delta >= BRANCH_TOL

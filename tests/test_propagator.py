@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dampedwave
+from dampedwave import diagnostics, propagator
 from dampedwave.diagnostics import measure
 from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave.propagator import LinearState, decay_profile, evolve_coeffs, linear_evolve
@@ -157,6 +160,100 @@ def test_decay_profile_boundary_warning():
     data = (gaussian_field(g, 1.0, 2.0), zero_field(g))
     with pytest.warns(UserWarning, match="boundary"):
         decay_profile(data, [0.0, 20.0])
+
+
+def test_decay_profile_boundary_warning_with_a_job_thread():
+    # 96^2 points do not fit twice in a record block, so a job thread
+    # measures; the warning is still raised on the caller's thread, at
+    # the caller's line
+    g = Grid(2, 8.0, 96)
+    assert diagnostics.block_rows(g.size) == 0
+    data = (gaussian_field(g, 1.0, 2.0), zero_field(g))
+    with pytest.warns(UserWarning, match="boundary") as caught:
+        series = decay_profile(data, [0.0, 10.0, 20.0])
+    assert len(series) == 3 and len(caught) == 1
+    assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_decay_profile_rejects_non_finite_times(value, monkeypatch):
+    g = Grid(2, 30.0, 96)
+    data = (gaussian_field(g, 1.0, 4.0), zero_field(g))
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    monkeypatch.setattr(Grid, "forward", lambda *args, **kwargs: pytest.fail("transformed"))
+    with pytest.raises(ValueError, match="finite"):
+        decay_profile(data, [0.0, value])
+    with pytest.raises(ValueError, match="finite"):
+        decay_profile(data, [value])
+    assert started == []
+    with pytest.raises(ValueError, match="finite"):
+        greens_multipliers(value, 1.0)
+
+
+def _lagging(function, seconds=0.002):
+    """``function`` called after a sleep, so a job thread running it
+    lags behind the caller before it reads its arguments."""
+
+    def lagging(*args, **kwargs):
+        time.sleep(seconds)
+        return function(*args, **kwargs)
+
+    return lagging
+
+
+@pytest.mark.filterwarnings("ignore:boundary shell contaminated")
+@pytest.mark.parametrize("grid", [Grid(2, 30.0, 96), Grid(3, 16.0, 24)], ids=["2d", "3d"])
+def test_decay_profile_thread_jobs_equal_inline_jobs(grid, monkeypatch):
+    # the grid does not fit twice in a record block, so each time is
+    # measured by a job on the thread while the caller evolves the next;
+    # with the jobs lagging and threads switching as often as they can,
+    # the rows equal those of measuring every time inline
+    assert diagnostics.block_rows(grid.size) == 0
+    data = (gaussian_field(grid, 1.0, 3.0), gaussian_field(grid, 0.4, 2.5))
+    times = [0.0, 0.1, 0.35, 0.5, 1.0, 1.7, 2.0, 3.5, 5.0]
+    weight = WeightParams(3.0, 1.5)
+    with monkeypatch.context() as inline:
+        inline.setattr(diagnostics, "RECORD_BLOCK_POINTS", 2 * grid.size)
+        expected = decay_profile(data, times, weight)
+
+    threads = []
+
+    def recording_measure(*args):
+        threads.append(threading.current_thread())
+        return measure(*args)
+
+    monkeypatch.setattr(propagator, "measure", _lagging(recording_measure))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = decay_profile(data, times, weight)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == len(times)
+    assert threading.main_thread() not in threads and len(set(threads)) == 1
+    assert got.rows == expected.rows
+
+
+def test_decay_profile_errors_propagate_and_stop_the_thread(monkeypatch):
+    # the third measurement raises on the job thread; decay_profile
+    # raises it on the caller's thread and leaves no thread behind
+    g = Grid(2, 30.0, 96)
+    data = (gaussian_field(g, 1.0, 3.0), zero_field(g))
+    threads = []
+
+    def failing_measure(*args):
+        threads.append(threading.active_count())
+        if len(threads) == 3:
+            raise OSError("measure failed")
+        return measure(*args)
+
+    monkeypatch.setattr(propagator, "measure", _lagging(failing_measure))
+    before = threading.active_count()
+    with pytest.raises(OSError, match="measure failed"):
+        decay_profile(data, np.linspace(0.0, 5.0, 8))
+    assert threads == [before + 1] * 3
+    assert threading.active_count() == before
 
 
 def test_state_grid_mismatch_rejected():

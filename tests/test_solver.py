@@ -11,9 +11,9 @@ from scipy.integrate import solve_ivp
 from dampedwave.exponents import ProblemParams
 from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave import diagnostics, propagator, solver, weights
+from dampedwave.diagnostics import RECORD_BLOCK_POINTS
 from dampedwave.propagator import decay_profile, evolve_coeffs
 from dampedwave.solver import (
-    RECORD_BLOCK_POINTS,
     Nonlinearity,
     RunStatus,
     SolverConfig,
@@ -584,7 +584,7 @@ def test_record_blocks_equal_single_records(dim, monkeypatch, tmp_path):
     cfgs, datas = _mixed_ensemble(dim)
 
     def run_with(points, measure, name):
-        monkeypatch.setattr(solver, "RECORD_BLOCK_POINTS", points)
+        monkeypatch.setattr(diagnostics, "RECORD_BLOCK_POINTS", points)
         monkeypatch.setattr(solver, "measure", measure)
         dirs = [tmp_path / name / str(i) for i in range(len(cfgs))]
         return run_ensemble(cfgs, datas, snapshot_every=0.3, snapshot_dirs=dirs)
@@ -675,7 +675,7 @@ def test_worker_jobs_equal_inline_jobs(dim, record_every, monkeypatch, tmp_path)
     # can, the outcomes and files equal those of running every job inline
     cfgs, datas = _mixed_ensemble(dim)
     cfgs = [replace(cfg, record_every=record_every) for cfg in cfgs]
-    monkeypatch.setattr(solver, "RECORD_BLOCK_POINTS", 0)
+    monkeypatch.setattr(diagnostics, "RECORD_BLOCK_POINTS", 0)
 
     def run_into(name):
         dirs = [tmp_path / name / str(i) for i in range(len(cfgs))]
@@ -763,11 +763,13 @@ def test_only_runs_without_record_blocks_start_a_thread(monkeypatch, tmp_path):
     cfg = make_cfg(t_end=2.0)
     data = (gaussian_field(cfg.grid, 0.05, 2.0), zero_field(cfg.grid))
     assert run(cfg, data, snapshot_every=0.5, snapshot_dir=tmp_path / "1d").series
-    assert len(decay_profile(_at_once_run()[1], [0.0, 0.5, 1.0])) == 3
+    assert len(decay_profile(data, [0.0, 0.5, 1.0])) == 3
     assert started == []
     cfg, data = _at_once_run()
     run(cfg, data, snapshot_every=0.1, snapshot_dir=tmp_path / "3d")
-    assert len(started) == 1 and not started[0].is_alive()
+    assert len(started) == 1
+    assert len(decay_profile(data, [0.0, 0.5, 1.0])) == 3
+    assert len(started) == 2 and not any(thread.is_alive() for thread in started)
 
 
 def _allocating_advance(stepper, u_coeffs, ut_coeffs, f_hat):
