@@ -8,8 +8,10 @@ Both trees must hold the same set of files.  Every ``report.json`` must
 be equal once its ``timestamp`` and ``timings`` keys are dropped (they
 vary between identical invocations); every other file (series.csv,
 sweep.csv, snapshots) must be equal byte for byte.  Each difference is
-printed on its own line; the exit code is 0 for equal trees, 1 when
-there is a difference and 2 when an argument is not a directory.
+printed on its own line, a report's with the dotted path of every value
+that differs (``audits.weight_residual.min_residual``); the exit code is
+0 for equal trees, 1 when there is a difference and 2 when an argument
+is not a directory.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 from pathlib import Path
 
 VOLATILE = ("timestamp", "timings")
+MISSING = object()
 
 
 def _files(root: Path) -> set[str]:
@@ -34,6 +37,17 @@ def _report(path: Path) -> dict:
     return report
 
 
+def _paths(a, b, prefix: str = "") -> list[str]:
+    """Dotted paths of the values that differ between two JSON values,
+    descending into objects that both sides hold."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [prefix[:-1]]
+    paths = []
+    for key in sorted(a.keys() | b.keys()):
+        paths += _paths(a.get(key, MISSING), b.get(key, MISSING), f"{prefix}{key}.")
+    return paths
+
+
 def compare(old: Path, new: Path) -> list[str]:
     """One line per difference between the trees ``old`` and ``new``."""
     old_files, new_files = _files(old), _files(new)
@@ -41,8 +55,7 @@ def compare(old: Path, new: Path) -> list[str]:
     problems += [f"only in {new}: {name}" for name in sorted(new_files - old_files)]
     for name in sorted(old_files & new_files):
         if Path(name).name == "report.json":
-            a, b = _report(old / name), _report(new / name)
-            keys = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+            keys = _paths(_report(old / name), _report(new / name))
             if keys:
                 problems.append(f"differs: {name} (keys {', '.join(keys)})")
         elif (old / name).read_bytes() != (new / name).read_bytes():

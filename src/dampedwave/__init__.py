@@ -28,6 +28,7 @@ from .weights import (
     decay_norm,
     energy_audit,
     residual_audit,
+    slack_audit,
     source_bound_audit,
     weight_base,
     weight_dt,
@@ -68,6 +69,7 @@ __all__ = [
     "residual_audit",
     "run",
     "run_ensemble",
+    "slack_audit",
     "source_bound_audit",
     "suggested_weight_power",
     "weight_base",

@@ -42,7 +42,9 @@ def _positive(text: str) -> float:
 def _add_common(parser: argparse.ArgumentParser, snapshots: bool = False) -> None:
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="ignored: every audit is deterministic"
+    )
     parser.add_argument(
         "--expect-global",
         action="store_true",
@@ -136,15 +138,11 @@ def main(argv=None) -> int:
 
     try:
         if args.verb == "simulate":
-            report = experiments.simulate(
-                setup, args.out, snapshot_every=args.snapshots, seed=args.seed
-            )
+            report = experiments.simulate(setup, args.out, snapshot_every=args.snapshots)
         elif args.verb == "linear-decay":
             report = experiments.linear_decay(setup, args.out)
         elif args.verb == "energy-audit":
-            report = experiments.energy_audit_experiment(
-                setup, args.out, snapshot_every=args.snapshots, seed=args.seed
-            )
+            report = experiments.energy_audit_experiment(setup, args.out, args.snapshots)
         elif args.verb == "ckn-check":
             report = experiments.ckn_check(setup, args.out)
         elif args.verb == "sweep":

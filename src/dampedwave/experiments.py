@@ -32,10 +32,10 @@ from .solver import RunOutcome, run, run_ensemble
 from .timeseries import decay_fit
 from .weights import (
     MIN_AUDIT_SNAPSHOTS,
-    ResidualAudit,
+    SlackAudit,
     decay_norm,
     energy_audit,
-    residual_audit,
+    slack_audit,
     source_bound_audit,
 )
 
@@ -114,19 +114,13 @@ def _outcome_dict(outcome: RunOutcome) -> dict:
     }
 
 
-def simulate(
-    setup: RunSetup,
-    out_dir,
-    snapshot_every: float | None = None,
-    seed: int = 0,
-    audit_samples: int = 200_000,
-) -> dict:
+def simulate(setup: RunSetup, out_dir, snapshot_every: float | None = None) -> dict:
     """Full semilinear run with artifacts and audits.
 
     Snapshots (when requested) are written to ``out_dir/snapshots`` as
     the run takes them, and their rows feed the energy and source-bound
-    audits; the weight-slack Monte-Carlo audit runs regardless, seeded
-    for reproducibility.
+    audits; the slack of the run's own weight on its grid at t_end
+    (:func:`~dampedwave.weights.slack_audit`) is audited regardless.
     """
     out_dir = Path(out_dir)
     t0 = time.perf_counter()
@@ -134,20 +128,20 @@ def simulate(
     snap_dir = None if snapshot_every is None else out_dir / "snapshots"
     outcome = run(setup.solver, data, snapshot_every=snapshot_every, snapshot_dir=snap_dir)
     t_post = time.perf_counter()
-    residual = residual_audit(samples=audit_samples, seed=seed)
-    return _write_run(setup, out_dir, outcome, residual, t_post - t0, t_post)
+    slack = slack_audit(setup.solver.t_end, setup.grid, setup.weight)
+    return _write_run(setup, out_dir, outcome, slack, t_post - t0, t_post)
 
 
 def _write_run(
     setup: RunSetup,
     out_dir: Path,
     outcome: RunOutcome,
-    residual: ResidualAudit,
+    slack: SlackAudit,
     run_s: float,
     t_post: float,
 ) -> dict:
     """Series, audits and report of a finished run and its weight-slack
-    audit ``residual``.  ``run_s`` is the wall time that produced
+    audit ``slack``.  ``run_s`` is the wall time that produced
     ``outcome``; ``total_s`` adds the time since ``t_post``, the
     ``perf_counter`` reading at which this run's post-run work began."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -155,7 +149,7 @@ def _write_run(
     outcome.series.to_csv(out_dir / "series.csv")
 
     audits = report["audits"]
-    audits["weight_residual"] = residual.to_dict()
+    audits["weight_residual"] = slack.to_dict()
     rows = outcome.snapshots
     p = setup.problem.p
     if len(rows) >= MIN_AUDIT_SNAPSHOTS:
@@ -216,9 +210,7 @@ def linear_decay(setup: RunSetup, out_dir) -> dict:
     return report
 
 
-def energy_audit_experiment(
-    setup: RunSetup, out_dir, snapshot_every: float | None = None, seed: int = 0
-) -> dict:
+def energy_audit_experiment(setup: RunSetup, out_dir, snapshot_every: float | None = None) -> dict:
     """Semilinear run with snapshots dense enough for the trajectory
     audits: every ``snapshot_every`` time units (default 0.5), tightened
     so that the run keeps at least MIN_AUDIT_SNAPSHOTS of them.  A run
@@ -235,13 +227,7 @@ def energy_audit_experiment(
     if snapshot_every is None:
         snapshot_every = 0.5
     span = solver.t_end / (MIN_AUDIT_SNAPSHOTS - 1)
-    return simulate(
-        setup,
-        out_dir,
-        snapshot_every=min(snapshot_every, span),
-        seed=seed,
-        audit_samples=1_000_000,
-    )
+    return simulate(setup, out_dir, snapshot_every=min(snapshot_every, span))
 
 
 def ckn_check(setup: RunSetup, out_dir) -> dict:
@@ -309,9 +295,9 @@ def sweep(setup: RunSetup, out_dir) -> list[dict]:
     """One run per (p, amplitude) grid point, all stepped together as one
     ensemble in this process (memory is about the number of points times
     one run's fields).  Each point writes the artifacts of
-    :func:`simulate` (seed 0, 10,000 audit samples) into its own
-    directory.  The weight-slack audit depends on neither p nor the
-    amplitude, so it runs once and every report carries it.  A point's
+    :func:`simulate` into its own directory.  The weight-slack audit
+    reads only the grid, weight and t_end, which every point shares, so
+    it runs once and every report carries it.  A point's
     ``timings.run_s`` is the wall time of the shared work (building
     every point's data, stepping them as one ensemble and the one
     audit) and ``total_s`` adds the point's own post-run time.  A point
@@ -334,7 +320,7 @@ def sweep(setup: RunSetup, out_dir) -> list[dict]:
             results[index] = exc
     cfgs = [point_setup.solver for _, point_setup, _ in members]
     outcomes = run_ensemble(cfgs, [data for _, _, data in members])
-    residual = residual_audit(samples=10_000, seed=0)
+    slack = slack_audit(setup.solver.t_end, setup.grid, setup.weight)
     run_s = time.perf_counter() - t0
 
     point_dirs = _point_dirs(out_dir, points)
@@ -343,7 +329,7 @@ def sweep(setup: RunSetup, out_dir) -> list[dict]:
             if isinstance(outcome, Exception):
                 raise outcome
             report = _write_run(
-                point_setup, point_dirs[index], outcome, residual, run_s, time.perf_counter()
+                point_setup, point_dirs[index], outcome, slack, run_s, time.perf_counter()
             )
             results[index] = report["outcome"]
         except Exception as exc:

@@ -70,11 +70,9 @@ from .weights import (
 
 
 class Nonlinearity(str, enum.Enum):
-    """Source shape: the sign-definite |u|^p of the problem, the signed
-    |u|^(p-1)*u variant (exploration only), or disabled."""
+    """Source shape: the sign-definite |u|^p of the problem, or disabled."""
 
     SOURCE = "source"
-    SIGNED = "signed"
     NONE = "none"
 
 
@@ -131,11 +129,8 @@ class RunOutcome:
             raise ValueError("blowup_time must be present exactly for blow-up runs")
 
 
-def source_term(
-    u_values: np.ndarray, p: float, signed: bool = False, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Pointwise |u|^p (or |u|^(p-1)*u for the signed variant), written
-    into ``out`` when given.
+def source_term(u_values: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise |u|^p, written into ``out`` when given.
 
     Non-integer powers go through exp(p*log|u|) inside numpy, with the
     u = 0 limit equal to 0.  Overflow produces infinities which the
@@ -144,16 +139,8 @@ def source_term(
     """
     if not p > 1.0:
         raise ValueError(f"p must be > 1, got {p}")
-    return _raise_abs(np.abs(u_values, out=out), u_values, p, signed)
-
-
-def _raise_abs(f: np.ndarray, u_values: np.ndarray, p: float, signed: bool) -> np.ndarray:
-    """:func:`source_term` from |u_values| in ``f``, written in place."""
-    if signed:
-        f **= p - 1.0
-        f *= u_values
-    else:
-        f **= p
+    f = np.abs(u_values, out=out)
+    f **= p
     return f
 
 
@@ -248,19 +235,17 @@ class Stepper:
         ``peak`` is max |u_values| when the caller holds it: at or below
         :attr:`overflow_limit` the source is finite, so it is neither
         scanned nor evaluated under ``np.errstate``."""
-        kind = self.cfg.nonlinearity
-        if kind is Nonlinearity.NONE:
+        if self.cfg.nonlinearity is Nonlinearity.NONE:
             return None, None
-        signed = kind is Nonlinearity.SIGNED
         quiet = peak <= self.overflow_limit
         with contextlib.nullcontext() if quiet else np.errstate(over="ignore", invalid="ignore"):
             f = np.abs(u_values) if field is None else field
             if self.one_power:  # one exponent: one evaluation, no copies
-                _raise_abs(f, u_values, self.powers[0], signed)
+                f **= self.powers[0]
             else:
-                for row, p in enumerate(self.powers):
+                for member, p in zip(f, self.powers):
                     # a scalar exponent per member keeps numpy's p = 2 square path
-                    _raise_abs(f[row], u_values[row], p, signed)
+                    member **= p
         overflow = None
         if not quiet:
             finite = np.isfinite(f)

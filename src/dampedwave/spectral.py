@@ -28,8 +28,8 @@ every point among them, so a radial function is evaluated once per
 level and gathered onto the grid: ``f(levels)[index]`` is ``f(values)``
 bit for bit, since every function evaluated this way is elementwise.
 :func:`gather` places level values on the grid without allocating: the
-indices are native ``intp``, since ``np.take`` converts any other
-integer type to it with a full-size copy on every call.
+indices are native ``intp`` and reach ``np.take`` writeable, since it
+copies any other index in full on every call.
 
 FFT normalization: forward transform unscaled, inverse divides by
 M^dim (the numpy convention).  Physical-space norms carry the h^dim
@@ -63,16 +63,17 @@ BOUNDARY_FRACTION = 1e-8
 
 def _built_once(method):
     """Run a Grid array method once per instance and hand out the same
-    read-only array afterwards.  The cache sits outside the dataclass
+    read-only view of its array afterwards (the array itself stays
+    writeable for :func:`gather`).  The cache sits outside the dataclass
     fields, so equality and hashing ignore it, and pickling drops it."""
 
     @functools.wraps(method)
     def cached(self) -> np.ndarray:
         arrays = self.__dict__.setdefault("_arrays", {})
         if method.__name__ not in arrays:
-            array = method(self)
-            array.flags.writeable = False
-            arrays[method.__name__] = array
+            view = method(self).view()
+            view.flags.writeable = False
+            arrays[method.__name__] = view
         return arrays[method.__name__]
 
     return cached
@@ -359,7 +360,16 @@ def gather(values: np.ndarray, index: np.ndarray, out: np.ndarray | None = None)
     placed on the grid, written into ``out`` when given.  The indices of
     the radial levels are valid by construction, so mode "clip" never
     clips; the default mode "raise" would stage the result in a copy of
-    ``out`` on every call."""
+    ``out`` on every call.  A read-only view of a whole writeable array,
+    as every cached Grid index is, is taken through that array."""
+    base = index.base
+    if (
+        not index.flags.writeable
+        and isinstance(base, np.ndarray)
+        and base.flags.writeable
+        and (base.dtype, base.shape, base.strides) == (index.dtype, index.shape, index.strides)
+    ):
+        index = base
     return np.take(values, index, axis=-1, out=out, mode="clip")
 
 

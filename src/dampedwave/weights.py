@@ -9,12 +9,8 @@ where the left-hand ratio is *defined* through its algebraic
 simplification ``power * base^(power-1)`` (at x = 0 numerator and
 denominator both vanish and only the simplified form is meaningful).
 :func:`weight_residual` returns the slack of that bound; the Monte-Carlo
-audit samples it over the whole parameter box.  The audit streams its
-samples in blocks of AUDIT_BLOCK: the four coordinates (t, r, power,
-offset) come from four PCG64 generators with the same seed, generator j
-advanced by j * samples draws, so block by block they yield exactly the
-numbers that four consecutive full-length draws from one generator
-would, and the running minimum equals the one-shot minimum bit for bit.
+:func:`residual_audit` samples it over the whole parameter box, and
+:func:`slack_audit` evaluates it for one run's own weight and grid.
 
 The weighted energy of a state (u, u_t) is the h^dim quadrature of
 (|u_t|^2 + |grad u|^2) * weight, with the gradient computed spectrally.
@@ -39,9 +35,6 @@ from .spectral import Grid, gather
 # The trajectory audits need at least this many snapshots; runs with
 # fewer skip them.
 MIN_AUDIT_SNAPSHOTS = 50
-
-# Samples per block of the residual audit: 64 KB per float64 array.
-AUDIT_BLOCK = 8_192
 
 
 @dataclass(frozen=True)
@@ -122,17 +115,6 @@ class ResidualAudit:
         return {**asdict(self), "passed": self.passed}
 
 
-def _audit_streams(samples: int, seed: int) -> list[np.random.Generator]:
-    """Four generators seeded with ``seed``, the j-th advanced by
-    j * samples draws: generator j yields what draw j of one
-    ``default_rng(seed)`` making four ``samples``-long uniform draws in a
-    row would (PCG64 spends one 64-bit output per double)."""
-    streams = [np.random.default_rng(seed) for _ in range(4)]
-    for j, rng in enumerate(streams):
-        rng.bit_generator.advance(j * samples)
-    return streams
-
-
 def residual_audit(
     samples: int = 1_000_000,
     seed: int = 0,
@@ -147,33 +129,49 @@ def residual_audit(
     equality corner offset = power/2, x = 0, t = 0 for a few small
     powers where the arithmetic is exact in floating point.
 
-    The samples are drawn and evaluated AUDIT_BLOCK at a time, each
-    coordinate from its own generator of :func:`_audit_streams`, and the
-    minimum is kept running; memory stays at a few blocks whatever
-    ``samples`` is, and the result is the one of drawing t, r, power and
-    offset in full from one ``default_rng(seed)``, bit for bit.
+    Draws t, r, power and offset in that order, each in full, from one
+    ``default_rng(seed)``.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    t_rng, r_rng, power_rng, offset_rng = _audit_streams(samples, seed)
-    min_residual = np.inf
-    for start in range(0, samples, AUDIT_BLOCK):
-        n = min(AUDIT_BLOCK, samples - start)
-        t = t_rng.uniform(0.0, t_max, n)
-        r_sq = r_rng.uniform(0.0, radius_max, n) ** 2
-        power = power_rng.uniform(0.0, power_max, n)
-        power = np.where(power == 0.0, power_max, power)  # (0, power_max]
-        offset = offset_rng.uniform(0.5, 10.0, n) * power
-
-        base = offset + r_sq / (1.0 + t)
-        residual = 2.0 * base**power - power * base ** (power - 1.0)
-        min_residual = np.minimum(min_residual, np.min(residual))  # NaN propagates
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, t_max, samples)
+    r_sq = rng.uniform(0.0, radius_max, samples) ** 2
+    power = rng.uniform(0.0, power_max, samples)
+    power = np.where(power == 0.0, power_max, power)  # (0, power_max]
+    offset = rng.uniform(0.5, 10.0, samples) * power
+    base = offset + r_sq / (1.0 + t)
+    residual = 2.0 * base**power - power * base ** (power - 1.0)
+    min_residual = np.min(residual)  # NaN propagates
 
     gap = 0.0
     for p in (0.5, 1.0, 2.0, 3.0):
         corner = WeightParams(offset=0.5 * p, power=p)
         gap = max(gap, abs(float(weight_residual(0.0, 0.0, corner))))
     return ResidualAudit(samples=samples, min_residual=float(min_residual), equality_gap=gap)
+
+
+@dataclass
+class SlackAudit:
+    points: int
+    min_residual: float
+
+    @property
+    def passed(self) -> bool:
+        return self.min_residual >= -1e-12
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "passed": self.passed}
+
+
+def slack_audit(t: float, grid: Grid, w: WeightParams) -> SlackAudit:
+    """The slack of one run's weight at every distinct |x|^2 of its grid
+    at time t.  At each |x| the base falls with t, and where base >=
+    power/2 the slack base^(power-1) * (2*base - power) rises with the
+    base, so the minimum at a run's last time bounds every earlier one.
+    A weight with offset < power/2 fails at x = 0 at every t."""
+    residual = weight_residual(t, grid.radius_levels(), w)
+    return SlackAudit(points=residual.size, min_residual=float(np.min(residual)))
 
 
 # ---------------------------------------------------------------------------

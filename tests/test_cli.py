@@ -271,21 +271,24 @@ def test_sweep_single_point_matches_simulate(grid_sweep, tmp_path, p, amplitude)
 
 
 def test_sweep_runs_one_residual_audit(monkeypatch, tmp_path):
-    # the weight-slack audit depends on neither p nor the amplitude: one
-    # audit serves every point, and each report carries it
+    # the weight-slack audit reads only the grid, weight and t_end, which
+    # every point shares: one evaluation serves every point, and each
+    # report carries it
     calls = []
-    original = experiments.residual_audit
+    original = experiments.slack_audit
 
-    def counted(**kwargs):
-        calls.append(kwargs)
-        return original(**kwargs)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(experiments, "residual_audit", counted)
+    monkeypatch.setattr(experiments, "slack_audit", counted)
     cfg = write_cfg(tmp_path, SMALL + "sweep.p = 2.0, 4.0\nsweep.amplitude = 0.01, 0.02\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    assert calls == [{"samples": 10_000, "seed": 0}]
-    expected = original(samples=10_000, seed=0).to_dict()
+    setup = load_setup(cfg)
+    assert calls == [(5.0, setup.grid, setup.weight)]
+    expected = original(5.0, setup.grid, setup.weight).to_dict()
+    assert expected["points"] == setup.grid.radius_levels().size and expected["passed"]
     points = sorted(path for path in out.iterdir() if path.is_dir())
     assert len(points) == 4
     for point in points:

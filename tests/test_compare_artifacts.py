@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from dampedwave.cli import main as dampedwave_main
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_artifacts.py"
 spec = importlib.util.spec_from_file_location("compare_artifacts", SCRIPT)
 compare_artifacts = importlib.util.module_from_spec(spec)
@@ -33,8 +35,37 @@ def test_compare_artifacts_on_two_tiny_trees(tmp_path, capsys):
     assert lines == [
         f"only in {old}: sweep.csv",
         f"only in {new}: extra.csv",
-        "differs: run/report.json (keys outcome)",
+        "differs: run/report.json (keys outcome.status)",
         "differs: run/series.csv",
         "4 difference(s)",
     ]
     assert compare_artifacts.main([str(old), str(tmp_path / "missing")]) == 2
+
+
+def test_compare_artifacts_names_the_nested_values_that_differ(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    audit = {"points": 513, "min_residual": 0.5, "passed": True}
+    write_tree(old, {"audits": {"weight_residual": audit, "energy": {"violation": 0.0}}})
+    changed = {**audit, "min_residual": 0.25}
+    write_tree(new, {"audits": {"weight_residual": changed}, "outcome": None})
+    assert compare_artifacts.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: run/report.json (keys audits.energy, audits.weight_residual.min_residual, "
+        "outcome)",
+        "1 difference(s)",
+    ]
+
+
+def test_simulate_artifacts_do_not_depend_on_the_seed(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "problem.dim = 1\nproblem.p = 4.0\nweight.lambda = 2.0\nweight.A = 4.0\n"
+        "grid.L = 40.0\ngrid.M = 128\nsolver.dt = 0.05\nsolver.t_end = 5.0\n"
+        "data.amplitude = 0.01\ndata.width = 2.0\n"
+    )
+    for seed in (1, 2):
+        out = tmp_path / f"seed{seed}"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out), "--seed", str(seed)]
+        assert dampedwave_main([*argv, "--snapshots", "1.0"]) == 0
+    assert compare_artifacts.main([str(tmp_path / "seed1"), str(tmp_path / "seed2")]) == 0
+    assert "0 difference(s)" in capsys.readouterr().out

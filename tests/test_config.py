@@ -51,11 +51,14 @@ def test_unknown_key_reports_line():
 
 
 def test_bad_value_reports_key_and_line():
-    text = GOOD.replace("grid.M = 256", "grid.M = many")
-    with pytest.raises(ConfigError) as err:
-        load_setup_text(text)
-    message = str(err.value)
-    assert "grid.M" in message and "many" in message
+    for key, value, text in (
+        ("grid.M", "many", GOOD.replace("grid.M = 256", "grid.M = many")),
+        ("solver.nonlinearity", "signed", GOOD + "\nsolver.nonlinearity = signed\n"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            load_setup_text(text)
+        message = str(err.value)
+        assert key in message and value in message and "line" in message
 
 
 def test_duplicate_key_rejected():

@@ -55,11 +55,6 @@ def test_source_is_absolute_power():
     np.testing.assert_array_equal(values, 8.0)
 
 
-def test_source_signed_variant():
-    values = source_term(np.full(4, -2.0), 3.0, signed=True)
-    np.testing.assert_array_equal(values, -8.0)
-
-
 def test_source_matches_elementwise_square():
     rng = np.random.default_rng(2)
     u = rng.standard_normal(64)
@@ -236,15 +231,6 @@ def test_run_snapshot_cadence(tmp_path):
     files = sorted((tmp_path / "snaps").glob("*.dwsn"))
     assert [f.name for f in files] == [f"snap_{i:06d}.dwsn" for i in range(11)]
     assert [read_snapshot(f)[0].t for f in files] == times
-
-
-def test_run_signed_variant_differs():
-    cfg_source = make_cfg(t_end=5.0)
-    cfg_signed = make_cfg(t_end=5.0, nonlinearity=Nonlinearity.SIGNED)
-    data = (gaussian_field(cfg_source.grid, -0.5, 2.0), zero_field(cfg_source.grid))
-    u_source = run(cfg_source, data).final_state.u.values
-    u_signed = run(cfg_signed, data).final_state.u.values
-    assert np.max(np.abs(u_source - u_signed)) > 1e-6
 
 
 def test_config_validation():
@@ -776,7 +762,6 @@ def _allocating_advance(stepper, u_coeffs, ut_coeffs, f_hat):
     """One step with a fresh array for every intermediate, as the
     stepper computed it before it wrote into arrays of its own."""
     grid, half_dt = stepper.cfg.grid, 0.5 * stepper.cfg.dt
-    signed = stepper.cfg.nonlinearity is Nonlinearity.SIGNED
     ut_coeffs = ut_coeffs + half_dt * f_hat
     stiffness = stepper.xi_sq * stepper.g
     u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, stepper.g, stepper.gdt, stiffness)
@@ -785,8 +770,7 @@ def _allocating_advance(stepper, u_coeffs, ut_coeffs, f_hat):
     f = np.empty_like(u_values)
     with np.errstate(over="ignore", invalid="ignore"):
         for row, p in enumerate(stepper.powers):
-            magnitude = np.abs(u_values[row])
-            f[row] = magnitude ** (p - 1.0) * u_values[row] if signed else magnitude**p
+            f[row] = np.abs(u_values[row]) ** p
     overflow = ~np.all(np.isfinite(f), axis=grid.axes)
     f[overflow] = 0.0
     peaks[overflow] = np.inf
@@ -796,7 +780,7 @@ def _allocating_advance(stepper, u_coeffs, ut_coeffs, f_hat):
     return u_new, ut_new + half_dt * f_star, u_values, f_star, peaks
 
 
-@pytest.mark.parametrize("kind", [Nonlinearity.SOURCE, Nonlinearity.SIGNED])
+@pytest.mark.parametrize("kind", [Nonlinearity.SOURCE])
 @pytest.mark.parametrize("dim", [1, 2, 3], ids=["1d", "2d", "3d"])
 def test_step_arrays_give_the_allocating_step(dim, kind):
     # steps write into arrays made once (the coefficients into two pairs
@@ -831,7 +815,7 @@ def test_step_arrays_give_the_allocating_step(dim, kind):
         assert all(a is b for a, b in zip(earlier, later))
 
 
-@pytest.mark.parametrize("kind", [Nonlinearity.SOURCE, Nonlinearity.SIGNED])
+@pytest.mark.parametrize("kind", [Nonlinearity.SOURCE])
 def test_overflow_limit_keeps_the_full_check_above_it(kind):
     # the largest peak, 1e100, is above the limit of the p = 4 member
     # (1e75): only that member's source overflows, though every peak is
@@ -978,7 +962,7 @@ def test_ensemble_members_own_their_arrays_after_retain(dim, tmp_path):
         dict(record_every=2),
         dict(blowup_threshold=1e8),
         dict(weight=WeightParams(5.0, 2.0)),
-        dict(nonlinearity=Nonlinearity.SIGNED),
+        dict(nonlinearity=Nonlinearity.NONE),
         dict(grid=Grid(1, 40.0, 128)),
     ],
     ids=["dt", "t_end", "record_every", "threshold", "weight", "nonlinearity", "grid"],

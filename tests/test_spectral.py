@@ -246,6 +246,27 @@ def test_radial_levels_give_the_full_grid_values(dim):
                 assert np.array_equal(weight_on_grid(weight_fn, t, g, w), expected)
 
 
+def test_gather_takes_the_cached_index_without_copying_it():
+    # np.take copies a read-only index in full on every call (885 KB of
+    # intp at 48^3); a cached index reaches it through its writeable array
+    g = Grid(3, 24.0, 48)
+    levels, index = g.radius_levels(), g.radius_index()
+    out = np.empty(g.shape)
+    gather(levels, index, out=out)
+    tracemalloc.start()
+    try:
+        assert gather(levels, index, out=out) is out
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+    assert np.array_equal(out, g.radius_sq()) and not index.flags.writeable
+    # a view of the array with another layout is taken as it is
+    line = Grid(1, 24.0, 48)
+    reversed_index = line.radius_index()[::-1]
+    assert np.array_equal(gather(line.radius_levels(), reversed_index), line.radius_sq()[::-1])
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_half_spectrum_layout_matches_full_layout(dim):
     # freq_sq and the 2/3 dealias mask on the real-FFT layout are the

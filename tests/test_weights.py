@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,15 +12,14 @@ from dampedwave.exponents import ProblemParams
 from dampedwave.snapshots import read_snapshot
 from dampedwave.solver import Nonlinearity, SolverConfig, run
 from dampedwave.weights import (
-    AUDIT_BLOCK,
     MIN_AUDIT_SNAPSHOTS,
     ResidualAudit,
     Scratch,
     WeightParams,
-    _audit_streams,
     decay_norm,
     energy_audit,
     residual_audit,
+    slack_audit,
     snapshot_integrals,
     source_bound_audit,
     spectral_energy,
@@ -97,8 +95,8 @@ def test_residual_audit_small():
 
 
 def _one_shot_residual_audit(samples, seed, t_max=100.0, radius_max=50.0, power_max=10.0):
-    """The audit drawing every sample at once, as it did before it
-    streamed blocks: the reference the streamed audit must reproduce."""
+    """The audit's draws written out: t, r, power and offset, each in
+    full from one generator.  The audit must reproduce it bit for bit."""
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, t_max, samples)
     r_sq = rng.uniform(0.0, radius_max, samples) ** 2
@@ -113,11 +111,8 @@ def _one_shot_residual_audit(samples, seed, t_max=100.0, radius_max=50.0, power_
     return ResidualAudit(samples=samples, min_residual=float(np.min(residual)), equality_gap=gap)
 
 
-# around one block, and around 8 blocks (65,536) and 24 blocks (196,608)
 @pytest.mark.parametrize(
-    "samples",
-    [1, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1, 65_535, 65_536, 65_537, 196_615,
-     200_000, 1_000_000],
+    "samples", [1, 8_191, 8_192, 8_193, 65_535, 65_536, 65_537, 196_615, 200_000, 1_000_000]
 )
 @pytest.mark.parametrize("seed", [0, 7, 12345])
 def test_streamed_residual_audit_equals_one_shot(samples, seed):
@@ -125,28 +120,34 @@ def test_streamed_residual_audit_equals_one_shot(samples, seed):
     assert residual_audit(samples, seed).to_dict() == expected
 
 
-@pytest.mark.parametrize("samples", [1, AUDIT_BLOCK + 1, 3 * AUDIT_BLOCK + 7, 65_537, 196_615])
-def test_audit_streams_continue_the_one_shot_draws(samples):
-    # generator j, advanced by j * samples, draws block by block what the
-    # j-th full-length draw of one generator holds
-    rng = np.random.default_rng(3)
-    one_shot = [rng.uniform(0.0, 1.0, samples) for _ in range(4)]
-    for stream, expected in zip(_audit_streams(samples, 3), one_shot):
-        sizes = [min(AUDIT_BLOCK, samples - start) for start in range(0, samples, AUDIT_BLOCK)]
-        blocks = [stream.uniform(0.0, 1.0, n) for n in sizes]
-        assert np.array_equal(np.concatenate(blocks), expected)
+def test_residual_audit_prints_the_pinned_minimum():
+    # acceptance criterion 1's line: 1e6 samples of seed 0
+    audit = residual_audit(samples=1_000_000, seed=0)
+    assert audit.min_residual == pytest.approx(0.003027460636158663, rel=1e-12, abs=0.0)
+    assert audit.equality_gap == 0.0
 
 
-def test_residual_audit_memory_is_a_few_blocks():
-    # drawing all 1e6 samples at once peaks at about 64 MB
-    residual_audit(samples=1_000, seed=0)  # imports and first-call caches
-    tracemalloc.start()
-    try:
-        residual_audit(samples=1_000_000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_slack_audit_reads_the_run_weight_on_its_grid(dim):
+    grid = Grid(dim, 10.0, 16)
+    w = WeightParams(2.0, 1.65)
+    audit = slack_audit(5.0, grid, w)
+    levels = grid.radius_levels()
+    assert audit.points == levels.size
+    assert audit.min_residual == np.min(weight_residual(5.0, levels, w)) > 0.0
+    expected = {"points": levels.size, "min_residual": audit.min_residual, "passed": True}
+    assert audit.to_dict() == expected
+    # the minimum at the last time bounds every earlier time
+    for t in (0.0, 1.0, 4.9):
+        assert np.min(weight_residual(t, levels, w)) >= audit.min_residual
+    # at the equality corner the slack is zero at x = 0, and passes
+    assert slack_audit(5.0, grid, WeightParams(1.0, 2.0)).passed
+    # offset < power/2: the x = 0 level is negative at every time
+    bad = WeightParams(0.9, 2.0, validate=False)
+    for t in (0.0, 5.0, 1e6):
+        audit = slack_audit(t, grid, bad)
+        assert not audit.passed and not audit.to_dict()["passed"]
+        assert audit.min_residual == pytest.approx(0.9 * (1.8 - 2.0))
 
 
 @pytest.mark.parametrize("samples", [0, -3])
