@@ -17,8 +17,11 @@ on the second of two runs so that the grid's cached arrays are not
 counted: memory regressions of the run loop show here.  ``snapshot_run``
 gives the wall and process CPU time in milliseconds of a 10-step
 one-member run on the 3-D grid that takes a snapshot and a record every
-step (the second of two runs): its records are measured on a worker
-thread while the loop steps, so CPU above wall shows the overlap.
+step (the second of two runs): its records and snapshots are jobs for a
+worker thread while the loop steps, so CPU above wall shows the overlap.
+``audit_run`` gives the same for a 20-step run on that grid at the
+cadence of perfbench's audit_3d (a record every 5 steps, a snapshot every
+5/49 time units), a check of that workload without its calibration.
 ``decay_run`` gives the same for the second of two ``decay_profile``
 calls on the 2-D grid at 101 times with the data of ``linear_decay_n2``:
 each time is measured on a job thread while the next one is evolved.
@@ -29,8 +32,9 @@ Usage:
 Prints one JSON line: ``{"repeats", "numpy", "advance_us": {grid: us},
 "measure_us": {grid: us}, "block_rows": {grid: rows},
 "block_record_us": {grid: us}, "run_peak_mib": {grid: MiB},
-"snapshot_run": {"wall_ms", "cpu_ms"}, "decay_run": {"wall_ms", "cpu_ms"}}``.  The package is imported from
-this checkout's ``src``.
+"snapshot_run": {"wall_ms", "cpu_ms"}, "audit_run": {"wall_ms", "cpu_ms"},
+"decay_run": {"wall_ms", "cpu_ms"}}``.  The package is imported from this
+checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -135,18 +139,22 @@ def run_peak_mib(grid: Grid, p: float, weight: WeightParams, dt: float) -> float
     return peak / 2**20
 
 
-def snapshot_run_ms(grid: Grid, p: float, weight: WeightParams, dt: float) -> dict:
-    """Wall and process CPU milliseconds of the second of two 10-step
-    runs on ``grid`` with a snapshot and a record every step."""
+def run_ms(
+    grid: Grid, p: float, weight: WeightParams, dt: float,
+    steps: int, record_every: int, snapshot_every: float,
+) -> dict:
+    """Wall and process CPU milliseconds of the second of two runs of
+    ``steps`` steps on ``grid`` with a record every ``record_every`` steps
+    and a snapshot every ``snapshot_every`` time units."""
     cfg = SolverConfig(
         problem=ProblemParams(grid.dim, p, weight.power), grid=grid, weight=weight, dt=dt,
-        t_end=10 * dt, record_every=1,
+        t_end=steps * dt, record_every=record_every,
     )
     data = (gaussian_field(grid, 0.01, 2.0), zero_field(grid))
     with tempfile.TemporaryDirectory() as snapshot_dir:
         for _ in range(2):
             wall, cpu = time.perf_counter(), time.process_time()
-            run(cfg, data, snapshot_every=dt, snapshot_dir=snapshot_dir)
+            run(cfg, data, snapshot_every=snapshot_every, snapshot_dir=snapshot_dir)
             wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     return {"wall_ms": round(1e3 * wall, 1), "cpu_ms": round(1e3 * cpu, 1)}
 
@@ -175,7 +183,9 @@ def main(argv=None) -> int:
         values = (*time_grid(*case, args.repeats), run_peak_mib(*case))
         for key, value in zip(keys, values):
             result[key][name] = value if key == "block_rows" else round(value, 1)
-    result["snapshot_run"] = snapshot_run_ms(*CASES["3d_48"])
+    case = CASES["3d_48"]
+    result["snapshot_run"] = run_ms(*case, steps=10, record_every=1, snapshot_every=case[3])
+    result["audit_run"] = run_ms(*case, steps=20, record_every=5, snapshot_every=5.0 / 49)
     grid, _, weight, _ = CASES["2d_256"]
     result["decay_run"] = decay_run_ms(grid, weight)
     print(json.dumps(result))

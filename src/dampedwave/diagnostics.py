@@ -34,7 +34,7 @@ from .weights import Scratch, spectral_energy
 # Grid points of the record states a caller copies into one block to
 # measure together: 8 states of a 1,024-point grid.  Where the block would
 # hold fewer than two record times (48^3, 256^2), each state is measured
-# at once from the live arrays, on a job thread, and nothing is copied.
+# alone, by a job on a thread, while the caller computes the next.
 RECORD_BLOCK_POINTS = 2**13
 
 # Seconds between checks that a waited-for job thread still runs.

@@ -37,8 +37,10 @@ Record states are measured in blocks of up to
 ``diagnostics.RECORD_BLOCK_POINTS`` grid points, one stacked call per
 operation (:class:`_Recorder`); the rows are those of measuring every
 state alone.  Where a block would not hold two record times, each record
-and snapshot is measured on a ``diagnostics.JobThread`` while the loop
-takes the next step, with the same rows.
+and snapshot is a job for a ``diagnostics.JobThread`` while the loop
+steps on: the loop copies the state into arrays the job owns, and the
+job does all of the measuring, weighting and snapshot writing, with the
+same rows and files.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .weights import (
     WeightParams,
     snapshot_integrals,
     spectral_energy,
-    weight_dt,
     weight_on_grid,
     weight_value,
 )
@@ -127,21 +128,6 @@ class RunOutcome:
         has_time = self.blowup_time is not None
         if has_time != (self.status is RunStatus.BLEW_UP):
             raise ValueError("blowup_time must be present exactly for blow-up runs")
-
-
-def source_term(u_values: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise |u|^p, written into ``out`` when given.
-
-    Non-integer powers go through exp(p*log|u|) inside numpy, with the
-    u = 0 limit equal to 0.  Overflow produces infinities which the
-    caller treats as a blow-up candidate; a caller that may overflow
-    silences numpy's floating-point warnings around the call.
-    """
-    if not p > 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
-    f = np.abs(u_values, out=out)
-    f **= p
-    return f
 
 
 class _StepArrays:
@@ -318,124 +304,110 @@ class _Recorder:
     """Measures the members' record states into their series and takes
     their snapshots.
 
-    Where ``diagnostics.block_rows`` holds two or more record times of
-    the members, :meth:`record` copies each member's coefficients, peak and
-    boundary-shell values into the next row of a block, and
-    :meth:`flush` measures the filled rows together.  Otherwise, and on
-    a snapshot step, the records are measured at once from the live
-    arrays, after a flush.  Each state is measured once, each series gets
-    its rows in time order, and the weight is evaluated once per time
-    for all members.  A recorder serves one member list: the loop flushes
-    it and makes another when members leave.
+    At a record time the loop copies the members' coefficients, peaks and
+    boundary-shell values into the next row of arrays the recorder owns:
+    a block of ``diagnostics.block_rows`` rows where that holds two or
+    more record times of the members, else one row.  A full block, and
+    the rows left at :meth:`flush` or before a snapshot, is measured by
+    one job.  A snapshot is one job on row 0 that also gets u's values,
+    in ``scratch.field``.  Each state is measured once, each series gets
+    its rows in time order, and the weight is evaluated once per time for
+    all members.  A recorder serves one member list: the loop flushes it
+    and makes another when members leave.
 
-    Without a block, each measured state's coefficient work (norms,
-    gradient and u_t inverses, energies) is a job for a
-    ``diagnostics.JobThread`` while the loop steps on; work that reads
-    u's values (the shell gather; for snapshots the u_t inverse, the
-    integrals and the file) stays on the loop.  Jobs run one at a time in
-    time order, :meth:`flush` waits for the last one, and the loop closes
-    ``jobs`` when it drops the recorder.
+    Jobs run on a ``diagnostics.JobThread``: inline with a block, else on
+    its worker thread while the loop steps.  The loop thread only waits
+    for the previous job, gathers the shell from the live u values and
+    copies; the job does the rest (the u_t inverse, the weights, norms,
+    files, integrals and energies) and reads nothing but the recorder's
+    arrays, which are all made here, so the loop may overwrite its own at
+    once.  Jobs run in time order, :meth:`flush` waits for the last one,
+    and the loop closes ``jobs`` when it drops the recorder.
     """
 
     def __init__(self, cfg: SolverConfig, members: list[_Member]):
         grid = self.grid = cfg.grid
         self.weight, self.members = cfg.weight, members
+        # the weight's cached grid arrays are built here, before the arrays
+        # below, so that their build's temporaries do not come on top
+        grid.radius_index()
         self.shell = grid.boundary_index()
         self.capacity = block_rows(grid.size * len(members))
         lead = (max(self.capacity, 1), len(members))
         self.scratch = Scratch.for_grid(grid, lead)
-        self.psi, self.psi_dt = np.empty((lead[0], *grid.shape)), None
+        self.psi = np.empty((lead[0], *grid.shape))
+        self.times, self.peaks = np.empty(lead[0]), np.empty(lead)
+        self.u_coeffs = np.empty(lead + grid.half_shape, dtype=complex)
+        self.ut_coeffs = np.empty_like(self.u_coeffs)
+        self.edges = np.empty(lead + self.shell.shape)
         self.filled = 0
-        if self.capacity:
-            self.times = np.empty(self.capacity)
-            self.u_coeffs = np.empty(lead + grid.half_shape, dtype=complex)
-            self.ut_coeffs = np.empty_like(self.u_coeffs)
-            self.peaks = np.empty(lead)
-            self.edges = np.empty(lead + self.shell.shape)
-        self.jobs, self.age = JobThread(inline=bool(self.capacity)), 2
+        self.jobs = JobThread(inline=bool(self.capacity))
 
     def record(self, t, u_coeffs, ut_coeffs, u_values, peaks) -> None:
-        """The members' (stacked) states at t: one block row, or a job
-        that measures the live arrays when there is no block."""
-        if not self.capacity:
-            edges = self._edges(u_values)[None]
-            self._submit(lambda: self._measure(
-                np.array([t]), u_coeffs[None], ut_coeffs[None], peaks[None], edges
-            ))
-            return
+        """Copy the members' (stacked) states at t into the next row, and
+        measure the rows once they are full."""
+        self._copy(t, u_coeffs, ut_coeffs, u_values, peaks)
+        if self.filled == len(self.times):
+            self._post()
+
+    def flush(self) -> None:
+        """Measure the filled rows and wait for every job."""
+        self._post()
+        self.jobs.wait()
+
+    def snapshot(self, t, u_coeffs, ut_coeffs, u_values, peaks, recorded) -> None:
+        """Write and reduce the members' states at t in one job, after the
+        rows before t.  The job measures the record when ``recorded``
+        (else the energies) and puts the energies in the rows."""
+        self._post()
+        self._copy(t, u_coeffs, ut_coeffs, u_values, peaks)
+        np.copyto(self.scratch.field[0], u_values)
+        self.filled = 0
+        self.jobs.submit(lambda: self._snapshot(t, recorded))
+
+    def _snapshot(self, t, recorded) -> None:
+        """The snapshot job on row 0.  Each array is written over once it
+        is read for the last time: the u values by the integrals'
+        products after the files, and the work arrays by the energies."""
+        grid, s = self.grid, self.scratch._make(a[0] for a in self.scratch)
+        ut_values = grid.inverse(self.ut_coeffs[0], s.ut_values, s.coeffs)
+        psi = weight_on_grid(weight_value, t, grid, self.weight, out=self.psi[0])
+        for m, u, ut in zip(self.members, s.field, ut_values):
+            path = m.snapshot_dir / f"snap_{len(m.snapshots):06d}.dwsn"
+            write_snapshot(path, grid, t, u, ut, m.cfg.problem.p, self.weight)
+        powers = [m.cfg.problem.p for m in self.members]
+        rows = snapshot_integrals(grid, t, s.field, psi, self.weight, powers, s)
+        if recorded:
+            self._measure(
+                self.times[:1], self.u_coeffs[:1], self.ut_coeffs[:1], self.peaks[:1],
+                self.edges[:1], ut_values[None], psi[None],
+            )
+            energies = [m.series.rows[-1]["weighted_energy"] for m in self.members]
+        else:
+            energies = spectral_energy(grid, self.u_coeffs[0], ut_values, psi, s).tolist()
+        for m, row, energy in zip(self.members, rows, energies):
+            m.snapshots.append(row._replace(energy=energy))
+
+    def _copy(self, t, u_coeffs, ut_coeffs, u_values, peaks) -> None:
+        """Copy the members' states at t and the shell values of their u
+        into the next row, first waiting for the job that reads the rows."""
         row = self.filled
+        if not row:
+            self.jobs.wait()
         self.times[row] = t
         self.u_coeffs[row], self.ut_coeffs[row] = u_coeffs, ut_coeffs
         self.peaks[row] = peaks
-        self._edges(u_values, out=self.edges[row])
+        gather(u_values.reshape(len(u_values), -1), self.shell, out=self.edges[row])
         self.filled += 1
-        if self.filled == self.capacity:
-            self.flush()
 
-    def flush(self) -> None:
-        """Wait for the job thread and measure the filled block rows."""
-        self.jobs.wait()
+    def _post(self) -> None:
+        """Measure the filled rows in a job."""
         rows, self.filled = self.filled, 0
         if rows:
-            self._measure(
+            self.jobs.submit(lambda: self._measure(
                 self.times[:rows], self.u_coeffs[:rows], self.ut_coeffs[:rows],
                 self.peaks[:rows], self.edges[:rows],
-            )
-
-    def snapshot(self, t, u_coeffs, ut_coeffs, u_values, peaks, recorded) -> None:
-        """Write and reduce the members' states at t, after a flush, so
-        the weight is evaluated in time order.  The u_t stack inverted
-        into ``scratch.ut_values[0]`` serves the files, the integrals (in
-        the idle scratch) and the job, which measures the record when
-        ``recorded`` (else the energies) and puts the energies in the rows."""
-        grid = self.grid
-        self.flush()
-        ut_values = grid.inverse(ut_coeffs, self.scratch.ut_values[0], self.scratch.coeffs[0])
-        psi = weight_on_grid(weight_value, t, grid, self.weight, out=self.psi[0])
-        self.psi_dt = weight_on_grid(weight_dt, t, grid, self.weight, out=self.psi_dt)
-        scratch = self.scratch._make(a[0, 0] for a in self.scratch)
-        rows = []
-        for m, u, ut in zip(self.members, u_values, ut_values):
-            p = m.cfg.problem.p
-            path = m.snapshot_dir / f"snap_{len(m.snapshots):06d}.dwsn"
-            write_snapshot(path, grid, t, u, ut, p, self.weight)
-            rows.append(snapshot_integrals(
-                grid, t, None, u, ut, psi, self.psi_dt, p, scratch, energy=0.0
             ))
-        edges = self._edges(u_values)[None] if recorded else None
-
-        def job() -> None:
-            if recorded:
-                self._measure(
-                    np.array([t]), u_coeffs[None], ut_coeffs[None], peaks[None], edges,
-                    ut_values[None], psi[None],
-                )
-                energies = [m.series.rows[-1]["weighted_energy"] for m in self.members]
-            else:
-                stack = self.scratch._make(a[0] for a in self.scratch)
-                energies = spectral_energy(grid, u_coeffs, ut_values, psi, stack).tolist()
-            for m, row, energy in zip(self.members, rows, energies):
-                m.snapshots.append(row._replace(energy=energy))
-
-        self._submit(job)
-
-    def before_step(self) -> None:
-        """Wait before the second step after a job's time, which
-        overwrites the coefficient pair the job reads."""
-        self.age += 1
-        if self.age == 2:
-            self.jobs.wait()
-
-    def _submit(self, job) -> None:
-        """Run ``job`` after the previous one: inline with a block, else on
-        the job thread."""
-        self.jobs.submit(job)
-        self.age = 0
-
-    def _edges(self, u_values, out=None) -> np.ndarray:
-        """Each member's boundary-shell values (members, shell points),
-        into ``out`` when given."""
-        return gather(u_values.reshape(len(u_values), -1), self.shell, out=out)
 
     def _measure(self, times, u_coeffs, ut_coeffs, peaks, edges, ut_values=None, psi=None) -> None:
         """Measure states stacked as (record time, member), with the
@@ -520,7 +492,6 @@ def run_ensemble(
             if n == n_steps:
                 break
 
-            recorder.before_step()
             step = stepper.advance(u_coeffs, ut_coeffs, f_hat)
             peaks = step[-1]
             # the members' peaks decide the step: NaN fails the comparison

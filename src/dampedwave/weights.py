@@ -14,10 +14,10 @@ denominator both vanish and only the simplified form is meaningful).
 
 The weighted energy of a state (u, u_t) is the h^dim quadrature of
 (|u_t|^2 + |grad u|^2) * weight, with the gradient computed spectrally.
-:func:`spectral_energy` is the one kernel for it: the run loop's
-diagnostics, :func:`snapshot_integrals` and :func:`weighted_energy` all
-call it.  The trajectory audits read one :class:`SnapshotIntegrals` row
-per snapshot, computed by the run loop while it holds the state.
+:func:`spectral_energy` is the one kernel for it: the run's records and
+snapshots and :func:`weighted_energy` all call it.  The trajectory audits
+read one :class:`SnapshotIntegrals` row per snapshot, computed by the
+run's snapshot job from its own copy of the state.
 The decay norm of a trajectory is the running supremum of the sum of
 four components: the square root of the weighted energy and the three
 polynomially time-weighted L^2 norms of u_t, grad u and u.
@@ -301,39 +301,40 @@ class SnapshotIntegrals(NamedTuple):
 def snapshot_integrals(
     grid: Grid,
     t: float,
-    u_coeffs: np.ndarray,
     u_values: np.ndarray,
-    ut_values: np.ndarray,
     psi: np.ndarray,
-    psi_dt: np.ndarray,
-    p: float,
+    w: WeightParams,
+    powers: list[float],
     scratch: Scratch | None = None,
-    energy: float | None = None,
-) -> SnapshotIntegrals:
-    """One audit row from the real-FFT coefficients and values of u, the
-    values of u_t and the weight and its time derivative on the grid
-    (``psi``, ``psi_dt``) at time t.  The energy, unless the caller holds
-    this state's ``energy`` already, uses ``scratch``'s work arrays (see
-    :func:`spectral_energy`); then ``density`` holds |u|^p u and
-    ``field`` each product in turn.  The source products are the
-    absolute values of the signed ones (the weight is nonnegative, and
-    |a*b| is |a|*|b| in floating point), so ``ut_values`` is only read
-    and ``coeffs`` only by the energy."""
+) -> list[SnapshotIntegrals]:
+    """The audit rows at time t of a stack of states (members,
+    *grid.shape) of u values, each member with its own power, and the
+    weight ``psi`` on the grid at t.  Their energy is NaN: the caller
+    adds it with :func:`spectral_energy` once ``scratch`` (made for the
+    members) is free.  ``density`` receives |u|^p u, then its products
+    with the weight's time derivative; ``field`` receives the products
+    with the weight, then the derivative itself in its first member, and
+    may hold ``u_values``.  The source products are the absolute values
+    of the signed ones (the weight is nonnegative, and |a*b| is |a|*|b|
+    in floating point)."""
     if scratch is None:
-        scratch = Scratch.for_grid(grid)
-    if energy is None:
-        energy = float(spectral_energy(grid, u_coeffs, ut_values, psi, scratch))
+        scratch = Scratch.for_grid(grid, u_values.shape[:1])
     signed = np.abs(u_values, out=scratch.density)
-    signed **= p
-    signed *= u_values
+    for member, u, p in zip(signed, u_values, powers):
+        member **= p
+        member *= u
     h = grid.cell_volume
 
-    def against(weight: np.ndarray) -> tuple[float, float]:
-        product = np.multiply(signed, weight, out=scratch.field)
-        return float(h * np.sum(product)), float(h * np.sum(np.abs(product, out=product)))
+    def sums(products: np.ndarray) -> list[tuple[float, float]]:
+        return [(float(h * np.sum(x)), float(h * np.sum(np.abs(x, out=x)))) for x in products]
 
-    (signed_sum, source), (signed_dt, source_dt) = against(psi), against(psi_dt)
-    return SnapshotIntegrals(t, energy, signed_sum, signed_dt, source, source_dt)
+    on_psi = sums(np.multiply(signed, psi, out=scratch.field))
+    psi_dt = weight_on_grid(weight_dt, t, grid, w, out=scratch.field[0])
+    on_psi_dt = sums(np.multiply(signed, psi_dt, out=signed))
+    return [
+        SnapshotIntegrals(t, np.nan, signed_sum, signed_dt, source, source_dt)
+        for (signed_sum, source), (signed_dt, source_dt) in zip(on_psi, on_psi_dt)
+    ]
 
 
 def _cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:

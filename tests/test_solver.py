@@ -20,7 +20,6 @@ from dampedwave.solver import (
     Stepper,
     run,
     run_ensemble,
-    source_term,
 )
 from dampedwave.spectral import Grid, RealField, greens_multipliers
 from dampedwave.snapshots import read_snapshot, write_snapshot
@@ -45,32 +44,46 @@ def make_cfg(p=4.0, grid=None, **kwargs):
 # Source term
 # ---------------------------------------------------------------------------
 
+def _source_values(u, p):
+    """The source values that ``Stepper.source_coeffs`` leaves in its
+    ``field`` for one member u on a 1-D grid of u's size, checked to be
+    the values its coefficients transform."""
+    grid = Grid(1, 10.0, u.size)
+    stepper = Stepper([make_cfg(p=p, grid=grid, dealias=False)])
+    u_values = u[None]
+    field = np.abs(u_values)
+    f_hat, overflow = stepper.source_coeffs(u_values, field)
+    assert overflow is None
+    np.testing.assert_array_equal(f_hat, grid.forward(field))
+    return field[0]
+
+
 def test_source_zero():
-    assert np.all(source_term(np.zeros(8), 3.0) == 0.0)
+    assert np.all(_source_values(np.zeros(8), 3.0) == 0.0)
 
 
 def test_source_is_absolute_power():
     # |-2|^3 = 8, not -8: the source is sign definite
-    values = source_term(np.full(4, -2.0), 3.0)
+    values = _source_values(np.full(8, -2.0), 3.0)
     np.testing.assert_array_equal(values, 8.0)
 
 
 def test_source_matches_elementwise_square():
     rng = np.random.default_rng(2)
     u = rng.standard_normal(64)
-    np.testing.assert_allclose(source_term(u, 2.0), u * u, rtol=1e-15)
+    np.testing.assert_array_equal(_source_values(u, 2.0), u * u)
 
 
 def test_source_noninteger_power_zero_limit():
-    u = np.array([0.0, 1e-200, 2.0])
-    out = source_term(u, 2.5)
-    assert out[0] == 0.0
+    u = np.array([0.0, 1e-200, 2.0, -0.5, 0.0, 1.0, -1e-300, 3.0])
+    out = _source_values(u, 2.5)
+    assert out[0] == out[4] == 0.0
     assert np.isfinite(out).all()
 
 
 def test_source_rejects_p_at_most_one():
-    with pytest.raises(ValueError):
-        source_term(np.ones(4), 1.0)
+    with pytest.raises(ValueError, match="p must be > 1"):
+        ProblemParams(1, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -602,18 +615,21 @@ def test_record_block_stays_within_its_points(grid, members):
     recorder = solver._Recorder(cfg, [solver._Member(i, cfg, None) for i in range(members)])
     per_time = members * grid.size
     if 2 * per_time > RECORD_BLOCK_POINTS:
-        # no block: the work arrays hold one record time
+        # no block: the work arrays and the job's copies hold one record time
         assert recorder.capacity == 0
         assert recorder.scratch.density.shape == (1, members, *grid.shape)
+        assert recorder.u_coeffs.shape == (1, members, *grid.half_shape)
         return
     assert 2 <= recorder.capacity <= RECORD_BLOCK_POINTS // per_time
     block = (recorder.u_coeffs, recorder.ut_coeffs, recorder.psi, *recorder.scratch)
     assert all(array.size <= RECORD_BLOCK_POINTS for array in block)
 
 
-def test_3d_records_are_measured_from_the_live_arrays(monkeypatch):
-    # a 48^3 record time does not fit twice in a block, so each record
-    # is measured from the stepper's own arrays and nothing is copied
+def test_3d_records_are_measured_from_copies_the_job_owns(monkeypatch):
+    # a 48^3 record time does not fit twice in a block, so each record is
+    # copied alone into the recorder's own row and a job measures that
+    # copy: it holds the step's coefficients and shares no memory with
+    # the stepper's arrays, which the loop overwrites as it steps on
     grid = Grid(3, 24.0, 48)
     cfg = SolverConfig(
         problem=ProblemParams(3, 2.5, 1.65), grid=grid, weight=WeightParams(2.0, 1.65),
@@ -624,19 +640,20 @@ def test_3d_records_are_measured_from_the_live_arrays(monkeypatch):
 
     def recording_advance(self, *args):
         step = advance(self, *args)
-        stepped.append(step[0])
+        stepped.append((step[0], step[0].copy()))
         return step
 
     def recording_measure(grid, times, u_coeffs, *args):
-        measured.append(u_coeffs)
+        measured.append((u_coeffs, u_coeffs.copy()))
         return diagnostics.measure(grid, times, u_coeffs, *args)
 
     monkeypatch.setattr(Stepper, "advance", recording_advance)
     monkeypatch.setattr(solver, "measure", recording_measure)
     outcome = run(cfg, (gaussian_field(grid, 0.05, 3.0), zero_field(grid)))
     assert len(outcome.series) == len(measured) == 3
-    for u_coeffs in measured[1:]:
-        assert any(np.shares_memory(u_coeffs, own) for own in stepped)
+    for (u_coeffs, values), step in zip(measured[1:], (5, 10)):
+        assert not any(np.shares_memory(u_coeffs, own) for own, _ in stepped)
+        np.testing.assert_array_equal(values[0], stepped[step - 1][1])
 
 
 def _lagging(function, seconds=0.002):
@@ -650,15 +667,11 @@ def _lagging(function, seconds=0.002):
     return lagging
 
 
-@pytest.mark.parametrize("record_every", [4, 1])
-@pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
-def test_worker_jobs_equal_inline_jobs(dim, record_every, monkeypatch, tmp_path):
-    # without blocks every record and snapshot is a job for the worker
-    # thread; the members blow up at three different steps, one is
-    # contaminated, and snapshots fall on and off record steps (records
-    # every step post a job before the last one is waited for at a step).
-    # With the worker lagging and threads switching as often as they
-    # can, the outcomes and files equal those of running every job inline
+def _jobs_against_inline(dim, record_every, monkeypatch, tmp_path, patch_jobs):
+    """Run the mixed ensemble without blocks with every job inline, then
+    with the jobs on the worker thread after ``patch_jobs(monkeypatch)``,
+    the job functions lagging and threads switching as often as they can;
+    the outcomes, snapshot rows and files must be equal."""
     cfgs, datas = _mixed_ensemble(dim)
     cfgs = [replace(cfg, record_every=record_every) for cfg in cfgs]
     monkeypatch.setattr(diagnostics, "RECORD_BLOCK_POINTS", 0)
@@ -668,7 +681,7 @@ def test_worker_jobs_equal_inline_jobs(dim, record_every, monkeypatch, tmp_path)
         return run_ensemble(cfgs, datas, snapshot_every=0.3, snapshot_dirs=dirs), dirs
 
     with monkeypatch.context() as inline:
-        inline.setattr(solver._Recorder, "_submit", lambda self, job: job())
+        inline.setattr(solver, "JobThread", lambda inline: diagnostics.JobThread(inline=True))
         expected, expected_dirs = run_into("inline")
     statuses = [outcome.status for outcome in expected]
     assert RunStatus.BOUNDARY_CONTAMINATED in statuses
@@ -678,8 +691,15 @@ def test_worker_jobs_equal_inline_jobs(dim, record_every, monkeypatch, tmp_path)
     on_records = len(snapshot_times & set(completed.series.column("t")))
     assert 0 < on_records < len(snapshot_times) or record_every == 1
 
-    monkeypatch.setattr(solver, "measure", _lagging(diagnostics.measure))
-    monkeypatch.setattr(solver, "spectral_energy", _lagging(weights.spectral_energy))
+    patch_jobs(monkeypatch)
+    lagged = {
+        "measure": diagnostics.measure,
+        "spectral_energy": weights.spectral_energy,
+        "snapshot_integrals": weights.snapshot_integrals,
+        "write_snapshot": write_snapshot,
+    }
+    for name, function in lagged.items():
+        monkeypatch.setattr(solver, name, _lagging(function))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -696,6 +716,58 @@ def test_worker_jobs_equal_inline_jobs(dim, record_every, monkeypatch, tmp_path)
         assert all(f.read_bytes() == (want_folder / f.name).read_bytes() for f in written)
 
 
+@pytest.mark.parametrize("record_every", [4, 1])
+@pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
+def test_worker_jobs_equal_inline_jobs(dim, record_every, monkeypatch, tmp_path):
+    # without blocks every record and snapshot is a job for the worker
+    # thread; the members blow up at three different steps, one is
+    # contaminated, and snapshots fall on and off record steps (records
+    # every step post a job before the last one is waited for at a step).
+    # The measurements, snapshot files and integrals lag, so a job that
+    # read the loop's arrays would read later steps
+    _jobs_against_inline(dim, record_every, monkeypatch, tmp_path, lambda patch: None)
+
+
+@pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
+def test_late_jobs_equal_inline_jobs(dim, monkeypatch, tmp_path):
+    # every job starts only after sleeping longer than three of the
+    # loop's step times, and some job sees the loop take three steps
+    # meanwhile, so the coefficient pair and u values of its time have
+    # been overwritten: the job reads only the copies it owns
+    cfgs, datas = _mixed_ensemble(dim)
+    stepper = Stepper(cfgs)
+    step = stepper.start(datas)[0]
+    step_s = []
+    for _ in range(5):
+        start = time.perf_counter()
+        step = stepper.advance(step[0], step[1], step[3])
+        step_s.append(time.perf_counter() - start)
+    lag = max(0.005, 5.0 * float(np.median(step_s)))
+    steps, passed = [], []
+    advance = Stepper.advance
+
+    def counted_advance(self, *args):
+        steps.append(1)
+        return advance(self, *args)
+
+    class LateJobs(diagnostics.JobThread):
+        def submit(self, job):
+            def late():
+                start = len(steps)
+                time.sleep(lag)
+                passed.append(len(steps) - start)
+                job()
+
+            super().submit(late)
+
+    def patch_jobs(patch):
+        patch.setattr(Stepper, "advance", counted_advance)
+        patch.setattr(solver, "JobThread", LateJobs)
+
+    _jobs_against_inline(dim, 4, monkeypatch, tmp_path, patch_jobs)
+    assert max(passed) >= 3
+
+
 def _at_once_run():
     """A 3-D 32^3 run whose records do not fit twice in a block."""
     grid = Grid(3, 16.0, 32)
@@ -708,16 +780,18 @@ def _at_once_run():
 
 @pytest.mark.parametrize("failing", ["write", "measure"])
 def test_run_errors_propagate_and_stop_the_worker(failing, monkeypatch, tmp_path):
-    # the third snapshot write fails on the loop thread while the worker
-    # measures, or the third measurement fails on the worker; either way
-    # run raises the error and leaves no thread behind
+    # the third snapshot write or the third measurement fails on the job
+    # thread; either way run raises the error and leaves no thread behind.
+    # Without blocks no write runs on the caller's thread; on the 1-D
+    # block path every write does, and its third failure propagates too
     cfg, data = _at_once_run()
-    calls, threads = [], []
+    calls, threads, on_main = [], [], []
 
     def fail_third(function):
         def failing_call(*args):
             calls.append(1)
             threads.append(threading.active_count())
+            on_main.append(threading.current_thread() is threading.main_thread())
             if len(calls) == 3:
                 raise OSError("no space left")
             return function(*args)
@@ -732,9 +806,18 @@ def test_run_errors_propagate_and_stop_the_worker(failing, monkeypatch, tmp_path
     monkeypatch.setattr(solver, "measure", measure)
     before = threading.active_count()
     with pytest.raises(OSError, match="no space left"):
-        run(cfg, data, snapshot_every=0.1, snapshot_dir=tmp_path)
+        run(cfg, data, snapshot_every=0.1, snapshot_dir=tmp_path / "3d")
+    assert len(calls) == 3 and not any(on_main)
     assert threads[-1] == before + 1
     assert threading.active_count() == before
+    if failing == "write":
+        calls.clear(), on_main.clear()
+        cfg = make_cfg(t_end=2.0)
+        data = (gaussian_field(cfg.grid, 0.05, 2.0), zero_field(cfg.grid))
+        with pytest.raises(OSError, match="no space left"):
+            run(cfg, data, snapshot_every=0.1, snapshot_dir=tmp_path / "1d")
+        assert len(calls) == 3 and all(on_main)
+        assert threading.active_count() == before
 
 
 def test_only_runs_without_record_blocks_start_a_thread(monkeypatch, tmp_path):

@@ -380,18 +380,18 @@ def test_streamed_rows_match_written_snapshots(grid, tmp_path):
         state, meta = read_snapshot(path)
         u_coeffs = grid.forward(state.u.values)
         psi = weight_on_grid(weight_value, state.t, grid, w)
-        psi_dt = weight_on_grid(weight_dt, state.t, grid, w)
-        again = snapshot_integrals(
-            grid, state.t, u_coeffs, state.u.values, state.ut.values, psi, psi_dt, meta.p
-        )
-        assert again == pytest.approx(row, rel=1e-12, abs=0.0)
+        (again,) = snapshot_integrals(grid, state.t, state.u.values[None], psi, w, [meta.p])
+        energy = float(spectral_energy(grid, u_coeffs, state.ut.values, psi))
+        assert again._replace(energy=energy) == pytest.approx(row, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 40.0, 256), Grid(2, 16.0, 32)], ids=["1d", "2d"])
 @pytest.mark.parametrize("p", [2.0, 2.5, 4.0])
 def test_snapshot_integrals_in_scratch_equal_fresh_arrays(grid, p):
-    # the row written through the scratch arrays, with u_t passed in the
-    # scratch's own u_t array, is the row of the allocating expressions
+    # the row written through the scratch arrays, with u in the scratch's
+    # own field (which the products overwrite) and the energy taken after
+    # from u_t in its own u_t array, is the row of the allocating
+    # expressions; a second member with another power gets its own row
     rng = np.random.default_rng(5)
     w = WeightParams(4.0, 2.0)
     t = 1.25
@@ -412,12 +412,18 @@ def test_snapshot_integrals_in_scratch_equal_fresh_arrays(grid, p):
         float(h * np.sum(source * psi)),
         float(h * np.sum(source * np.abs(psi_dt))),
     )
-    scratch = Scratch.for_grid(grid)
-    scratch.ut_values[...] = ut_source
-    row = snapshot_integrals(
-        grid, t, u_coeffs, u_values, scratch.ut_values, psi, psi_dt, p, scratch
-    )
-    assert tuple(row) == expected
+    other = 2.0 * u_values
+    (expected_other,) = snapshot_integrals(grid, t, other[None], psi, w, [p + 0.5])
+    scratch = Scratch.for_grid(grid, (2,))
+    scratch.field[...] = u_values, other
+    scratch.ut_values[0] = ut_source
+    row, row_other = snapshot_integrals(grid, t, scratch.field, psi, w, [p, p + 0.5], scratch)
+    first = scratch._make(a[0] for a in scratch)
+    energy = spectral_energy(grid, u_coeffs, first.ut_values, psi, first)
+    assert tuple(row._replace(energy=float(energy))) == expected
+    assert np.isnan(row_other.energy) and np.isnan(expected_other.energy)
+    assert row_other[2:] == expected_other[2:]
+    assert row_other[2:] != row[2:]
 
 
 def test_decay_norm_scales_linearly_in_small_regime():
