@@ -25,6 +25,10 @@ cadence of perfbench's audit_3d (a record every 5 steps, a snapshot every
 ``decay_run`` gives the same for the second of two ``decay_profile``
 calls on the 2-D grid at 101 times with the data of ``linear_decay_n2``:
 each time is measured on a job thread while the next one is evolved.
+``fujita_run`` gives the same for the second of two ``solver.run`` calls
+of the shipped ``fujita_n1_p4`` config (4,000 steps of 1-D 1024 points,
+its data from ``experiments.build_data``): the workload of perfbench's
+fujita_1d end to end, without its calibration.
 
 Usage:
     step_timing.py [--repeats N]
@@ -33,8 +37,8 @@ Prints one JSON line: ``{"repeats", "numpy", "advance_us": {grid: us},
 "measure_us": {grid: us}, "block_rows": {grid: rows},
 "block_record_us": {grid: us}, "run_peak_mib": {grid: MiB},
 "snapshot_run": {"wall_ms", "cpu_ms"}, "audit_run": {"wall_ms", "cpu_ms"},
-"decay_run": {"wall_ms", "cpu_ms"}}``.  The package is imported from this
-checkout's ``src``.
+"decay_run": {"wall_ms", "cpu_ms"}, "fujita_run": {"wall_ms", "cpu_ms"}}``.
+The package is imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -53,11 +57,14 @@ import time
 import tracemalloc
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
+from dampedwave.config import load_setup
 from dampedwave.diagnostics import RECORD_BLOCK_POINTS, measure
+from dampedwave.experiments import build_data
 from dampedwave.exponents import ProblemParams
 from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave.propagator import decay_profile
@@ -88,16 +95,14 @@ def time_grid(grid: Grid, p: float, weight: WeightParams, dt: float, repeats: in
         t_end=dt,
     )
     stepper = Stepper([cfg])
-    u_values = gaussian_field(grid, 0.01, 2.0).values[None]
-    f_hat, _ = stepper.source_coeffs(u_values)
-    state = (grid.forward(u_values), np.zeros_like(f_hat), u_values, f_hat)
+    state, _ = stepper.start([(gaussian_field(grid, 0.01, 2.0), zero_field(grid))])
     step_s = []
     for _ in range(WARMUP + repeats):
         start = time.perf_counter()
         state = stepper.advance(state[0], state[1], state[3])
         step_s.append(time.perf_counter() - start)
 
-    u_coeffs, ut_coeffs, _, _, peaks = state
+    u_coeffs, ut_coeffs, _, _, peaks, _ = state
     psi = weight_on_grid(weight_value, dt, grid, weight)
     scratch = Scratch.for_grid(grid)
     measure_s = []
@@ -139,6 +144,15 @@ def run_peak_mib(grid: Grid, p: float, weight: WeightParams, dt: float) -> float
     return peak / 2**20
 
 
+def _timed_ms(call) -> dict:
+    """Wall and process CPU milliseconds of the second of two calls."""
+    for _ in range(2):
+        wall, cpu = time.perf_counter(), time.process_time()
+        call()
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    return {"wall_ms": round(1e3 * wall, 1), "cpu_ms": round(1e3 * cpu, 1)}
+
+
 def run_ms(
     grid: Grid, p: float, weight: WeightParams, dt: float,
     steps: int, record_every: int, snapshot_every: float,
@@ -152,11 +166,17 @@ def run_ms(
     )
     data = (gaussian_field(grid, 0.01, 2.0), zero_field(grid))
     with tempfile.TemporaryDirectory() as snapshot_dir:
-        for _ in range(2):
-            wall, cpu = time.perf_counter(), time.process_time()
-            run(cfg, data, snapshot_every=snapshot_every, snapshot_dir=snapshot_dir)
-            wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-    return {"wall_ms": round(1e3 * wall, 1), "cpu_ms": round(1e3 * cpu, 1)}
+        return _timed_ms(
+            lambda: run(cfg, data, snapshot_every=snapshot_every, snapshot_dir=snapshot_dir)
+        )
+
+
+def fujita_run_ms() -> dict:
+    """Wall and process CPU milliseconds of the second of two runs of the
+    ``fujita_n1_p4`` config."""
+    setup = load_setup(ROOT / "configs" / "fujita_n1_p4.cfg")
+    data = build_data(setup)
+    return _timed_ms(lambda: run(setup.solver, data))
 
 
 def decay_run_ms(grid: Grid, weight: WeightParams) -> dict:
@@ -164,11 +184,7 @@ def decay_run_ms(grid: Grid, weight: WeightParams) -> dict:
     ``decay_profile`` calls on ``grid`` at the times 0, 1, ..., 100."""
     data = (gaussian_field(grid, 1.0, 3.25), zero_field(grid))
     times = np.linspace(0.0, 100.0, 101)
-    for _ in range(2):
-        wall, cpu = time.perf_counter(), time.process_time()
-        decay_profile(data, times, weight)
-        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-    return {"wall_ms": round(1e3 * wall, 1), "cpu_ms": round(1e3 * cpu, 1)}
+    return _timed_ms(lambda: decay_profile(data, times, weight))
 
 
 def main(argv=None) -> int:
@@ -188,6 +204,7 @@ def main(argv=None) -> int:
     result["audit_run"] = run_ms(*case, steps=20, record_every=5, snapshot_every=5.0 / 49)
     grid, _, weight, _ = CASES["2d_256"]
     result["decay_run"] = decay_run_ms(grid, weight)
+    result["fujita_run"] = fujita_run_ms()
     print(json.dumps(result))
     return 0
 

@@ -80,8 +80,9 @@ def evolve_coeffs(
 
     ``u_sum`` is ``u_coeffs + ut_coeffs`` when the caller already holds
     it.  ``out`` = (u_new, ut_new, work) are complex arrays shaped like
-    the result that receive the results and the intermediate.  Without
-    them every array is fresh; the floats are the same."""
+    the result that receive the results and the intermediate (``u_sum``
+    may be ``u_new``, ``ut_coeffs`` may be ``ut_new``).  Without them
+    every array is fresh; the floats are the same."""
     u_new, ut_new, work = (None,) * 3 if out is None else out
     if u_sum is None:
         u_sum = u_coeffs + ut_coeffs

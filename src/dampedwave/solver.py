@@ -22,9 +22,11 @@ so every member's numbers are bit for bit those of its own run.
 :func:`run` is the one-member case.
 
 The predictor f* = |u_{n+1}|^p is exactly the next step's f_n, so the
-source is evaluated once per step: :meth:`Stepper.start` computes f_0
-with the initial stacks, and :meth:`Stepper.advance` returns f* for the
-loop to pass into the next step.
+source is evaluated, and scaled by dt/2, once per step:
+:meth:`Stepper.start` computes the kick dt/2 * f_0 with the initial
+stacks, and :meth:`Stepper.advance` returns dt/2 * f* as the next kick.
+A step writes into a ring of five coefficient arrays, never into the
+state it starts from, and the 2/3 rule zeroes one slab per axis.
 
 A step blows up for a member when the sup norm of its u_{n+1} is
 non-finite or crosses the configured threshold, or when its source f*
@@ -45,7 +47,6 @@ same rows and files.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
@@ -131,78 +132,79 @@ class RunOutcome:
 
 
 class _StepArrays:
-    """What :meth:`Stepper.advance` writes, for one member count: two
-    pairs of (u_coeffs, ut_coeffs), filled in turn because a step reads
-    the previous step's pair (and a blow-up step's start is its final
-    state), the new u values and source coefficients (which hold the
-    kicked u_t until f* replaces them), and work space.  Made once, so
-    that no step faults in fresh pages."""
+    """What :meth:`Stepper.advance` writes, for one member count: u into
+    ``u[1]``, u_t into ``ring[1]`` (the kicked u_t, evolved in place) and
+    the next kick into ``ring[2]``, its work space until then, and then
+    moves each list on by one, so a step writes none of the arrays it
+    starts from (a blow-up step's start is its final state).  Made once,
+    so that no step faults in fresh pages."""
 
     def __init__(self, members: int, grid: Grid):
         coeffs, values = (members, *grid.half_shape), (members, *grid.shape)
-        self.pairs = [(np.empty(coeffs, complex), np.empty(coeffs, complex)) for _ in range(2)]
+        self.u = [np.empty(coeffs, complex) for _ in range(2)]
+        self.ring = [np.empty(coeffs, complex) for _ in range(3)]
         self.u_values, self.field = np.empty(values), np.empty(values)
-        self.f_hat, self.work = np.empty(coeffs, complex), np.empty(coeffs, complex)
-
-    def next_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pair the previous step did not write."""
-        self.pairs.reverse()
-        return self.pairs[0]
 
 
 class Stepper:
     """Multipliers for one (grid, dt) pair shared by every member of an
     ensemble (g, g' and the stiffness xi_sq*g), the members' powers and
-    their stacked dealias mask with its complement, the modes it
-    discards.  The arrays it steps carry a leading member axis; it
-    writes each step into a :class:`_StepArrays` made for the current
-    member count."""
+    the slabs of modes the 2/3 rule discards in the dealiased members'
+    rows.  The arrays it steps carry a leading member axis; it writes
+    each step into a :class:`_StepArrays` made for the current member
+    count."""
 
     def __init__(self, cfgs: list[SolverConfig]):
         self.cfg = cfgs[0]
-        grid = self.cfg.grid
-        self.xi_sq = grid.freq_sq()
+        grid = self.grid = self.cfg.grid
+        self.axes, self.half_dt = grid.axes, 0.5 * self.cfg.dt
         index = grid.freq_index()
         g, gdt = greens_multipliers(self.cfg.dt, grid.freq_levels())
         self.g, self.gdt = g[index], gdt[index]
-        self.stiffness = self.xi_sq * self.g
-        self.powers = [cfg.problem.p for cfg in cfgs]
-        self.one_power = len(set(self.powers)) == 1
+        self.stiffness = grid.freq_sq() * self.g
         # every member's |u|^p (or |u|^(p-1)*u) stays below 1e300 while
         # every peak is at most this; NaN and larger peaks get the full check
-        self.overflow_limit = 1e300 ** (1.0 / max(self.powers))
+        self.overflow_limit = 1e300 ** (1.0 / max(cfg.problem.p for cfg in cfgs))
+        self._set_members([cfg.problem.p for cfg in cfgs], [cfg.dealias_active for cfg in cfgs])
+
+    def _set_members(self, powers: list[float], dealiased: list[bool]) -> None:
+        """Take the members' powers and dealias flags, and drop the step
+        arrays.  The 2/3 rule keeps |k| <= M/3 on every axis, so it
+        discards one slab of indices per axis in the dealiased rows."""
+        self.powers, self.dealiased = powers, dealiased
+        self.one_power = len(set(powers)) == 1
         # 2/3 rule: heuristic for non-polynomial powers, but it removes
         # the worst of the aliasing from the pointwise source.
-        self.dealias_mask = self.discard = None
-        if any(cfg.dealias_active for cfg in cfgs):
-            keep_all = np.ones(grid.half_shape, dtype=bool)
-            masks = [grid.dealias_mask() if cfg.dealias_active else keep_all for cfg in cfgs]
-            self.dealias_mask = np.stack(masks)
-            self.discard = ~self.dealias_mask
+        rows = slice(None) if all(dealiased) else np.flatnonzero(dealiased)
+        cut = slice(self.grid.points // 3 + 1, self.grid.points - self.grid.points // 3)
+        dims = range(self.grid.dim) if any(dealiased) else ()
+        self.slabs = [(rows, *(slice(None),) * axis, cut) for axis in dims]
         self.arrays: _StepArrays | None = None
 
     def retain(self, keep: np.ndarray, *stacks: np.ndarray | None) -> list:
         """Drop the members whose ``keep`` entry is False, here and from
         ``stacks`` (None passes through)."""
-        self.powers = [p for p, kept in zip(self.powers, keep) if kept]
-        self.one_power = len(set(self.powers)) == 1
-        if self.dealias_mask is not None:
-            self.dealias_mask, self.discard = self.dealias_mask[keep], self.discard[keep]
-        self.arrays = None  # made again for the new member count
+        self._set_members(
+            [p for p, kept in zip(self.powers, keep) if kept],
+            [d for d, kept in zip(self.dealiased, keep) if kept],
+        )
         return [None if stack is None else stack[keep] for stack in stacks]
 
     def start(self, datas: list[tuple[RealField, RealField]]) -> tuple[tuple, np.ndarray | None]:
-        """Initial (u_coeffs, ut_coeffs, u_values, f_0, peaks), written into
-        new step arrays, and the overflow mask of :meth:`source_coeffs`."""
-        grid = self.cfg.grid
+        """Initial (u_coeffs, ut_coeffs, u_values, kick, peaks), written
+        into new step arrays, with the kick dt/2 * f_0 (None without a
+        source), and the overflow mask of :meth:`source_coeffs`."""
+        grid = self.grid
         a = self.arrays = _StepArrays(len(datas), grid)
-        u_coeffs, ut_coeffs = a.pairs[0]
+        u_coeffs, (ut_coeffs, kick, _) = a.u[0], a.ring
         u_values = np.stack([u0.values for u0, _ in datas], out=a.u_values)
         grid.forward(u_values, out=u_coeffs)
         grid.forward(np.stack([u1.values for _, u1 in datas], out=a.field), out=ut_coeffs)
-        peaks = np.abs(u_values, out=a.field).max(axis=grid.axes)
-        f_hat, overflow = self.source_coeffs(u_values, a.field, a.f_hat)
-        return (u_coeffs, ut_coeffs, u_values, f_hat, peaks), overflow
+        peaks = np.maximum.reduce(np.abs(u_values, out=a.field), axis=self.axes)
+        kick, overflow = self.source_coeffs(u_values, a.field, kick)
+        if kick is not None:
+            np.multiply(self.half_dt, kick, out=kick)
+        return (u_coeffs, ut_coeffs, u_values, kick, peaks), overflow
 
     def source_coeffs(
         self,
@@ -223,59 +225,65 @@ class Stepper:
         scanned nor evaluated under ``np.errstate``."""
         if self.cfg.nonlinearity is Nonlinearity.NONE:
             return None, None
-        quiet = peak <= self.overflow_limit
-        with contextlib.nullcontext() if quiet else np.errstate(over="ignore", invalid="ignore"):
-            f = np.abs(u_values) if field is None else field
-            if self.one_power:  # one exponent: one evaluation, no copies
-                f **= self.powers[0]
-            else:
-                for member, p in zip(f, self.powers):
-                    # a scalar exponent per member keeps numpy's p = 2 square path
-                    member **= p
+        f = np.abs(u_values) if field is None else field
         overflow = None
-        if not quiet:
+        if peak <= self.overflow_limit:
+            self._power(f)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._power(f)
             finite = np.isfinite(f)
             if not finite.all():
-                overflow = ~finite.all(axis=self.cfg.grid.axes)
+                overflow = ~finite.all(axis=self.axes)
                 f[overflow] = 0.0
-        f_hat = self.cfg.grid.forward(f, out=out)
-        if self.discard is not None:
-            np.copyto(f_hat, 0.0, where=self.discard)
+        f_hat = self.grid.forward(f, out=out)
+        for slab in self.slabs:
+            f_hat[slab] = 0.0
         return f_hat, overflow
 
+    def _power(self, f: np.ndarray) -> None:
+        """|u|^p in place of |u| in ``f``, each member with its own p."""
+        if self.one_power:  # one exponent: one evaluation, no copies
+            f **= self.powers[0]
+        else:
+            for member, p in zip(f, self.powers):
+                # a scalar exponent per member keeps numpy's p = 2 square path
+                member **= p
+
     def advance(
-        self, u_coeffs: np.ndarray, ut_coeffs: np.ndarray, f_hat: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-        """One step from (u_n, ut_n) with f_n = ``f_hat``; returns the new
-        (u_coeffs, ut_coeffs, u_values), f* (the source at the new u,
-        which is the next step's f_n) and each member's max |u_{n+1}|,
-        inf where f* is non-finite: the step has blown up there.  The
-        arrays are the stepper's own: the next step overwrites the u
-        values and f* (its ``f_hat``, which it first fills with the kicked
-        u_t), the step after next the coefficients."""
-        grid, half_dt = self.cfg.grid, 0.5 * self.cfg.dt
+        self, u_coeffs: np.ndarray, ut_coeffs: np.ndarray, kick: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, float]:
+        """One step from (u_n, ut_n) with the kick dt/2 * f_n; returns the
+        new (u_coeffs, ut_coeffs, u_values), the next kick dt/2 * f* (f*
+        is the source at the new u, the next step's f_n), each member's
+        max |u_{n+1}| and the largest of them, inf where f* is non-finite:
+        the step has blown up there.  The arrays are the stepper's own
+        (:class:`_StepArrays`): the next step overwrites the u values and
+        the kick, the step after next the u and u_t coefficients."""
         if self.arrays is None:
-            self.arrays = _StepArrays(len(u_coeffs), grid)
+            self.arrays = _StepArrays(len(u_coeffs), self.grid)
         a = self.arrays
-        u_new, ut_new = a.next_pair()
-        if f_hat is not None:
-            ut_coeffs = np.add(ut_coeffs, np.multiply(half_dt, f_hat, out=a.f_hat), out=a.f_hat)
-        # evolve_coeffs reads u_sum before it writes work
-        u_sum = np.add(u_coeffs, ut_coeffs, out=a.work)
+        u_new, (_, ut_new, work) = a.u[1], a.ring
+        # the kicked u_t and u + the kicked u_t are evolved in place
+        kicked = ut_coeffs if kick is None else np.add(kick, ut_coeffs, out=ut_new)
+        u_sum = np.add(u_coeffs, kicked, out=u_new)
         evolve_coeffs(
-            u_coeffs, ut_coeffs, self.g, self.gdt, self.stiffness, u_sum,
-            out=(u_new, ut_new, a.work),
+            u_coeffs, kicked, self.g, self.gdt, self.stiffness, u_sum,
+            out=(u_new, ut_new, work),
         )
-        u_values_new = grid.inverse(u_new, a.u_values, a.work)
-        peaks = np.abs(u_values_new, out=a.field).max(axis=grid.axes)
-        # the source starts from |u| in field; evolve_coeffs has read the
-        # kicked u_t, so f* may take its place
-        f_star, overflow = self.source_coeffs(u_values_new, a.field, a.f_hat, peaks.max())
+        u_values_new = self.grid.inverse(u_new, a.u_values, work)
+        peaks = np.maximum.reduce(np.abs(u_values_new, out=a.field), axis=self.axes)
+        peak = np.maximum.reduce(peaks)
+        # the source starts from |u| in field, and the inverse is done
+        # with work, so the next kick may take its place
+        kick, overflow = self.source_coeffs(u_values_new, a.field, work, peak)
         if overflow is not None:
-            peaks[overflow] = np.inf
-        if f_star is not None:
-            ut_new += np.multiply(half_dt, f_star, out=a.work)
-        return u_new, ut_new, u_values_new, f_star, peaks
+            peaks[overflow] = peak = np.inf
+        if kick is not None:
+            ut_new += np.multiply(self.half_dt, kick, out=kick)
+        a.u.reverse()
+        a.ring.append(a.ring.pop(0))
+        return u_new, ut_new, u_values_new, kick, peaks, peak
 
 
 @dataclass
@@ -477,13 +485,14 @@ def run_ensemble(
             return outcomes
         members = [m for m, failed in zip(members, overflow) if not failed]
         step = stepper.retain(~overflow, *step)
-    u_coeffs, ut_coeffs, u_values, f_hat, peaks = step
+    u_coeffs, ut_coeffs, u_values, kick, peaks = step
     recorder = _Recorder(cfg, members)
+    dt, record_every, threshold = cfg.dt, cfg.record_every, cfg.blowup_threshold
     next_snapshot = 0.0 if snapshot_every is not None else np.inf
     try:
         for n in range(n_steps + 1):
-            t = n * cfg.dt
-            recorded = n % cfg.record_every == 0 or n == n_steps
+            t = n * dt
+            recorded = n % record_every == 0 or n == n_steps
             if t >= next_snapshot - 1e-12:
                 recorder.snapshot(t, u_coeffs, ut_coeffs, u_values, peaks, recorded)
                 next_snapshot += snapshot_every
@@ -492,25 +501,25 @@ def run_ensemble(
             if n == n_steps:
                 break
 
-            step = stepper.advance(u_coeffs, ut_coeffs, f_hat)
-            peaks = step[-1]
-            # the members' peaks decide the step: NaN fails the comparison
-            if not peaks.max() <= cfg.blowup_threshold:
+            *step, peak = stepper.advance(u_coeffs, ut_coeffs, kick)
+            # the largest peak decides the step: NaN fails the comparison
+            if not peak <= threshold:
                 recorder.flush()
-                blown = ~(peaks <= cfg.blowup_threshold)
+                peaks = step[-1]
+                blown = ~(peaks <= threshold)
                 for row in np.flatnonzero(blown):
                     if np.isfinite(peaks[row]):
-                        final = state_from_coeffs(grid, t + cfg.dt, step[0][row], step[1][row])
+                        final = state_from_coeffs(grid, t + dt, step[0][row], step[1][row])
                     else:
                         final = state_from_coeffs(grid, t, u_coeffs[row], ut_coeffs[row])
-                    outcomes[members[row].index] = members[row].outcome(final, t + 0.5 * cfg.dt)
+                    outcomes[members[row].index] = members[row].outcome(final, t + 0.5 * dt)
                 if blown.all():
                     return outcomes
                 members = [m for m, failed in zip(members, blown) if not failed]
                 recorder.jobs.close()
                 recorder = _Recorder(cfg, members)
                 step = stepper.retain(~blown, *step)
-            u_coeffs, ut_coeffs, u_values, f_hat, peaks = step
+            u_coeffs, ut_coeffs, u_values, kick, peaks = step
         recorder.flush()
     finally:
         recorder.jobs.close()

@@ -150,9 +150,10 @@ class Grid:
         return -self.half_width + self.spacing * np.arange(self.points)
 
     def coords(self) -> tuple[np.ndarray, ...]:
-        """Meshgrid coordinates, one full array per axis."""
+        """Meshgrid coordinates, one array per axis that holds the axis's
+        values along it and broadcasts along the others."""
         axes = (self.axis_coords(),) * self.dim
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
     @_built_once
     def radius_sq(self) -> np.ndarray:
@@ -188,7 +189,7 @@ class Grid:
         coefficients, into ``out`` when given: ``irfftn``'s calls, with
         the leading axes inverted in place in ``work`` (complex, shaped
         like ``coeffs``, which it may be) or in one fresh array."""
-        for axis in self.axes[:-1]:
+        for axis in range(-self.dim, -1):
             coeffs = work = np.fft.ifft(coeffs, axis=axis, out=work)
         return np.fft.irfft(coeffs, n=self.points, axis=-1, out=out)
 

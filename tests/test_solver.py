@@ -841,12 +841,14 @@ def test_only_runs_without_record_blocks_start_a_thread(monkeypatch, tmp_path):
     assert len(started) == 2 and not any(thread.is_alive() for thread in started)
 
 
-def _allocating_advance(stepper, u_coeffs, ut_coeffs, f_hat):
+def _allocating_advance(stepper, u_coeffs, ut_coeffs, kick):
     """One step with a fresh array for every intermediate, as the
-    stepper computed it before it wrote into arrays of its own."""
+    stepper computed it before it wrote into arrays of its own, from the
+    kick dt/2 * f_n and returning the next one.  The 2/3 rule is each
+    dealiased member's ``grid.dealias_mask()``."""
     grid, half_dt = stepper.cfg.grid, 0.5 * stepper.cfg.dt
-    ut_coeffs = ut_coeffs + half_dt * f_hat
-    stiffness = stepper.xi_sq * stepper.g
+    ut_coeffs = ut_coeffs + kick
+    stiffness = grid.freq_sq() * stepper.g
     u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, stepper.g, stepper.gdt, stiffness)
     u_values = grid.inverse(u_new)
     peaks = np.max(np.abs(u_values), axis=grid.axes)
@@ -857,17 +859,23 @@ def _allocating_advance(stepper, u_coeffs, ut_coeffs, f_hat):
     overflow = ~np.all(np.isfinite(f), axis=grid.axes)
     f[overflow] = 0.0
     peaks[overflow] = np.inf
-    f_star = grid.forward(f)
-    if stepper.dealias_mask is not None:
-        f_star = np.where(stepper.dealias_mask, f_star, 0.0)
-    return u_new, ut_new + half_dt * f_star, u_values, f_star, peaks
+    f_star = np.where(_dealias_masks(grid, stepper.dealiased), grid.forward(f), 0.0)
+    kick = half_dt * f_star
+    return u_new, ut_new + kick, u_values, kick, peaks, np.max(peaks)
+
+
+def _dealias_masks(grid, dealiased):
+    """The stacked 2/3-rule masks of members with these dealias flags."""
+    keep_all = np.ones(grid.half_shape, dtype=bool)
+    return np.stack([grid.dealias_mask() if d else keep_all for d in dealiased])
 
 
 @pytest.mark.parametrize("kind", [Nonlinearity.SOURCE])
 @pytest.mark.parametrize("dim", [1, 2, 3], ids=["1d", "2d", "3d"])
 def test_step_arrays_give_the_allocating_step(dim, kind):
-    # steps write into arrays made once (the coefficients into two pairs
-    # in turn); the floats are those of the step that allocates them all
+    # steps write into arrays made once (u into two in turn, u_t and the
+    # kick into a ring of three); the floats are those of the step that
+    # allocates them all
     grid, _ = ENSEMBLE_GRIDS[dim]
     cfgs = [
         SolverConfig(
@@ -886,16 +894,20 @@ def test_step_arrays_give_the_allocating_step(dim, kind):
     u_coeffs = grid.forward(u_values)
     ut_coeffs = grid.forward(0.1 * u_values)
     f_hat, _ = stepper.source_coeffs(u_values)
-    state = expected = (u_coeffs, ut_coeffs, u_values, f_hat)
+    state = expected = (u_coeffs, ut_coeffs, u_values, 0.5 * cfgs[0].dt * f_hat)
     written = []
     for _ in range(6):
         expected = _allocating_advance(stepper, expected[0], expected[1], expected[3])
         state = stepper.advance(state[0], state[1], state[3])
+        assert len(state) == len(expected)
         for got, want in zip(state, expected):
             assert np.array_equal(got, want)
         written.append(state[:4])
-    for earlier, later in zip(written, written[2:]):
-        assert all(a is b for a, b in zip(earlier, later))
+    # u, u_t, the u values and the kick come back in turn from 2, 3, 1
+    # and 3 arrays
+    for period, arrays in zip((2, 3, 1, 3), zip(*written)):
+        assert len({id(a) for a in arrays[:period]}) == period
+        assert all(a is b for a, b in zip(arrays, arrays[period:]))
 
 
 @pytest.mark.parametrize("kind", [Nonlinearity.SOURCE])
@@ -911,13 +923,42 @@ def test_overflow_limit_keeps_the_full_check_above_it(kind):
     f_hat, overflow = stepper.source_coeffs(u_values, peak=1e100)
     assert overflow.tolist() == [False, True]
     assert not f_hat[1].any() and np.all(np.isfinite(f_hat[0]))
-    state = expected = (grid.forward(u_values), np.zeros_like(f_hat), u_values, f_hat)
+    kick = 0.5 * cfgs[0].dt * f_hat
+    state = expected = (grid.forward(u_values), np.zeros_like(f_hat), u_values, kick)
     state = stepper.advance(state[0], state[1], state[3])
     expected = _allocating_advance(stepper, expected[0], expected[1], expected[3])
     for got, want in zip(state, expected):
         assert np.array_equal(got, want)
-    peaks = state[-1]
-    assert np.isfinite(peaks[0]) and peaks[1] == np.inf
+    peaks, peak = state[-2:]
+    assert np.isfinite(peaks[0]) and peaks[1] == np.inf and peak == np.inf
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3], ids=["1d", "2d", "3d"])
+def test_slab_dealiasing_equals_the_dealias_mask(dim):
+    # the stepper zeroes one slab per axis in the dealiased rows (the p >= 3
+    # members): the floats of np.where(grid.dealias_mask(), f_hat, 0) per
+    # member, before and after members leave, down to all dealiased
+    grid, _ = ENSEMBLE_GRIDS[dim]
+    powers = [2.0, 3.0, 2.5, 4.0, 2.0]
+    stepper = Stepper([
+        SolverConfig(
+            problem=ProblemParams(dim, p, 2.0), grid=grid, weight=WEIGHT, dt=0.05, t_end=1.0
+        )
+        for p in powers
+    ])
+    u_values = np.random.default_rng(7).standard_normal((len(powers), *grid.shape))
+    for keep in (None, [True, True, False, True, True], [False, True, True, False]):
+        if keep is not None:
+            keep = np.array(keep)
+            (u_values,) = stepper.retain(keep, u_values)
+            powers = [p for p, kept in zip(powers, keep) if kept]
+        f_hat, _ = stepper.source_coeffs(u_values)
+        f = np.stack([np.abs(u) ** p for u, p in zip(u_values, powers)])
+        full = grid.forward(f)
+        masks = _dealias_masks(grid, [p >= 3.0 for p in powers])
+        assert np.array_equal(f_hat, np.where(masks, full, 0.0))
+        assert np.all(full[~masks] != 0.0)  # the slabs zero what was there
+    assert powers == [3.0, 4.0]
 
 
 def test_overflow_limit_lets_nan_through_to_the_check():
@@ -963,13 +1004,14 @@ def test_steps_allocate_no_full_size_results():
 
 @pytest.mark.parametrize("snapshots", [False, True], ids=["records", "snapshots"])
 def test_run_holds_each_full_size_array_once(snapshots, tmp_path):
-    # the initial stacks live in the step arrays, a step keeps no kick
-    # array, inverse transforms use work arrays the run holds, snapshots
-    # invert u_t into the record scratch and the final states are built
-    # without the recorder: the second run (the grid's cached arrays
-    # exist) peaks at about 16.4 fields, 17.4 with snapshots, where fresh
-    # initial stacks, a kick array, irfftn's intermediates and a fresh
-    # u_t stack per snapshot reached 22.6 and 23.6
+    # the initial stacks live in the step arrays, a step holds five
+    # coefficient arrays and no work array, inverse transforms use the
+    # ring's free array, snapshots invert u_t into the record scratch and
+    # the final states are built without the recorder: the second run
+    # (the grid's cached arrays exist) peaks at 16.9-17.4 fields with or
+    # without snapshots, where a separate work array put it at 17.9-18.4,
+    # and fresh initial stacks, a kick array, irfftn's intermediates and a
+    # fresh u_t stack per snapshot at 22.6 and 23.6
     grid = Grid(3, 16.0, 32)
     cfg = SolverConfig(
         problem=ProblemParams(3, 2.5, 1.65), grid=grid, weight=WeightParams(2.0, 1.65),
@@ -984,7 +1026,7 @@ def test_run_holds_each_full_size_array_once(snapshots, tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * grid.size * 8
+    assert peak <= 18 * grid.size * 8
 
 
 def test_ensemble_initial_overflow_stays_per_member():

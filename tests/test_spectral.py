@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dampedwave.diagnostics import spectral_l2
+from dampedwave.initial_data import gaussian_field, modulated_gaussian_field
 from dampedwave.spectral import (
     BRANCH_TOL,
     Grid,
@@ -50,6 +51,27 @@ def test_grid_spacing_and_coords():
     assert g.spacing == 0.5
     assert g.axis_coords()[0] == -2.0
     assert g.axis_coords()[-1] == 1.5  # right endpoint excluded
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sparse_coords_give_the_floats_of_full_ones(dim):
+    # coords() holds one axis of values per axis, broadcast along the
+    # others: |x|^2 and the initial data are the floats of full meshgrids
+    g = Grid(dim=dim, half_width=6.0, points=16)
+    full = np.meshgrid(*(g.axis_coords(),) * dim, indexing="ij")
+    assert [x.size for x in g.coords()] == [g.points] * dim
+    r_sq = np.zeros(g.shape)
+    for x in full:
+        r_sq += x * x
+    assert np.array_equal(g.radius_sq(), r_sq)
+    center = (0.5, -1.0, 2.0)[:dim]
+    r_sq = np.zeros(g.shape)
+    for x, c in zip(full, center):
+        r_sq += (x - c) ** 2
+    gaussian = 0.7 * np.exp(-r_sq / 1.5**2)
+    assert np.array_equal(gaussian_field(g, 0.7, 1.5, center).values, gaussian)
+    modulated = modulated_gaussian_field(g, 0.7, 1.5, center).values
+    assert np.array_equal(modulated, (full[0] - center[0]) * gaussian)
 
 
 def test_field_rejects_nonfinite():
