@@ -28,7 +28,10 @@ each time is measured on a job thread while the next one is evolved.
 ``fujita_run`` gives the same for the second of two ``solver.run`` calls
 of the shipped ``fujita_n1_p4`` config (4,000 steps of 1-D 1024 points,
 its data from ``experiments.build_data``): the workload of perfbench's
-fujita_1d end to end, without its calibration.
+fujita_1d end to end, without its calibration.  ``sweep_run`` gives the
+same for the second of two ``experiments.sweep`` calls of the shipped
+``sweep_phase_n1`` config (8 points stepped as one ensemble, 4 of which
+blow up and leave it): perfbench's sweep_1d without its calibration.
 
 Usage:
     step_timing.py [--repeats N]
@@ -37,7 +40,8 @@ Prints one JSON line: ``{"repeats", "numpy", "advance_us": {grid: us},
 "measure_us": {grid: us}, "block_rows": {grid: rows},
 "block_record_us": {grid: us}, "run_peak_mib": {grid: MiB},
 "snapshot_run": {"wall_ms", "cpu_ms"}, "audit_run": {"wall_ms", "cpu_ms"},
-"decay_run": {"wall_ms", "cpu_ms"}, "fujita_run": {"wall_ms", "cpu_ms"}}``.
+"decay_run": {"wall_ms", "cpu_ms"}, "fujita_run": {"wall_ms", "cpu_ms"},
+"sweep_run": {"wall_ms", "cpu_ms"}}``.
 The package is imported from this checkout's ``src``.
 """
 
@@ -64,7 +68,7 @@ import numpy as np
 
 from dampedwave.config import load_setup
 from dampedwave.diagnostics import RECORD_BLOCK_POINTS, measure
-from dampedwave.experiments import build_data
+from dampedwave.experiments import build_data, sweep
 from dampedwave.exponents import ProblemParams
 from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave.propagator import decay_profile
@@ -179,6 +183,14 @@ def fujita_run_ms() -> dict:
     return _timed_ms(lambda: run(setup.solver, data))
 
 
+def sweep_run_ms() -> dict:
+    """Wall and process CPU milliseconds of the second of two sweeps of
+    the ``sweep_phase_n1`` config."""
+    setup = load_setup(ROOT / "configs" / "sweep_phase_n1.cfg")
+    with tempfile.TemporaryDirectory() as out_dir:
+        return _timed_ms(lambda: sweep(setup, out_dir))
+
+
 def decay_run_ms(grid: Grid, weight: WeightParams) -> dict:
     """Wall and process CPU milliseconds of the second of two
     ``decay_profile`` calls on ``grid`` at the times 0, 1, ..., 100."""
@@ -205,6 +217,7 @@ def main(argv=None) -> int:
     grid, _, weight, _ = CASES["2d_256"]
     result["decay_run"] = decay_run_ms(grid, weight)
     result["fujita_run"] = fujita_run_ms()
+    result["sweep_run"] = sweep_run_ms()
     print(json.dumps(result))
     return 0
 

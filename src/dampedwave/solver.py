@@ -25,8 +25,11 @@ The predictor f* = |u_{n+1}|^p is exactly the next step's f_n, so the
 source is evaluated, and scaled by dt/2, once per step:
 :meth:`Stepper.start` computes the kick dt/2 * f_0 with the initial
 stacks, and :meth:`Stepper.advance` returns dt/2 * f* as the next kick.
-A step writes into a ring of five coefficient arrays, never into the
-state it starts from, and the 2/3 rule zeroes one slab per axis.
+A step writes into five coefficient arrays (u into two in turn, u_t and
+the kick into a ring of three), never into the state it starts from,
+and the 2/3 rule zeroes one slab per axis.  A :class:`Stepper` and its
+arrays serve one member set: when members leave, the loop copies the
+survivors' rows and builds a Stepper for them, as it does the recorder.
 
 A step blows up for a member when the sup norm of its u_{n+1} is
 non-finite or crosses the configured threshold, or when its source f*
@@ -131,28 +134,20 @@ class RunOutcome:
             raise ValueError("blowup_time must be present exactly for blow-up runs")
 
 
-class _StepArrays:
-    """What :meth:`Stepper.advance` writes, for one member count: u into
-    ``u[1]``, u_t into ``ring[1]`` (the kicked u_t, evolved in place) and
-    the next kick into ``ring[2]``, its work space until then, and then
-    moves each list on by one, so a step writes none of the arrays it
-    starts from (a blow-up step's start is its final state).  Made once,
-    so that no step faults in fresh pages."""
-
-    def __init__(self, members: int, grid: Grid):
-        coeffs, values = (members, *grid.half_shape), (members, *grid.shape)
-        self.u = [np.empty(coeffs, complex) for _ in range(2)]
-        self.ring = [np.empty(coeffs, complex) for _ in range(3)]
-        self.u_values, self.field = np.empty(values), np.empty(values)
-
-
 class Stepper:
-    """Multipliers for one (grid, dt) pair shared by every member of an
-    ensemble (g, g' and the stiffness xi_sq*g), the members' powers and
-    the slabs of modes the 2/3 rule discards in the dealiased members'
-    rows.  The arrays it steps carry a leading member axis; it writes
-    each step into a :class:`_StepArrays` made for the current member
-    count."""
+    """One member set's step: the multipliers for its (grid, dt) pair
+    (g, g' and the stiffness xi_sq*g), the members' powers and the slabs
+    of modes the 2/3 rule discards in the dealiased members' rows, and
+    the arrays its steps write, all made here for this member set.  The
+    arrays carry a leading member axis.  When members leave, the caller
+    copies the survivors' rows and builds a new Stepper for them.
+
+    A step writes u into ``u[1]``, u_t into ``ring[1]`` (the kicked u_t,
+    evolved in place) and the next kick into ``ring[2]``, its work space
+    until then, and then moves each list on by one, so it writes none of
+    the arrays it starts from (a blow-up step's start is its final
+    state).  The u values and |u| (then the source) go into ``u_values``
+    and ``field``.  Made once, so that no step faults in fresh pages."""
 
     def __init__(self, cfgs: list[SolverConfig]):
         self.cfg = cfgs[0]
@@ -162,46 +157,36 @@ class Stepper:
         g, gdt = greens_multipliers(self.cfg.dt, grid.freq_levels())
         self.g, self.gdt = g[index], gdt[index]
         self.stiffness = grid.freq_sq() * self.g
-        # every member's |u|^p (or |u|^(p-1)*u) stays below 1e300 while
-        # every peak is at most this; NaN and larger peaks get the full check
-        self.overflow_limit = 1e300 ** (1.0 / max(cfg.problem.p for cfg in cfgs))
-        self._set_members([cfg.problem.p for cfg in cfgs], [cfg.dealias_active for cfg in cfgs])
-
-    def _set_members(self, powers: list[float], dealiased: list[bool]) -> None:
-        """Take the members' powers and dealias flags, and drop the step
-        arrays.  The 2/3 rule keeps |k| <= M/3 on every axis, so it
-        discards one slab of indices per axis in the dealiased rows."""
-        self.powers, self.dealiased = powers, dealiased
+        powers = self.powers = [cfg.problem.p for cfg in cfgs]
+        dealiased = self.dealiased = [cfg.dealias_active for cfg in cfgs]
         self.one_power = len(set(powers)) == 1
-        # 2/3 rule: heuristic for non-polynomial powers, but it removes
-        # the worst of the aliasing from the pointwise source.
+        # every member's |u|^p stays below 1e300 while every peak is at
+        # most this; NaN and larger peaks get the full check
+        self.overflow_limit = 1e300 ** (1.0 / max(powers))
+        # 2/3 rule: it keeps |k| <= M/3 on every axis, so it discards one
+        # slab of indices per axis in the dealiased rows; heuristic for
+        # non-polynomial powers, but it removes the worst of the aliasing
+        # from the pointwise source.
         rows = slice(None) if all(dealiased) else np.flatnonzero(dealiased)
-        cut = slice(self.grid.points // 3 + 1, self.grid.points - self.grid.points // 3)
-        dims = range(self.grid.dim) if any(dealiased) else ()
+        cut = slice(grid.points // 3 + 1, grid.points - grid.points // 3)
+        dims = range(grid.dim) if any(dealiased) else ()
         self.slabs = [(rows, *(slice(None),) * axis, cut) for axis in dims]
-        self.arrays: _StepArrays | None = None
-
-    def retain(self, keep: np.ndarray, *stacks: np.ndarray | None) -> list:
-        """Drop the members whose ``keep`` entry is False, here and from
-        ``stacks`` (None passes through)."""
-        self._set_members(
-            [p for p, kept in zip(self.powers, keep) if kept],
-            [d for d, kept in zip(self.dealiased, keep) if kept],
-        )
-        return [None if stack is None else stack[keep] for stack in stacks]
+        coeffs, values = (len(cfgs), *grid.half_shape), (len(cfgs), *grid.shape)
+        self.u = [np.empty(coeffs, complex) for _ in range(2)]
+        self.ring = [np.empty(coeffs, complex) for _ in range(3)]
+        self.u_values, self.field = np.empty(values), np.empty(values)
 
     def start(self, datas: list[tuple[RealField, RealField]]) -> tuple[tuple, np.ndarray | None]:
         """Initial (u_coeffs, ut_coeffs, u_values, kick, peaks), written
-        into new step arrays, with the kick dt/2 * f_0 (None without a
+        into the step arrays, with the kick dt/2 * f_0 (None without a
         source), and the overflow mask of :meth:`source_coeffs`."""
         grid = self.grid
-        a = self.arrays = _StepArrays(len(datas), grid)
-        u_coeffs, (ut_coeffs, kick, _) = a.u[0], a.ring
-        u_values = np.stack([u0.values for u0, _ in datas], out=a.u_values)
+        u_coeffs, (ut_coeffs, kick, _) = self.u[0], self.ring
+        u_values = np.stack([u0.values for u0, _ in datas], out=self.u_values)
         grid.forward(u_values, out=u_coeffs)
-        grid.forward(np.stack([u1.values for _, u1 in datas], out=a.field), out=ut_coeffs)
-        peaks = np.maximum.reduce(np.abs(u_values, out=a.field), axis=self.axes)
-        kick, overflow = self.source_coeffs(u_values, a.field, kick)
+        grid.forward(np.stack([u1.values for _, u1 in datas], out=self.field), out=ut_coeffs)
+        peaks = np.maximum.reduce(np.abs(u_values, out=self.field), axis=self.axes)
+        kick, overflow = self.source_coeffs(u_values, self.field, kick)
         if kick is not None:
             np.multiply(self.half_dt, kick, out=kick)
         return (u_coeffs, ut_coeffs, u_values, kick, peaks), overflow
@@ -257,13 +242,10 @@ class Stepper:
         new (u_coeffs, ut_coeffs, u_values), the next kick dt/2 * f* (f*
         is the source at the new u, the next step's f_n), each member's
         max |u_{n+1}| and the largest of them, inf where f* is non-finite:
-        the step has blown up there.  The arrays are the stepper's own
-        (:class:`_StepArrays`): the next step overwrites the u values and
-        the kick, the step after next the u and u_t coefficients."""
-        if self.arrays is None:
-            self.arrays = _StepArrays(len(u_coeffs), self.grid)
-        a = self.arrays
-        u_new, (_, ut_new, work) = a.u[1], a.ring
+        the step has blown up there.  The arrays are the stepper's own:
+        the next step overwrites the u values and the kick, the step
+        after next the u and u_t coefficients."""
+        u_new, (_, ut_new, work) = self.u[1], self.ring
         # the kicked u_t and u + the kicked u_t are evolved in place
         kicked = ut_coeffs if kick is None else np.add(kick, ut_coeffs, out=ut_new)
         u_sum = np.add(u_coeffs, kicked, out=u_new)
@@ -271,18 +253,18 @@ class Stepper:
             u_coeffs, kicked, self.g, self.gdt, self.stiffness, u_sum,
             out=(u_new, ut_new, work),
         )
-        u_values_new = self.grid.inverse(u_new, a.u_values, work)
-        peaks = np.maximum.reduce(np.abs(u_values_new, out=a.field), axis=self.axes)
+        u_values_new = self.grid.inverse(u_new, self.u_values, work)
+        peaks = np.maximum.reduce(np.abs(u_values_new, out=self.field), axis=self.axes)
         peak = np.maximum.reduce(peaks)
         # the source starts from |u| in field, and the inverse is done
         # with work, so the next kick may take its place
-        kick, overflow = self.source_coeffs(u_values_new, a.field, work, peak)
+        kick, overflow = self.source_coeffs(u_values_new, self.field, work, peak)
         if overflow is not None:
             peaks[overflow] = peak = np.inf
         if kick is not None:
             ut_new += np.multiply(self.half_dt, kick, out=kick)
-        a.u.reverse()
-        a.ring.append(a.ring.pop(0))
+        self.u.reverse()
+        self.ring.append(self.ring.pop(0))
         return u_new, ut_new, u_values_new, kick, peaks, peak
 
 
@@ -484,7 +466,9 @@ def run_ensemble(
         if overflow.all():
             return outcomes
         members = [m for m, failed in zip(members, overflow) if not failed]
-        step = stepper.retain(~overflow, *step)
+        step = [None if stack is None else stack[~overflow] for stack in step]
+        del stepper  # the rows are copies: one set of step arrays at a time
+        stepper = Stepper([m.cfg for m in members])
     u_coeffs, ut_coeffs, u_values, kick, peaks = step
     recorder = _Recorder(cfg, members)
     dt, record_every, threshold = cfg.dt, cfg.record_every, cfg.blowup_threshold
@@ -518,7 +502,10 @@ def run_ensemble(
                 members = [m for m, failed in zip(members, blown) if not failed]
                 recorder.jobs.close()
                 recorder = _Recorder(cfg, members)
-                step = stepper.retain(~blown, *step)
+                step = [None if stack is None else stack[~blown] for stack in step]
+                # no reference to the old step arrays outlives the old Stepper
+                del stepper, u_coeffs, ut_coeffs, u_values, kick
+                stepper = Stepper([m.cfg for m in members])
             u_coeffs, ut_coeffs, u_values, kick, peaks = step
         recorder.flush()
     finally:

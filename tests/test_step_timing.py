@@ -26,7 +26,7 @@ def test_step_timing_prints_one_json_line():
     assert list(peaks) == ["1d_1024", "2d_256", "3d_48"]
     # a 48^3 field is 0.84 MiB, and a run holds more than ten of them
     assert 0.0 < peaks["1d_1024"] < peaks["3d_48"] and peaks["3d_48"] > 8.4
-    for key in ("snapshot_run", "audit_run", "decay_run", "fujita_run"):
+    for key in ("snapshot_run", "audit_run", "decay_run", "fujita_run", "sweep_run"):
         assert list(result[key]) == ["wall_ms", "cpu_ms"]
         assert all(ms > 0.0 for ms in result[key].values())
 
