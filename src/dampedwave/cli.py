@@ -128,10 +128,7 @@ def main(argv=None) -> int:
 
     try:
         setup = load_setup(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     _print_warnings(setup)

@@ -14,7 +14,7 @@ prominent warning but are accepted: the blow-up experiments need them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .exponents import (
     ProblemParams,
@@ -41,36 +41,6 @@ class ConfigError(Exception):
         super().__init__(f"{prefix}: {message}" if prefix else message)
 
 
-_REQUIRED = (
-    "problem.dim",
-    "problem.p",
-    "weight.lambda",
-    "weight.A",
-    "grid.L",
-    "grid.M",
-    "solver.dt",
-    "solver.t_end",
-    "data.amplitude",
-    "data.width",
-)
-
-_OPTIONAL = (
-    "solver.blowup_threshold",
-    "solver.dealias",
-    "solver.record_every",
-    "solver.nonlinearity",
-    "data.kind",
-    "data.center",
-    "data.u1_amplitude",
-    "data.u1_width",
-    "fit.t_min",
-    "sweep.p",
-    "sweep.amplitude",
-)
-
-_KNOWN = set(_REQUIRED) | set(_OPTIONAL)
-
-
 @dataclass(frozen=True)
 class DataSpec:
     kind: str
@@ -93,18 +63,21 @@ class RunSetup:
     sweep_amplitude: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     raw: dict[str, str] = field(default_factory=dict)
-    text: str = ""
 
     @property
     def hash(self) -> str:
-        return config_hash(self.text)
+        return _pairs_hash(self.raw)
 
 
 def config_hash(text: str) -> str:
     """Stable digest of the canonicalized config (comments and blank
     lines stripped, pairs sorted)."""
-    pairs = sorted(f"{k}={v}" for k, v in parse_pairs(text).items())
-    return hashlib.sha256("\n".join(pairs).encode()).hexdigest()
+    return _pairs_hash(parse_pairs(text))
+
+
+def _pairs_hash(pairs: dict[str, str]) -> str:
+    lines = sorted(f"{k}={v}" for k, v in pairs.items())
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def parse_pairs(text: str) -> dict[str, str]:
@@ -128,18 +101,6 @@ def _parse_with_lines(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def _get(pairs, key, convert, default=None):
-    if key not in pairs:
-        if default is not None:
-            return default
-        raise ConfigError("required key is missing", key=key)
-    value, lineno = pairs[key]
-    try:
-        return convert(value)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot parse value {value!r}: {exc}", key=key, line=lineno)
-
-
 def _to_bool_or_auto(value: str):
     lowered = value.lower()
     if lowered == "auto":
@@ -155,82 +116,89 @@ def _to_float_list(value: str) -> list[float]:
     return [float(part.strip()) for part in value.split(",") if part.strip()]
 
 
+def _to_data_kind(value: str) -> str:
+    if value not in ("gaussian", "modulated_gaussian"):
+        raise ValueError(f"unknown data kind {value!r}")
+    return value
+
+
+# Every key, in the order it is read: its conversion and its default, as
+# config text or as a function of the values read before it.  A key
+# without a default is required.
+_KEYS = {
+    "problem.dim": (int, None),
+    "problem.p": (float, None),
+    "weight.lambda": (float, None),
+    "weight.A": (float, None),
+    "grid.L": (float, None),
+    "grid.M": (int, None),
+    "solver.dt": (float, None),
+    "solver.t_end": (float, None),
+    "solver.blowup_threshold": (float, "1e6"),
+    "solver.dealias": (_to_bool_or_auto, "auto"),
+    "solver.record_every": (int, "10"),
+    "solver.nonlinearity": (Nonlinearity, "source"),
+    "data.kind": (_to_data_kind, "gaussian"),
+    "data.amplitude": (float, None),
+    "data.width": (float, None),
+    "data.center": (float, "0.0"),
+    "data.u1_amplitude": (float, "0.0"),
+    "data.u1_width": (float, lambda values: values["data.width"]),
+    "fit.t_min": (float, lambda values: values["solver.t_end"] / 10.0),
+    "sweep.p": (_to_float_list, ""),
+    "sweep.amplitude": (_to_float_list, ""),
+}
+
+
 def load_setup_text(text: str) -> RunSetup:
     pairs = _parse_with_lines(text)
     for key, (_, lineno) in pairs.items():
-        if key not in _KNOWN:
+        if key not in _KEYS:
             raise ConfigError("unknown key", key=key, line=lineno)
+    values = {}
+    for key, (convert, default) in _KEYS.items():
+        if key in pairs:
+            value, lineno = pairs[key]
+            try:
+                values[key] = convert(value)
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"cannot parse value {value!r}: {exc}", key=key, line=lineno)
+        elif default is None:
+            raise ConfigError("required key is missing", key=key)
+        else:
+            values[key] = default(values) if callable(default) else convert(default)
 
-    dim = _get(pairs, "problem.dim", int)
-    p = _get(pairs, "problem.p", float)
-    lam = _get(pairs, "weight.lambda", float)
-    offset = _get(pairs, "weight.A", float)
-    half_width = _get(pairs, "grid.L", float)
-    points = _get(pairs, "grid.M", int)
-    dt = _get(pairs, "solver.dt", float)
-    t_end = _get(pairs, "solver.t_end", float)
-    threshold = _get(pairs, "solver.blowup_threshold", float, default=1e6)
-    dealias = _get(pairs, "solver.dealias", _to_bool_or_auto, default="auto")
-    if dealias == "auto":
-        dealias = None
-    record_every = _get(pairs, "solver.record_every", int, default=10)
-    nonlinearity = _get(
-        pairs, "solver.nonlinearity", Nonlinearity, default=Nonlinearity.SOURCE
-    )
-    kind = _get(pairs, "data.kind", str, default="gaussian")
-    if kind not in ("gaussian", "modulated_gaussian"):
-        _, lineno = pairs["data.kind"]
-        raise ConfigError(
-            f"unknown data kind {kind!r}", key="data.kind", line=lineno
-        )
-    amplitude = _get(pairs, "data.amplitude", float)
-    width = _get(pairs, "data.width", float)
-    center = _get(pairs, "data.center", float, default=0.0)
-    u1_amplitude = _get(pairs, "data.u1_amplitude", float, default=0.0)
-    u1_width = _get(pairs, "data.u1_width", float, default=width)
-    fit_t_min = _get(pairs, "fit.t_min", float, default=t_end / 10.0)
-    sweep_p = _get(pairs, "sweep.p", _to_float_list, default=[])
-    sweep_amplitude = _get(pairs, "sweep.amplitude", _to_float_list, default=[])
-
+    dim, lam = values["problem.dim"], values["weight.lambda"]
     try:
-        problem = ProblemParams(dim=dim, p=p, weight_power=lam)
-        weight = WeightParams(offset=offset, power=lam)
-        grid = Grid(dim=dim, half_width=half_width, points=points)
+        problem = ProblemParams(dim=dim, p=values["problem.p"], weight_power=lam)
+        weight = WeightParams(offset=values["weight.A"], power=lam)
+        grid = Grid(dim=dim, half_width=values["grid.L"], points=values["grid.M"])
         solver = SolverConfig(
             problem=problem,
             grid=grid,
             weight=weight,
-            dt=dt,
-            t_end=t_end,
-            blowup_threshold=threshold,
-            dealias=dealias,
-            record_every=record_every,
-            nonlinearity=nonlinearity,
+            dt=values["solver.dt"],
+            t_end=values["solver.t_end"],
+            blowup_threshold=values["solver.blowup_threshold"],
+            dealias=values["solver.dealias"],
+            record_every=values["solver.record_every"],
+            nonlinearity=values["solver.nonlinearity"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    warnings = _range_warnings(problem)
-    data = DataSpec(
-        kind=kind,
-        amplitude=amplitude,
-        width=width,
-        center=center,
-        u1_amplitude=u1_amplitude,
-        u1_width=u1_width,
-    )
+    data = DataSpec(*(values[f"data.{f.name}"] for f in fields(DataSpec)))
     return RunSetup(
         problem=problem,
         weight=weight,
         grid=grid,
         solver=solver,
         data=data,
-        fit_t_min=fit_t_min,
-        sweep_p=sweep_p,
-        sweep_amplitude=sweep_amplitude,
-        warnings=warnings,
-        raw=parse_pairs(text),
-        text=text,
+        fit_t_min=values["fit.t_min"],
+        sweep_p=values["sweep.p"],
+        sweep_amplitude=values["sweep.amplitude"],
+        warnings=_range_warnings(problem),
+        raw={key: value for key, (value, _) in pairs.items()},
     )
 
 

@@ -28,8 +28,8 @@ from .exponents import (
 from .inequalities import gaussian_width_family, ratio_sweep
 from .initial_data import gaussian_field, modulated_gaussian_field, zero_field
 from .propagator import decay_profile
-from .solver import RunOutcome, run, run_ensemble
-from .timeseries import decay_fit
+from .solver import RunOutcome, RunStatus, run, run_ensemble
+from .timeseries import TimeSeries, decay_fit
 from .weights import (
     MIN_AUDIT_SNAPSHOTS,
     SlackAudit,
@@ -76,8 +76,10 @@ def exponent_report(setup: RunSetup) -> dict:
     return report
 
 
-def _base_report(setup: RunSetup) -> dict:
-    return {
+def _report(setup: RunSetup, out_dir: Path, audits: dict, outcome: dict, timings: dict) -> dict:
+    """Assemble an experiment's report and write it to ``out_dir/report.json``,
+    making the directory if need be."""
+    report = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": {
             "hash": setup.hash,
@@ -86,32 +88,39 @@ def _base_report(setup: RunSetup) -> dict:
             "warnings": list(setup.warnings),
         },
         "exponents": exponent_report(setup),
-        "audits": {},
-        "outcome": {},
-        "timings": {},
+        "audits": audits,
+        "outcome": outcome,
+        "timings": timings,
     }
-
-
-def _write_report(report: dict, out_dir: Path) -> Path:
-    path = out_dir / "report.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, allow_nan=False, sort_keys=True)
         fh.write("\n")
-    return path
+    return report
 
 
-def _outcome_dict(outcome: RunOutcome) -> dict:
-    rows = outcome.series.finite_rows()
-    x_norm = None
-    if rows["t"].size:
-        x_norm = decay_norm(outcome.series)
+def _outcome_dict(status: str, series: TimeSeries, t_final: float) -> dict:
+    """A report's outcome; a blown-up series ends with its marker row at
+    the blow-up time."""
     return {
-        "status": outcome.status.value,
-        "blowup_time": outcome.blowup_time,
-        "t_final": outcome.final_state.t,
-        "records": len(outcome.series),
-        "x_norm": x_norm,
+        "status": status,
+        "blowup_time": series.rows[-1]["t"] if status == RunStatus.BLEW_UP else None,
+        "t_final": t_final,
+        "records": len(series),
+        "x_norm": decay_norm(series) if series.finite_rows()["t"].size else None,
     }
+
+
+def _run_audits(setup: RunSetup, outcome: RunOutcome, slack: SlackAudit) -> dict:
+    """The weight-slack audit ``slack`` and, when the run took enough
+    snapshots, the trajectory audits."""
+    audits = {"weight_residual": slack.to_dict()}
+    rows = outcome.snapshots
+    p = setup.problem.p
+    if len(rows) >= MIN_AUDIT_SNAPSHOTS:
+        audits["energy"] = energy_audit(rows, p).to_dict()
+        audits["source_bound"] = source_bound_audit(rows, outcome.series, p).to_dict()
+    return audits
 
 
 def simulate(setup: RunSetup, out_dir, snapshot_every: float | None = None) -> dict:
@@ -127,41 +136,16 @@ def simulate(setup: RunSetup, out_dir, snapshot_every: float | None = None) -> d
     data = build_data(setup)
     snap_dir = None if snapshot_every is None else out_dir / "snapshots"
     outcome = run(setup.solver, data, snapshot_every=snapshot_every, snapshot_dir=snap_dir)
-    t_post = time.perf_counter()
-    slack = slack_audit(setup.solver.t_end, setup.grid, setup.weight)
-    return _write_run(setup, out_dir, outcome, slack, t_post - t0, t_post)
-
-
-def _write_run(
-    setup: RunSetup,
-    out_dir: Path,
-    outcome: RunOutcome,
-    slack: SlackAudit,
-    run_s: float,
-    t_post: float,
-) -> dict:
-    """Series, audits and report of a finished run and its weight-slack
-    audit ``slack``.  ``run_s`` is the wall time that produced
-    ``outcome``; ``total_s`` adds the time since ``t_post``, the
-    ``perf_counter`` reading at which this run's post-run work began."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = _base_report(setup)
+    run_s = time.perf_counter() - t0
+    audits = _run_audits(setup, outcome, slack_audit(setup.solver.t_end, setup.grid, setup.weight))
+    report = _report(
+        setup,
+        out_dir,
+        audits,
+        _outcome_dict(outcome.status.value, outcome.series, outcome.final_state.t),
+        {"run_s": run_s, "total_s": time.perf_counter() - t0},
+    )
     outcome.series.to_csv(out_dir / "series.csv")
-
-    audits = report["audits"]
-    audits["weight_residual"] = slack.to_dict()
-    rows = outcome.snapshots
-    p = setup.problem.p
-    if len(rows) >= MIN_AUDIT_SNAPSHOTS:
-        audits["energy"] = energy_audit(rows, p).to_dict()
-        audits["source_bound"] = source_bound_audit(rows, outcome.series, p).to_dict()
-
-    report["outcome"] = _outcome_dict(outcome)
-    report["timings"] = {
-        "run_s": run_s,
-        "total_s": run_s + time.perf_counter() - t_post,
-    }
-    _write_report(report, out_dir)
     return report
 
 
@@ -172,15 +156,11 @@ def linear_decay(setup: RunSetup, out_dir) -> dict:
     flow: -N/4 for u, -N/4 - 1/2 for the gradient, -N/4 - 1 for u_t.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = _base_report(setup)
     t0 = time.perf_counter()
-
     data = build_data(setup)
     spacing = setup.solver.dt * setup.solver.record_every
     times = np.arange(0.0, setup.solver.t_end + 0.5 * spacing, spacing)
     series = decay_profile(data, times, weight=setup.weight)
-    series.to_csv(out_dir / "series.csv")
 
     quarter = 0.25 * setup.problem.dim
     expected = {
@@ -197,16 +177,14 @@ def linear_decay(setup: RunSetup, out_dir) -> dict:
             "expected": target,
             "deviation": slope - target,
         }
-    report["audits"]["decay_fits"] = fits
-    report["outcome"] = {
-        "status": "completed",
-        "blowup_time": None,
-        "t_final": float(times[-1]),
-        "records": len(series),
-        "x_norm": decay_norm(series),
-    }
-    report["timings"] = {"total_s": time.perf_counter() - t0}
-    _write_report(report, out_dir)
+    report = _report(
+        setup,
+        out_dir,
+        {"decay_fits": fits},
+        _outcome_dict("completed", series, float(times[-1])),
+        {"total_s": time.perf_counter() - t0},
+    )
+    series.to_csv(out_dir / "series.csv")
     return report
 
 
@@ -233,11 +211,7 @@ def energy_audit_experiment(setup: RunSetup, out_dir, snapshot_every: float | No
 def ckn_check(setup: RunSetup, out_dir) -> dict:
     """Admissibility plus width-family ratio sweeps for the interpolation
     inequalities behind the configured problem."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = _base_report(setup)
     t0 = time.perf_counter()
-
     family = gaussian_width_family()
     cases = {}
     problem = setup.problem
@@ -259,11 +233,8 @@ def ckn_check(setup: RunSetup, out_dir) -> dict:
             "max_ratio": sweep_report.max_ratio,
             "scale_spread": spread,
         }
-    report["audits"]["ckn"] = cases
-    report["outcome"] = {"status": "completed"}
-    report["timings"] = {"total_s": time.perf_counter() - t0}
-    _write_report(report, out_dir)
-    return report
+    timings = {"total_s": time.perf_counter() - t0}
+    return _report(setup, Path(out_dir), {"ckn": cases}, {"status": "completed"}, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +299,16 @@ def sweep(setup: RunSetup, out_dir) -> list[dict]:
         try:
             if isinstance(outcome, Exception):
                 raise outcome
-            report = _write_run(
-                point_setup, point_dirs[index], outcome, slack, run_s, time.perf_counter()
-            )
-            results[index] = report["outcome"]
+            t_post = time.perf_counter()
+            audits = _run_audits(point_setup, outcome, slack)
+            results[index] = _report(
+                point_setup,
+                point_dirs[index],
+                audits,
+                _outcome_dict(outcome.status.value, outcome.series, outcome.final_state.t),
+                {"run_s": run_s, "total_s": run_s + time.perf_counter() - t_post},
+            )["outcome"]
+            outcome.series.to_csv(point_dirs[index] / "series.csv")
         except Exception as exc:
             results[index] = exc
 

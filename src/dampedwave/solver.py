@@ -501,6 +501,7 @@ def run_ensemble(
                     return outcomes
                 members = [m for m, failed in zip(members, blown) if not failed]
                 recorder.jobs.close()
+                recorder = None  # one recorder's arrays at a time
                 recorder = _Recorder(cfg, members)
                 step = [None if stack is None else stack[~blown] for stack in step]
                 # no reference to the old step arrays outlives the old Stepper
@@ -509,7 +510,8 @@ def run_ensemble(
             u_coeffs, ut_coeffs, u_values, kick, peaks = step
         recorder.flush()
     finally:
-        recorder.jobs.close()
+        if recorder is not None:
+            recorder.jobs.close()
     del recorder  # its arrays are not needed for the final states
     for row, m in enumerate(members):
         final = state_from_coeffs(grid, t, u_coeffs[row], ut_coeffs[row])

@@ -140,8 +140,7 @@ def residual_audit(
     power = rng.uniform(0.0, power_max, samples)
     power = np.where(power == 0.0, power_max, power)  # (0, power_max]
     offset = rng.uniform(0.5, 10.0, samples) * power
-    base = offset + r_sq / (1.0 + t)
-    residual = 2.0 * base**power - power * base ** (power - 1.0)
+    residual = weight_residual(t, r_sq, WeightParams(offset, power, validate=False))
     min_residual = np.min(residual)  # NaN propagates
 
     gap = 0.0

@@ -9,6 +9,17 @@ spec = importlib.util.spec_from_file_location("compare_artifacts", SCRIPT)
 compare_artifacts = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_artifacts)
 
+TREES = SCRIPT.with_name("artifact_trees.py")
+spec = importlib.util.spec_from_file_location("artifact_trees", TREES)
+artifact_trees = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(artifact_trees)
+
+SMALL = (
+    "problem.dim = 1\nproblem.p = 4.0\nweight.lambda = 2.0\nweight.A = 4.0\n"
+    "grid.L = 40.0\ngrid.M = 128\nsolver.dt = 0.05\nsolver.t_end = 5.0\n"
+    "data.amplitude = 0.01\ndata.width = 2.0\n"
+)
+
 
 def write_tree(root, report, series="t,l2_u\n0,1\n"):
     (root / "run").mkdir(parents=True)
@@ -58,14 +69,28 @@ def test_compare_artifacts_names_the_nested_values_that_differ(tmp_path, capsys)
 
 def test_simulate_artifacts_do_not_depend_on_the_seed(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "problem.dim = 1\nproblem.p = 4.0\nweight.lambda = 2.0\nweight.A = 4.0\n"
-        "grid.L = 40.0\ngrid.M = 128\nsolver.dt = 0.05\nsolver.t_end = 5.0\n"
-        "data.amplitude = 0.01\ndata.width = 2.0\n"
-    )
+    cfg.write_text(SMALL)
     for seed in (1, 2):
         out = tmp_path / f"seed{seed}"
         argv = ["simulate", "--config", str(cfg), "--out", str(out), "--seed", str(seed)]
         assert dampedwave_main([*argv, "--snapshots", "1.0"]) == 0
     assert compare_artifacts.main([str(tmp_path / "seed1"), str(tmp_path / "seed2")]) == 0
     assert "0 difference(s)" in capsys.readouterr().out
+
+
+def test_artifact_trees_writes_each_call_into_its_own_tree(monkeypatch, tmp_path, capsys):
+    # the calls' list holds the benchmark workloads and four shipped-config
+    # calls; one small simulate stands in for them here
+    names = [call.name for call in artifact_trees.CALLS]
+    assert names[:4] == ["fujita_1d", "linear_decay_2d", "audit_3d", "sweep_1d"]
+    assert len(names) == len(set(names)) == 8
+    call = artifact_trees.Workload("small", "simulate", SMALL, ("--snapshots", "1.0"), why="")
+    monkeypatch.setattr(artifact_trees, "CALLS", [call])
+    for side in ("old", "new"):
+        assert artifact_trees.main([str(tmp_path / side)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "small: exit 0"
+    tree = tmp_path / "old"
+    assert (tree / "small.cfg").read_text() == SMALL
+    written = {f.name for f in (tree / "small").iterdir()}
+    assert {"report.json", "series.csv", "snapshots"} <= written
+    assert compare_artifacts.main([str(tree), str(tmp_path / "new")]) == 0

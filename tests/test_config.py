@@ -25,12 +25,18 @@ def test_load_good_config():
     assert setup.weight.offset == 4.0
     assert setup.grid.points == 256
     assert setup.solver.dt == 0.05
+    assert setup.warnings == []
+    # every optional key at its default
+    assert setup.solver.blowup_threshold == 1e6
+    assert setup.solver.dealias is None
     assert setup.solver.record_every == 10
     assert setup.solver.nonlinearity is Nonlinearity.SOURCE
+    assert setup.data.kind == "gaussian"
+    assert setup.data.center == 0.0
     assert setup.data.u1_amplitude == 0.0
-    assert setup.data.u1_width == setup.data.width
-    assert setup.fit_t_min == pytest.approx(1.0)
-    assert setup.warnings == []
+    assert setup.data.u1_width == setup.data.width == 2.0
+    assert setup.fit_t_min == setup.solver.t_end / 10.0 == 1.0
+    assert setup.sweep_p == [] and setup.sweep_amplitude == []
 
 
 def test_missing_key_names_it():
@@ -48,6 +54,16 @@ def test_unknown_key_reports_line():
         load_setup_text(text)
     assert "spooky.key" in str(err.value)
     assert "line" in str(err.value)
+
+
+def test_unknown_key_is_reported_before_a_missing_one():
+    # a misspelt required key is an unknown key on its line, not a
+    # missing grid.M
+    text = GOOD.replace("grid.M = 256", "grid.m = 256")
+    with pytest.raises(ConfigError) as err:
+        load_setup_text(text)
+    assert (err.value.key, err.value.line) == ("grid.m", 8)
+    assert "unknown key" in str(err.value)
 
 
 def test_bad_value_reports_key_and_line():

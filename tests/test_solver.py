@@ -1048,6 +1048,26 @@ def test_run_with_inline_jobs_peaks_alike_each_time(snapshots, monkeypatch, tmp_
     assert max(peaks) <= 17
 
 
+def test_blowup_drops_the_old_recorder_before_the_new(monkeypatch):
+    # the middle member blows up at t = 0.225 and the survivors get a new
+    # recorder; with the old one dropped first the second run peaks at
+    # 47.7 fields (44.3 with no blow-up), where holding both recorders
+    # at once put it at 59.4
+    monkeypatch.setattr(solver, "JobThread", lambda inline: diagnostics.JobThread(inline=True))
+    cfg, _ = _at_once_run()
+    grid = cfg.grid
+    datas = [(gaussian_field(grid, a, 3.0), zero_field(grid)) for a in (0.05, 50.0, 0.05)]
+    run_ensemble([cfg] * 3, datas)
+    tracemalloc.start()
+    try:
+        outcomes = run_ensemble([cfg] * 3, datas)
+        peak = tracemalloc.get_traced_memory()[1] / (grid.size * 8)
+    finally:
+        tracemalloc.stop()
+    assert [o.blowup_time for o in outcomes] == [None, 0.225, None]
+    assert peak <= 50
+
+
 def test_ensemble_initial_overflow_stays_per_member():
     cfgs = [make_cfg(p=2.0, t_end=1.0), make_cfg(p=4.0, t_end=1.0)]
     grid = cfgs[0].grid
