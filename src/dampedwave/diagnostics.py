@@ -1,23 +1,16 @@
 """Shared measurement of spectral states into diagnostic records.
 
-Both the exact linear flow and the semilinear stepper funnel their
-states through :func:`measure` so that "nonlinearity switched off"
-reproduces the linear diagnostics through the identical code path.  The
-weighted energy comes from ``weights.spectral_energy``, the kernel that
-the snapshot rows and :func:`~dampedwave.weights.weighted_energy` use.
+Both the exact linear flow and the semilinear stepper measure their
+states with :func:`measure`, so that "nonlinearity switched off"
+reproduces the linear diagnostics through the identical code path.  A
+record is a tuple of floats in ``timeseries.COLUMNS`` order.
 
-:func:`measure` takes a stack of states (leading axes before the grid
-axes) and makes one call per operation for the whole stack: a run
-measures a block of record states at once.  Every reduction runs along
-one state's own contiguous entries (``np.vecdot`` and ``np.sum`` on
-``(*lead, -1)`` reshapes), so each record holds the floats that
-measuring its state alone gives.
-
+:func:`measure` takes a stack of states and makes one call per operation
+for the whole stack; every reduction runs along one state's own entries,
+so each record holds the floats that measuring its state alone gives.
 Where a block of RECORD_BLOCK_POINTS grid points would not hold two
-record times (:func:`block_rows`), a caller measures each state as it
-comes, as a job for a :class:`JobThread` while it computes the next
-state: the run loop's recorder and the exact linear flow's
-``decay_profile`` alike.
+record times (:func:`block_rows`), a caller measures each state alone,
+as a job for a :class:`JobThread` while it computes the next state.
 """
 
 from __future__ import annotations
@@ -137,19 +130,21 @@ def measure(
     peaks,
     scratch: Scratch,
     ut_values: np.ndarray | None = None,
-) -> list[dict]:
-    """One diagnostic record per state of a stack, in C order of its
-    leading axes ``lead`` (none for one state).  ``u_coeffs`` and
-    ``ut_coeffs`` are real-FFT coefficients of shape
-    (*lead, *grid.half_shape) and ``peaks`` the sup norms of u (shape
-    ``lead``), which the caller has already evaluated; ``times`` and the
-    weight values ``psi`` broadcast against ``lead`` and
+) -> list[tuple[float, ...]]:
+    """One record, a tuple of floats in ``timeseries.COLUMNS`` order, per
+    state of a stack, in C order of its leading axes ``lead`` (none for
+    one state).  ``u_coeffs`` and ``ut_coeffs`` are real-FFT coefficients
+    of shape (*lead, *grid.half_shape) and ``peaks`` the sup norms of u
+    (shape ``lead``), which the caller has already evaluated; ``times``
+    and the weight values ``psi`` broadcast against ``lead`` and
     (*lead, *grid.shape).  Every grid-sized intermediate is written into
     ``scratch``, made for ``lead``.
 
     L^2 norms come from Parseval; the weighted energy needs physical
     fields, so u_t (unless the caller passes its ``ut_values``) and the
-    gradient are transformed back, one stacked transform each.
+    gradient are transformed back, one stacked transform each.  The
+    ``xn_*`` columns take Python's float ``**`` per record, whose last
+    bit ``np.power`` does not always match.
     """
     lead = u_coeffs.shape[: u_coeffs.ndim - grid.dim]
     l2_u = spectral_l2(u_coeffs, grid)
@@ -166,20 +161,14 @@ def measure(
     table = np.empty((7, *lead))
     for row, column in enumerate((times, l2_u, l2_grad, l2_ut, peaks, energies, means)):
         table[row, ...] = column
-    records = []
-    for t, l2_u, l2_grad, l2_ut, linf_u, e_weighted, mean_u in table.reshape(7, -1).T.tolist():
-        growth = 1.0 + t
-        records.append({
-            "t": t,
-            "l2_u": l2_u,
-            "l2_grad_u": l2_grad,
-            "l2_ut": l2_ut,
-            "linf_u": linf_u,
-            "weighted_energy": e_weighted,
-            "xn_energy": math.sqrt(max(e_weighted, 0.0)),
-            "xn_ut": growth ** (quarter + 1.0) * l2_ut,
-            "xn_grad": growth ** (quarter + 0.5) * l2_grad,
-            "xn_l2": growth**quarter * l2_u,
-            "mean_u": mean_u,
-        })
-    return records
+    return [
+        (
+            t, l2_u, l2_grad, l2_ut, linf_u, energy,
+            math.sqrt(max(energy, 0.0)),
+            (1.0 + t) ** (quarter + 1.0) * l2_ut,
+            (1.0 + t) ** (quarter + 0.5) * l2_grad,
+            (1.0 + t) ** quarter * l2_u,
+            mean_u,
+        )
+        for t, l2_u, l2_grad, l2_ut, linf_u, energy, mean_u in table.reshape(7, -1).T.tolist()
+    ]

@@ -29,7 +29,7 @@ from .inequalities import gaussian_width_family, ratio_sweep
 from .initial_data import gaussian_field, modulated_gaussian_field, zero_field
 from .propagator import decay_profile
 from .solver import RunOutcome, RunStatus, run, run_ensemble
-from .timeseries import TimeSeries, decay_fit
+from .timeseries import COLUMNS, TimeSeries, decay_fit
 from .weights import (
     MIN_AUDIT_SNAPSHOTS,
     SlackAudit,
@@ -104,7 +104,9 @@ def _outcome_dict(status: str, series: TimeSeries, t_final: float) -> dict:
     the blow-up time."""
     return {
         "status": status,
-        "blowup_time": series.rows[-1]["t"] if status == RunStatus.BLEW_UP else None,
+        "blowup_time": (
+            series.rows[-1][COLUMNS.index("t")] if status == RunStatus.BLEW_UP else None
+        ),
         "t_final": t_final,
         "records": len(series),
         "x_norm": decay_norm(series) if series.finite_rows()["t"].size else None,

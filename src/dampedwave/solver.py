@@ -62,7 +62,7 @@ from .exponents import ProblemParams
 from .propagator import LinearState, evolve_coeffs, state_from_coeffs
 from .snapshots import write_snapshot
 from .spectral import Grid, RealField, boundary_contaminated, gather, greens_multipliers
-from .timeseries import TimeSeries
+from .timeseries import COLUMNS, TimeSeries
 from .weights import (
     Scratch,
     SnapshotIntegrals,
@@ -372,7 +372,7 @@ class _Recorder:
                 self.times[:1], self.u_coeffs[:1], self.ut_coeffs[:1], self.peaks[:1],
                 self.edges[:1], ut_values[None], psi[None],
             )
-            energies = [m.series.rows[-1]["weighted_energy"] for m in self.members]
+            energies = [m.series.rows[-1][COLUMNS.index("weighted_energy")] for m in self.members]
         else:
             energies = spectral_energy(grid, self.u_coeffs[0], ut_values, psi, s).tolist()
         for m, row, energy in zip(self.members, rows, energies):

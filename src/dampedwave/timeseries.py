@@ -1,9 +1,11 @@
 """Per-step diagnostic records, their CSV form, and decay-rate regression.
 
-The column schema is fixed; the CSV always carries the header row and
-serializes floats with 17 significant digits so that 64-bit values
-round-trip exactly.  A run that blows up may append one terminal marker
-row whose value columns are infinite; every earlier entry is finite.
+A record is a tuple of floats in ``COLUMNS`` order from the moment
+:func:`~dampedwave.diagnostics.measure` makes it to its CSV row.  The CSV
+always carries the header row and writes floats with 17 significant
+digits so that 64-bit values round-trip exactly.  A run that blows up may
+append one terminal marker row whose value columns are infinite; every
+earlier row is finite.
 """
 
 from __future__ import annotations
@@ -27,31 +29,31 @@ COLUMNS = (
     "mean_u",
 )
 
-_FLOAT_FMT = "%.17g"
+_LINF_U = COLUMNS.index("linf_u")
+_ROW_FORMAT = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
 
 
 @dataclass
 class TimeSeries:
-    """Ordered diagnostic records with strictly increasing times."""
+    """Records, tuples of floats in ``COLUMNS`` order, with strictly
+    increasing finite times."""
 
-    rows: list[dict] = field(default_factory=list)
+    rows: list[tuple[float, ...]] = field(default_factory=list)
 
-    def append(self, record: dict) -> None:
-        try:
-            row = {name: float(record[name]) for name in COLUMNS}
-        except KeyError:
-            missing = sorted(set(COLUMNS) - set(record))
-            raise ValueError(f"record is missing columns {missing}") from None
-        if self.rows and row["t"] <= self.rows[-1]["t"]:
-            raise ValueError(f"record time {row['t']} does not increase past {self.rows[-1]['t']}")
-        if self.rows and not math.isfinite(self.rows[-1]["linf_u"]):
+    def append(self, record) -> None:
+        """Append ``record``: one value per column, converted with ``float``."""
+        if len(record) != len(COLUMNS):
+            raise ValueError(f"record has {len(record)} values, not {len(COLUMNS)}")
+        row = tuple(map(float, record))
+        last = self.rows[-1][0] if self.rows else -math.inf
+        if not last < row[0] < math.inf:
+            raise ValueError(f"record time {row[0]} is not a finite time past {last}")
+        if self.rows and not math.isfinite(self.rows[-1][_LINF_U]):
             raise ValueError("cannot append past a terminal blow-up marker")
         self.rows.append(row)
 
     def append_blowup_marker(self, t: float) -> None:
-        marker = {name: np.inf for name in COLUMNS}
-        marker["t"] = t
-        self.append(marker)
+        self.append((t,) + (math.inf,) * (len(COLUMNS) - 1))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -59,22 +61,21 @@ class TimeSeries:
     def column(self, name: str) -> np.ndarray:
         if name not in COLUMNS:
             raise KeyError(f"unknown column {name!r}")
-        return np.array([row[name] for row in self.rows])
+        return np.array(self.rows).reshape(-1, len(COLUMNS))[:, COLUMNS.index(name)]
 
     def finite_rows(self) -> dict[str, np.ndarray]:
         """Column arrays with any terminal blow-up marker dropped."""
-        rows = self.rows
-        if rows and not np.isfinite(rows[-1]["linf_u"]):
-            rows = rows[:-1]
-        return {name: np.array([r[name] for r in rows]) for name in COLUMNS}
+        table = np.array(self.rows).reshape(-1, len(COLUMNS))
+        if len(table) and not math.isfinite(table[-1, _LINF_U]):
+            table = table[:-1]
+        return dict(zip(COLUMNS, table.T))
 
     # -- CSV ----------------------------------------------------------------
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(",".join(COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_FLOAT_FMT % row[name] for name in COLUMNS) + "\n")
+            fh.writelines(_ROW_FORMAT % row for row in self.rows)
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
@@ -87,7 +88,7 @@ class TimeSeries:
                 parts = line.strip().split(",")
                 if len(parts) != len(COLUMNS):
                     raise ValueError(f"malformed CSV row {line!r}")
-                series.append(dict(zip(COLUMNS, (float(p) for p in parts))))
+                series.append(parts)
         return series
 
 

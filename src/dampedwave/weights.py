@@ -249,7 +249,7 @@ def decay_norm(series) -> float:
     """Supremum over the recorded times of the sum of the four decay-norm
     components.  Blow-up marker rows are excluded."""
     rows = series.finite_rows()
-    if len(rows) == 0:
+    if len(rows["t"]) == 0:
         raise ValueError("empty trajectory")
     total = (
         rows["xn_energy"] + rows["xn_ut"] + rows["xn_grad"] + rows["xn_l2"]

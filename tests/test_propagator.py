@@ -16,7 +16,7 @@ from dampedwave.diagnostics import measure
 from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave.propagator import LinearState, decay_profile, evolve_coeffs, linear_evolve
 from dampedwave.spectral import Grid, RealField, greens_multipliers
-from dampedwave.timeseries import TimeSeries, decay_fit
+from dampedwave.timeseries import COLUMNS, TimeSeries, decay_fit
 from dampedwave.weights import Scratch, WeightParams, weight_value
 
 SRC = Path(dampedwave.__file__).resolve().parents[1]
@@ -281,7 +281,7 @@ def test_decay_profile_matches_full_grid_reference(dim):
         (record,) = measure(g, t, u_t, ut_t, psi, peak, Scratch.for_grid(g))
         expected.append(record)
     got = decay_profile((u0, u1), times, weight=w)
-    for column in expected.rows[0]:
+    for column in COLUMNS:
         assert np.array_equal(got.column(column), expected.column(column)), column
 
 

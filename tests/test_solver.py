@@ -22,6 +22,7 @@ from dampedwave.solver import (
     run_ensemble,
 )
 from dampedwave.spectral import Grid, RealField, greens_multipliers
+from dampedwave.timeseries import COLUMNS
 from dampedwave.snapshots import read_snapshot, write_snapshot
 from dampedwave.weights import SnapshotIntegrals, WeightParams, weight_value, weighted_energy
 
@@ -184,9 +185,8 @@ def test_run_blow_up_detection():
     assert outcome.blowup_time is not None
     assert 0.0 < outcome.blowup_time <= cfg.t_end
     # terminal marker row carries the blow-up time
-    last = outcome.series.rows[-1]
-    assert last["t"] == outcome.blowup_time
-    assert np.isinf(last["linf_u"])
+    assert outcome.series.column("t")[-1] == outcome.blowup_time
+    assert np.isinf(outcome.series.column("linf_u")[-1])
     # everything before the marker is finite
     finite = outcome.series.finite_rows()
     assert np.all(np.isfinite(finite["linf_u"]))
@@ -527,7 +527,8 @@ def test_ensemble_members_match_single_runs(dim, tmp_path):
 def _measure_alone(grid, t, u_coeffs, ut_coeffs, peak):
     """One record measured alone, as before records were measured in
     blocks: Parseval sums by np.vdot, the weight at every grid point, a
-    fresh array for every intermediate and np.sum over the state."""
+    fresh array for every intermediate and np.sum over the state.  The
+    values are named by column and returned in ``COLUMNS`` order."""
 
     def l2(coeffs, xi_sq=None):
         weighted = coeffs if xi_sq is None else xi_sq * coeffs
@@ -547,7 +548,7 @@ def _measure_alone(grid, t, u_coeffs, ut_coeffs, peak):
     energy = float(grid.cell_volume * np.sum(density))
     l2_u, l2_grad, l2_ut = l2(u_coeffs), l2(u_coeffs, grid.freq_sq()), l2(ut_coeffs)
     quarter, growth = 0.25 * grid.dim, 1.0 + t
-    return {
+    record = {
         "t": t,
         "l2_u": l2_u,
         "l2_grad_u": l2_grad,
@@ -560,6 +561,7 @@ def _measure_alone(grid, t, u_coeffs, ut_coeffs, peak):
         "xn_l2": growth**quarter * l2_u,
         "mean_u": float(u_coeffs.flat[0].real / grid.size),
     }
+    return tuple(record[name] for name in COLUMNS)
 
 
 def _one_at_a_time(grid, times, u_coeffs, ut_coeffs, psi, peaks, scratch, ut_values=None):

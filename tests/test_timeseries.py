@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,7 @@ from dampedwave.timeseries import COLUMNS, TimeSeries, decay_fit
 
 
 def make_row(t, value=1.0):
-    row = {name: value for name in COLUMNS}
-    row["t"] = t
-    return row
+    return (t,) + (value,) * (len(COLUMNS) - 1)
 
 
 def power_law_series(exponent, coefficient=2.0, n=60, t_max=100.0):
@@ -27,28 +27,36 @@ def test_append_requires_increasing_time():
 
 def test_append_requires_all_columns():
     series = TimeSeries()
-    row = make_row(0.0)
-    del row["mean_u"], row["l2_u"]
-    with pytest.raises(ValueError, match=r"^record is missing columns \['l2_u', 'mean_u'\]$"):
-        series.append(row)
+    for size in (len(COLUMNS) - 2, len(COLUMNS) + 1):
+        with pytest.raises(ValueError, match=rf"^record has {size} values, not {len(COLUMNS)}$"):
+            series.append((0.0,) + (1.0,) * (size - 1))
+    assert len(series) == 0
 
 
 def test_append_stores_exactly_the_columns_as_floats():
     series = TimeSeries()
-    row = make_row(np.float64(0.25), np.float32(2.0))
-    row["extra"] = "ignored"
-    series.append(row)
+    series.append(make_row(np.float64(0.25), np.float32(2.0)))
     (stored,) = series.rows
-    assert list(stored) == list(COLUMNS)
-    assert all(type(value) is float for value in stored.values())
-    assert stored["t"] == 0.25 and stored["l2_u"] == 2.0
+    assert type(stored) is tuple and len(stored) == len(COLUMNS)
+    assert all(type(value) is float for value in stored)
+    assert stored[COLUMNS.index("t")] == 0.25 and stored[COLUMNS.index("l2_u")] == 2.0
+
+
+@pytest.mark.parametrize("times", [[math.nan], [0.0, math.nan], [math.inf], [0.0, math.inf]])
+def test_append_rejects_a_time_that_is_not_finite(times):
+    series = TimeSeries()
+    for t in times[:-1]:
+        series.append(make_row(t))
+    with pytest.raises(ValueError, match="is not a finite time past"):
+        series.append(make_row(times[-1]))
+    assert len(series) == len(times) - 1
 
 
 def test_blowup_marker_is_terminal():
     series = TimeSeries()
     series.append(make_row(0.0))
     series.append_blowup_marker(0.75)
-    assert np.isinf(series.rows[-1]["linf_u"])
+    assert np.isinf(series.rows[-1][COLUMNS.index("linf_u")])
     with pytest.raises(ValueError):
         series.append(make_row(1.0))
     finite = series.finite_rows()
@@ -61,9 +69,7 @@ def test_csv_round_trip_exact(tmp_path):
     t = 0.0
     for _ in range(25):
         values = rng.standard_normal(len(COLUMNS)) * 10.0 ** rng.integers(-12, 12)
-        row = dict(zip(COLUMNS, np.abs(values)))
-        row["t"] = t
-        series.append(row)
+        series.append((t, *np.abs(values[1:])))
         t += float(np.abs(rng.standard_normal())) + 1e-3
     path = tmp_path / "series.csv"
     series.to_csv(path)
@@ -90,8 +96,31 @@ def test_csv_round_trips_infinite_marker(tmp_path):
     path = tmp_path / "series.csv"
     series.to_csv(path)
     loaded = TimeSeries.from_csv(path)
-    assert np.isinf(loaded.rows[-1]["linf_u"])
-    assert loaded.rows[-1]["t"] == 1.5
+    assert loaded.rows[-1] == (1.5,) + (math.inf,) * (len(COLUMNS) - 1)
+
+
+def test_csv_writes_17_digits_and_an_infinite_marker(tmp_path):
+    series = TimeSeries()
+    series.append((0.1, 1.0, 2.5, 1e-300, -0.0, 3e20, 1 / 3, 7.0, 8.0, 9.0, -2.0))
+    series.append_blowup_marker(0.35)
+    path = tmp_path / "series.csv"
+    series.to_csv(path)
+    assert path.read_bytes() == (
+        b"t,l2_u,l2_grad_u,l2_ut,linf_u,weighted_energy,xn_energy,xn_ut,xn_grad,xn_l2,mean_u\n"
+        b"0.10000000000000001,1,2.5,1e-300,-0,3e+20,"
+        b"0.33333333333333331,7,8,9,-2\n"
+        b"0.34999999999999998,inf,inf,inf,inf,inf,inf,inf,inf,inf,inf\n"
+    )
+
+
+def test_csv_rejects_a_time_that_is_not_finite(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text(
+        ",".join(COLUMNS) + "\n"
+        + "".join(",".join([t] + ["1"] * (len(COLUMNS) - 1)) + "\n" for t in ["0", "nan", "0.5"])
+    )
+    with pytest.raises(ValueError, match="record time nan is not a finite time past 0.0"):
+        TimeSeries.from_csv(path)
 
 
 def test_csv_rejects_foreign_header(tmp_path):

@@ -255,8 +255,17 @@ def test_decay_norm_zero_solution():
 def test_decay_norm_empty_trajectory():
     from dampedwave.timeseries import TimeSeries
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty trajectory"):
         decay_norm(TimeSeries())
+
+
+def test_decay_norm_of_a_blowup_marker_alone_is_empty():
+    from dampedwave.timeseries import TimeSeries
+
+    series = TimeSeries()
+    series.append_blowup_marker(0.5)
+    with pytest.raises(ValueError, match="empty trajectory"):
+        decay_norm(series)
 
 
 def test_energy_audit_semilinear_run(tmp_path):
