@@ -69,7 +69,6 @@ import numpy as np
 from dampedwave.config import load_setup
 from dampedwave.diagnostics import RECORD_BLOCK_POINTS, measure
 from dampedwave.experiments import build_data, sweep
-from dampedwave.exponents import ProblemParams
 from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave.propagator import decay_profile
 from dampedwave.solver import SolverConfig, Stepper, run
@@ -94,10 +93,7 @@ def _median_us(samples: list[float]) -> float:
 def time_grid(grid: Grid, p: float, weight: WeightParams, dt: float, repeats: int):
     """Median microseconds of one ``Stepper.advance``, of one ``measure``
     and of one record in a full block on ``grid``, and the block's rows."""
-    cfg = SolverConfig(
-        problem=ProblemParams(grid.dim, p, weight.power), grid=grid, weight=weight, dt=dt,
-        t_end=dt,
-    )
+    cfg = SolverConfig(p=p, grid=grid, weight=weight, dt=dt, t_end=dt)
     stepper = Stepper([cfg])
     state, _ = stepper.start([(gaussian_field(grid, 0.01, 2.0), zero_field(grid))])
     step_s = []
@@ -132,10 +128,7 @@ def time_grid(grid: Grid, p: float, weight: WeightParams, dt: float, repeats: in
 def run_peak_mib(grid: Grid, p: float, weight: WeightParams, dt: float) -> float:
     """Traced peak in MiB of the second of two 10-step runs on ``grid``
     that take one snapshot, at t = 0."""
-    cfg = SolverConfig(
-        problem=ProblemParams(grid.dim, p, weight.power), grid=grid, weight=weight, dt=dt,
-        t_end=10 * dt,
-    )
+    cfg = SolverConfig(p=p, grid=grid, weight=weight, dt=dt, t_end=10 * dt)
     data = (gaussian_field(grid, 0.01, 2.0), zero_field(grid))
     with tempfile.TemporaryDirectory() as snapshot_dir:
         run(cfg, data, snapshot_every=20 * dt, snapshot_dir=snapshot_dir)
@@ -165,8 +158,7 @@ def run_ms(
     ``steps`` steps on ``grid`` with a record every ``record_every`` steps
     and a snapshot every ``snapshot_every`` time units."""
     cfg = SolverConfig(
-        problem=ProblemParams(grid.dim, p, weight.power), grid=grid, weight=weight, dt=dt,
-        t_end=steps * dt, record_every=record_every,
+        p=p, grid=grid, weight=weight, dt=dt, t_end=steps * dt, record_every=record_every
     )
     data = (gaussian_field(grid, 0.01, 2.0), zero_field(grid))
     with tempfile.TemporaryDirectory() as snapshot_dir:

@@ -174,7 +174,7 @@ def load_setup_text(text: str) -> RunSetup:
         weight = WeightParams(offset=values["weight.A"], power=lam)
         grid = Grid(dim=dim, half_width=values["grid.L"], points=values["grid.M"])
         solver = SolverConfig(
-            problem=problem,
+            p=problem.p,
             grid=grid,
             weight=weight,
             dt=values["solver.dt"],

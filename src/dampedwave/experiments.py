@@ -78,7 +78,8 @@ def exponent_report(setup: RunSetup) -> dict:
 
 def _report(setup: RunSetup, out_dir: Path, audits: dict, outcome: dict, timings: dict) -> dict:
     """Assemble an experiment's report and write it to ``out_dir/report.json``,
-    making the directory if need be."""
+    making the directory if need be.  A report that is not strict JSON
+    raises before the file is opened."""
     report = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": {
@@ -92,10 +93,9 @@ def _report(setup: RunSetup, out_dir: Path, audits: dict, outcome: dict, timings
         "outcome": outcome,
         "timings": timings,
     }
+    text = json.dumps(report, indent=2, allow_nan=False, sort_keys=True) + "\n"
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, allow_nan=False, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "report.json").write_text(text, encoding="utf-8")
     return report
 
 

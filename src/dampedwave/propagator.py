@@ -13,9 +13,9 @@ eliminated through the equation itself, g'' = -xi_sq*g - g', so no third
 multiplier is ever needed.  The map is a one-parameter group in
 frequency space, which the tests verify by composition.
 
-:func:`evolve_coeffs` is the only code that applies this matrix; the
-exact linear flow here and the semilinear stepper in ``solver`` both
-call it with multipliers they evaluated beforehand.
+:func:`multipliers` is the only code that builds a lag's (g, g',
+xi_sq*g) and :func:`evolve_coeffs` the only code that applies them, for
+the exact linear flow here and the semilinear stepper in ``solver``.
 """
 
 from __future__ import annotations
@@ -64,29 +64,33 @@ def state_from_coeffs(
     )
 
 
-def evolve_coeffs(
-    u_coeffs: np.ndarray,
-    ut_coeffs: np.ndarray,
-    g: np.ndarray,
-    gdt: np.ndarray,
-    stiffness: np.ndarray,
-    u_sum: np.ndarray | None = None,
-    out: tuple[np.ndarray, ...] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance spectral coefficients of (u, u_t) by the lag dt at which
-    ``g, gdt = greens_multipliers(dt, xi_sq)`` were evaluated, with
-    ``stiffness`` = xi_sq*g (all three once per lag; the stepper reuses
-    them for every step).
+def multipliers(grid: Grid, t: float, out: tuple | None = None) -> tuple[np.ndarray, ...]:
+    """The lag-t multipliers (g, g', xi_sq*g) on the half-spectrum
+    layout: the Green's multipliers evaluated once per |xi|^2 level and
+    placed on the grid.  ``out`` = three real half-spectrum arrays
+    receive them; without it every array is fresh."""
+    g, gdt, stiffness = (None,) * 3 if out is None else out
+    index = grid.freq_index()
+    g_levels, gdt_levels = greens_multipliers(t, grid.freq_levels())
+    g = gather(g_levels, index, out=g)
+    gdt = gather(gdt_levels, index, out=gdt)
+    return g, gdt, np.multiply(grid.freq_sq(), g, out=stiffness)
 
-    ``u_sum`` is ``u_coeffs + ut_coeffs`` when the caller already holds
-    it.  ``out`` = (u_new, ut_new, work) are complex arrays shaped like
-    the result that receive the results and the intermediate (``u_sum``
-    may be ``u_new``, ``ut_coeffs`` may be ``ut_new``).  Without them
+
+def evolve_coeffs(
+    u_coeffs: np.ndarray, ut_coeffs: np.ndarray, lag: tuple, out: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance spectral coefficients of (u, u_t) by the lag whose
+    :func:`multipliers` are ``lag``.
+
+    ``out`` = (u_new, ut_new, work) are complex arrays shaped like the
+    result that receive the results and the intermediates; u_new holds
+    neither input, and ``ut_coeffs`` may be ``ut_new``.  Without them
     every array is fresh; the floats are the same."""
+    g, gdt, stiffness = lag
     u_new, ut_new, work = (None,) * 3 if out is None else out
-    if u_sum is None:
-        u_sum = u_coeffs + ut_coeffs
-    u_new = np.multiply(g, u_sum, out=u_new)
+    u_new = np.add(u_coeffs, ut_coeffs, out=u_new)
+    np.multiply(g, u_new, out=u_new)
     u_new += np.multiply(gdt, u_coeffs, out=work)
     ut_new = np.multiply(gdt, ut_coeffs, out=ut_new)
     ut_new -= np.multiply(stiffness, u_coeffs, out=work)
@@ -100,9 +104,7 @@ def linear_evolve(state: LinearState, dt: float) -> LinearState:
     grid = state.grid
     u_coeffs = grid.forward(state.u.values)
     ut_coeffs = grid.forward(state.ut.values)
-    index = grid.freq_index()
-    g, gdt = (levels[index] for levels in greens_multipliers(dt, grid.freq_levels()))
-    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, grid.freq_sq() * g)
+    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, multipliers(grid, dt))
     return state_from_coeffs(grid, state.t + dt, u_new, ut_new)
 
 
@@ -136,16 +138,15 @@ def decay_profile(
         weight = WeightParams(offset=1.0, power=1.0)
 
     grid = u0.grid
-    xi_sq = grid.freq_sq()
-    freq_levels, freq_index = grid.freq_levels(), grid.freq_index()
+    # the cached |xi|^2 arrays before the buffers: perfbench's calibration reads this heap
+    grid.freq_index()
     u_coeffs = grid.forward(u0.values)
     ut_coeffs = grid.forward(u1.values)
     # g and gdt share one buffer, which holds u's values once
     # evolve_coeffs has read them
-    multipliers = np.empty((2, *grid.half_shape))
-    g, gdt = multipliers
-    u_values = _floats(multipliers, grid.shape)
-    stiffness = np.empty(grid.half_shape)
+    g_gdt = np.empty((2, *grid.half_shape))
+    lag = (*g_gdt, np.empty(grid.half_shape))
+    u_values = _floats(g_gdt, grid.shape)
     # a slot holds one time's coefficients of u and u_t and a work array
     # whose floats then hold the weight; a job reads one slot while this
     # thread fills the other
@@ -167,12 +168,8 @@ def decay_profile(
         for k, t in enumerate(times.tolist()):
             # the job that read this slot was waited for at the last submit
             u_t, ut_t, work, psi = slots[k % 2]
-            g_levels, gdt_levels = greens_multipliers(t, freq_levels)
-            gather(g_levels, freq_index, out=g)
-            gather(gdt_levels, freq_index, out=gdt)
-            np.multiply(xi_sq, g, out=stiffness)
-            u_sum = np.add(u_coeffs, ut_coeffs, out=u_t)
-            evolve_coeffs(u_coeffs, ut_coeffs, g, gdt, stiffness, u_sum, out=(u_t, ut_t, work))
+            multipliers(grid, t, out=lag)
+            evolve_coeffs(u_coeffs, ut_coeffs, lag, out=(u_t, ut_t, work))
             grid.inverse(u_t, u_values, work)
             peak = max(u_values.max(), -u_values.min())
             if not warned and boundary_contaminated(gather(u_values.reshape(-1), shell), peak):

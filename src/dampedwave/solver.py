@@ -13,13 +13,15 @@ integral over one step:
 
 Because the Green's multiplier vanishes at lag zero, the trapezoid
 endpoint at t+dt contributes to u_t only.  The scheme is second order;
-the test suite verifies the convergence factor empirically rather than
-assuming it.  :func:`run_ensemble` holds the only step loop.  It stacks
-the members' real-FFT coefficients along a leading axis, applies the
-linear group through ``propagator.evolve_coeffs`` with multipliers built
-once, and evaluates each member's source with its own scalar exponent,
-so every member's numbers are bit for bit those of its own run.
-:func:`run` is the one-member case.
+the test suite verifies the convergence factor empirically.
+:func:`run_ensemble` holds the only step loop.  It stacks the members'
+real-FFT coefficients along a leading axis, applies the linear group
+through ``propagator.evolve_coeffs`` with the multipliers of
+``propagator.multipliers`` for dt, and evaluates each member's source
+with its own scalar exponent, so every member's numbers are bit for bit
+those of its own run.  :func:`run` is the one-member case.  A
+:class:`SolverConfig` holds p; the dimension is its grid's and the
+weight power its weight's.
 
 The predictor f* = |u_{n+1}|^p is exactly the next step's f_n, so the
 source is evaluated, and scaled by dt/2, once per step:
@@ -58,10 +60,9 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import JobThread, block_rows, measure
-from .exponents import ProblemParams
-from .propagator import LinearState, evolve_coeffs, state_from_coeffs
+from .propagator import LinearState, evolve_coeffs, multipliers, state_from_coeffs
 from .snapshots import write_snapshot
-from .spectral import Grid, RealField, boundary_contaminated, gather, greens_multipliers
+from .spectral import Grid, RealField, boundary_contaminated, gather
 from .timeseries import COLUMNS, TimeSeries
 from .weights import (
     Scratch,
@@ -89,7 +90,7 @@ class RunStatus(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    problem: ProblemParams
+    p: float
     grid: Grid
     weight: WeightParams
     dt: float
@@ -100,16 +101,18 @@ class SolverConfig:
     nonlinearity: Nonlinearity = Nonlinearity.SOURCE
 
     def __post_init__(self) -> None:
+        if not self.p > 1.0:
+            raise ValueError(f"p must be > 1, got {self.p}")
         if not 0.0 < self.dt <= 0.5:
             raise ValueError(f"dt must lie in (0, 0.5], got {self.dt}")
-        if self.t_end < self.dt:
-            raise ValueError(f"t_end {self.t_end} is shorter than one step")
+        if not self.dt <= self.t_end < np.inf:
+            raise ValueError(f"t_end {self.t_end} is not a finite time of one step or more")
         if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(
                 f"t_end {self.t_end} is not a whole number of steps dt {self.dt}"
             )
-        if not self.blowup_threshold > 1.0:
-            raise ValueError("blowup_threshold must exceed 1")
+        if not 1.0 < self.blowup_threshold < np.inf:
+            raise ValueError("blowup_threshold must be finite and exceed 1")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
 
@@ -117,7 +120,7 @@ class SolverConfig:
     def dealias_active(self) -> bool:
         if self.dealias is not None:
             return self.dealias
-        return self.problem.p >= 3.0
+        return self.p >= 3.0
 
 
 @dataclass
@@ -135,29 +138,24 @@ class RunOutcome:
 
 
 class Stepper:
-    """One member set's step: the multipliers for its (grid, dt) pair
-    (g, g' and the stiffness xi_sq*g), the members' powers and the slabs
-    of modes the 2/3 rule discards in the dealiased members' rows, and
-    the arrays its steps write, all made here for this member set.  The
-    arrays carry a leading member axis.  When members leave, the caller
-    copies the survivors' rows and builds a new Stepper for them.
+    """One member set's step: the multipliers ``lag`` of dt, the members'
+    powers, the slabs of modes the 2/3 rule discards in the dealiased
+    members' rows, and the arrays its steps write (with a leading member
+    axis), all made once here.
 
     A step writes u into ``u[1]``, u_t into ``ring[1]`` (the kicked u_t,
     evolved in place) and the next kick into ``ring[2]``, its work space
     until then, and then moves each list on by one, so it writes none of
     the arrays it starts from (a blow-up step's start is its final
     state).  The u values and |u| (then the source) go into ``u_values``
-    and ``field``.  Made once, so that no step faults in fresh pages."""
+    and ``field``."""
 
     def __init__(self, cfgs: list[SolverConfig]):
         self.cfg = cfgs[0]
         grid = self.grid = self.cfg.grid
         self.axes, self.half_dt = grid.axes, 0.5 * self.cfg.dt
-        index = grid.freq_index()
-        g, gdt = greens_multipliers(self.cfg.dt, grid.freq_levels())
-        self.g, self.gdt = g[index], gdt[index]
-        self.stiffness = grid.freq_sq() * self.g
-        powers = self.powers = [cfg.problem.p for cfg in cfgs]
+        self.lag = multipliers(grid, self.cfg.dt)
+        powers = self.powers = [cfg.p for cfg in cfgs]
         dealiased = self.dealiased = [cfg.dealias_active for cfg in cfgs]
         self.one_power = len(set(powers)) == 1
         # every member's |u|^p stays below 1e300 while every peak is at
@@ -246,13 +244,9 @@ class Stepper:
         the next step overwrites the u values and the kick, the step
         after next the u and u_t coefficients."""
         u_new, (_, ut_new, work) = self.u[1], self.ring
-        # the kicked u_t and u + the kicked u_t are evolved in place
+        # the kicked u_t is evolved in place
         kicked = ut_coeffs if kick is None else np.add(kick, ut_coeffs, out=ut_new)
-        u_sum = np.add(u_coeffs, kicked, out=u_new)
-        evolve_coeffs(
-            u_coeffs, kicked, self.g, self.gdt, self.stiffness, u_sum,
-            out=(u_new, ut_new, work),
-        )
+        evolve_coeffs(u_coeffs, kicked, self.lag, out=(u_new, ut_new, work))
         u_values_new = self.grid.inverse(u_new, self.u_values, work)
         peaks = np.maximum.reduce(np.abs(u_values_new, out=self.field), axis=self.axes)
         peak = np.maximum.reduce(peaks)
@@ -364,8 +358,8 @@ class _Recorder:
         psi = weight_on_grid(weight_value, t, grid, self.weight, out=self.psi[0])
         for m, u, ut in zip(self.members, s.field, ut_values):
             path = m.snapshot_dir / f"snap_{len(m.snapshots):06d}.dwsn"
-            write_snapshot(path, grid, t, u, ut, m.cfg.problem.p, self.weight)
-        powers = [m.cfg.problem.p for m in self.members]
+            write_snapshot(path, grid, t, u, ut, m.cfg.p, self.weight)
+        powers = [m.cfg.p for m in self.members]
         rows = snapshot_integrals(grid, t, s.field, psi, self.weight, powers, s)
         if recorded:
             self._measure(
@@ -440,8 +434,7 @@ def run_ensemble(
     cfg = cfgs[0]
     grid = cfg.grid
     for other, (u0, u1) in zip(cfgs, datas, strict=True):
-        shared = replace(other, problem=replace(other.problem, p=cfg.problem.p))
-        if replace(shared, dealias=cfg.dealias) != cfg:
+        if replace(other, p=cfg.p, dealias=cfg.dealias) != cfg:
             raise ValueError("ensemble members may differ only in p and dealias")
         if u0.grid != grid or u1.grid != grid:
             raise ValueError("data fields do not live on the configured grid")

@@ -107,8 +107,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not self.half_width > 0.0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0.0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.points < 8 or self.points % 2 != 0:
             raise ValueError(
                 f"points must be an even integer >= 8, got {self.points}"

@@ -30,6 +30,7 @@ COLUMNS = (
 )
 
 _LINF_U = COLUMNS.index("linf_u")
+_MARKER_VALUES = (math.inf,) * (len(COLUMNS) - 1)
 _ROW_FORMAT = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
 
 
@@ -41,7 +42,9 @@ class TimeSeries:
     rows: list[tuple[float, ...]] = field(default_factory=list)
 
     def append(self, record) -> None:
-        """Append ``record``: one value per column, converted with ``float``."""
+        """Append ``record``: one value per column, converted with
+        ``float``, none NaN, and a finite ``linf_u`` unless every value
+        is +inf (the blow-up marker)."""
         if len(record) != len(COLUMNS):
             raise ValueError(f"record has {len(record)} values, not {len(COLUMNS)}")
         row = tuple(map(float, record))
@@ -50,10 +53,14 @@ class TimeSeries:
             raise ValueError(f"record time {row[0]} is not a finite time past {last}")
         if self.rows and not math.isfinite(self.rows[-1][_LINF_U]):
             raise ValueError("cannot append past a terminal blow-up marker")
+        if any(map(math.isnan, row)):
+            raise ValueError(f"record at t = {row[0]} holds a NaN")
+        if not math.isfinite(row[_LINF_U]) and row[1:] != _MARKER_VALUES:
+            raise ValueError(f"record at t = {row[0]} has linf_u {row[_LINF_U]} but is no marker")
         self.rows.append(row)
 
     def append_blowup_marker(self, t: float) -> None:
-        self.append((t,) + (math.inf,) * (len(COLUMNS) - 1))
+        self.append((t, *_MARKER_VALUES))
 
     def __len__(self) -> int:
         return len(self.rows)

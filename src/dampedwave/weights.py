@@ -25,6 +25,7 @@ polynomially time-weighted L^2 norms of u_t, grad u and u.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, asdict, dataclass
 from typing import NamedTuple
 
@@ -41,7 +42,7 @@ MIN_AUDIT_SNAPSHOTS = 50
 class WeightParams:
     """Offset (the additive constant) and power of the weight.
 
-    Construction enforces power > 0 and offset >= power/2.  Tests may
+    Construction enforces power > 0 and a finite offset >= power/2.  Tests may
     pass ``validate=False`` to build the degenerate power = 0 weight,
     which reduces every weighted quantity to its unweighted counterpart.
     """
@@ -53,6 +54,8 @@ class WeightParams:
     def __post_init__(self, validate: bool) -> None:
         if not validate:
             return
+        if not math.isfinite(self.offset):
+            raise ValueError(f"weight offset must be finite, got {self.offset}")
         if not self.power > 0.0:
             raise ValueError(f"weight power must be > 0, got {self.power}")
         if self.offset < 0.5 * self.power:

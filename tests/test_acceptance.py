@@ -43,7 +43,7 @@ def global_run_fine(tmp_path_factory):
     """dim 1, p = 4, amplitude 0.01 run to T = 200 with dense snapshots."""
     grid = Grid(1, 160.0, 1024)
     cfg = SolverConfig(
-        problem=PROBLEM, grid=grid, weight=WEIGHT, dt=0.05, t_end=200.0, record_every=5
+        p=PROBLEM.p, grid=grid, weight=WEIGHT, dt=0.05, t_end=200.0, record_every=5
     )
     data = (gaussian_field(grid, 0.01, 2.0), zero_field(grid))
     snapshot_dir = tmp_path_factory.mktemp("global_run_fine")
@@ -54,7 +54,7 @@ def global_run_fine(tmp_path_factory):
 def global_run_doubled():
     grid = Grid(1, 160.0, 2048)
     cfg = SolverConfig(
-        problem=PROBLEM, grid=grid, weight=WEIGHT, dt=0.05, t_end=200.0, record_every=5
+        p=PROBLEM.p, grid=grid, weight=WEIGHT, dt=0.05, t_end=200.0, record_every=5
     )
     data = (gaussian_field(grid, 0.01, 2.0), zero_field(grid))
     return run(cfg, data)
@@ -222,7 +222,7 @@ def test_criterion_8_subcritical_blowup_stability():
     def blowup_time(points, dt):
         grid = Grid(1, 20.0, points)
         cfg = SolverConfig(
-            problem=ProblemParams(1, 2.0, 2.0),
+            p=2.0,
             grid=grid,
             weight=WEIGHT,
             dt=dt,
@@ -255,7 +255,7 @@ def test_criterion_9_solver_order():
 
     def final(dt):
         cfg = SolverConfig(
-            problem=PROBLEM, grid=grid, weight=WEIGHT, dt=dt, t_end=10.0, record_every=50
+            p=PROBLEM.p, grid=grid, weight=WEIGHT, dt=dt, t_end=10.0, record_every=50
         )
         return run(cfg, data).final_state.u.values
 

@@ -38,6 +38,7 @@ data.width = 2.0
 
 
 FUJITA = Path(__file__).resolve().parents[1] / "configs" / "fujita_n1_p4.cfg"
+SUBFUJITA = FUJITA.with_name("subfujita_blowup.cfg")
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -101,6 +102,32 @@ def test_missing_key_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, bad)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "problem.p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("solver.t_end", "inf"),
+    ("grid.L", "inf"),
+    ("weight.A", "nan"),
+    ("weight.A", "inf"),
+    ("solver.blowup_threshold", "inf"),
+])
+def test_non_finite_setting_exits_2_before_any_step(tmp_path, capsys, key, value):
+    lines = [l for l in SUBFUJITA.read_text().splitlines() if not l.startswith(key + " ")]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_that_is_not_json_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        experiments, "slack_audit", lambda *args: weights.SlackAudit(1, float("nan"))
+    )
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        experiments.simulate(load_setup(write_cfg(tmp_path, SMALL)), out)
+    assert not (out / "report.json").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -275,7 +275,7 @@ def test_decay_profile_matches_full_grid_reference(dim):
     expected = TimeSeries()
     for t in times:
         g_t, gdt_t = greens_multipliers(t, g.freq_sq())
-        u_t, ut_t = evolve_coeffs(u_coeffs, ut_coeffs, g_t, gdt_t, g.freq_sq() * g_t)
+        u_t, ut_t = evolve_coeffs(u_coeffs, ut_coeffs, (g_t, gdt_t, g.freq_sq() * g_t))
         peak = np.max(np.abs(g.inverse(u_t)))
         psi = weight_value(t, g.radius_sq(), w)
         (record,) = measure(g, t, u_t, ut_t, psi, peak, Scratch.for_grid(g))

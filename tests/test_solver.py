@@ -34,7 +34,7 @@ def make_cfg(p=4.0, grid=None, **kwargs):
     defaults = dict(dt=0.05, t_end=10.0, record_every=5)
     defaults.update(kwargs)
     return SolverConfig(
-        problem=ProblemParams(1, p, 2.0),
+        p=p,
         grid=grid,
         weight=WEIGHT,
         **defaults,
@@ -85,6 +85,8 @@ def test_source_noninteger_power_zero_limit():
 def test_source_rejects_p_at_most_one():
     with pytest.raises(ValueError, match="p must be > 1"):
         ProblemParams(1, 1.0, 2.0)
+    with pytest.raises(ValueError, match="p must be > 1"):
+        make_cfg(p=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +284,7 @@ def test_run_rejects_mismatched_data_grid():
 def test_run_dim2_semilinear_smoke():
     grid = Grid(2, 30.0, 128)
     cfg = SolverConfig(
-        problem=ProblemParams(2, 3.0, 1.5),
+        p=3.0,
         grid=grid,
         weight=WeightParams(3.0, 1.5),
         dt=0.1,
@@ -298,7 +300,7 @@ def test_run_dim2_semilinear_smoke():
 def test_run_dim3_smoke():
     grid = Grid(3, 16.0, 64)
     cfg = SolverConfig(
-        problem=ProblemParams(3, 2.5, 2.0),
+        p=2.5,
         grid=grid,
         weight=WEIGHT,
         dt=0.1,
@@ -347,7 +349,6 @@ def test_multipliers_evaluated_once_per_lag(monkeypatch):
         calls.append(t)
         return greens_multipliers(t, xi_sq)
 
-    monkeypatch.setattr(solver, "greens_multipliers", counted)
     monkeypatch.setattr(propagator, "greens_multipliers", counted)
     cfg = make_cfg(t_end=2.0)
     data = (gaussian_field(cfg.grid, 0.05, 2.0), zero_field(cfg.grid))
@@ -485,7 +486,7 @@ def _mixed_ensemble(dim):
     grid, t_end = ENSEMBLE_GRIDS[dim]
     cfgs = [
         SolverConfig(
-            problem=ProblemParams(dim, p, 2.0),
+            p=p,
             grid=grid,
             weight=WEIGHT,
             dt=0.05,
@@ -634,7 +635,7 @@ def test_3d_records_are_measured_from_copies_the_job_owns(monkeypatch):
     # the stepper's arrays, which the loop overwrites as it steps on
     grid = Grid(3, 24.0, 48)
     cfg = SolverConfig(
-        problem=ProblemParams(3, 2.5, 1.65), grid=grid, weight=WeightParams(2.0, 1.65),
+        p=2.5, grid=grid, weight=WeightParams(2.0, 1.65),
         dt=0.05, t_end=0.5, record_every=5,
     )
     stepped, measured = [], []
@@ -774,7 +775,7 @@ def _at_once_run():
     """A 3-D 32^3 run whose records do not fit twice in a block."""
     grid = Grid(3, 16.0, 32)
     cfg = SolverConfig(
-        problem=ProblemParams(3, 2.5, 1.65), grid=grid, weight=WeightParams(2.0, 1.65),
+        p=2.5, grid=grid, weight=WeightParams(2.0, 1.65),
         dt=0.05, t_end=0.5, record_every=2,
     )
     return cfg, (gaussian_field(grid, 0.05, 3.0), zero_field(grid))
@@ -850,8 +851,9 @@ def _allocating_advance(stepper, u_coeffs, ut_coeffs, kick):
     dealiased member's ``grid.dealias_mask()``."""
     grid, half_dt = stepper.cfg.grid, 0.5 * stepper.cfg.dt
     ut_coeffs = ut_coeffs + kick
-    stiffness = grid.freq_sq() * stepper.g
-    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, stepper.g, stepper.gdt, stiffness)
+    g, gdt, _ = stepper.lag
+    lag = (g.copy(), gdt.copy(), grid.freq_sq() * g)
+    u_new, ut_new = evolve_coeffs(u_coeffs, ut_coeffs, lag)
     u_values = grid.inverse(u_new)
     peaks = np.max(np.abs(u_values), axis=grid.axes)
     f = np.empty_like(u_values)
@@ -881,7 +883,7 @@ def test_step_arrays_give_the_allocating_step(dim, kind):
     grid, _ = ENSEMBLE_GRIDS[dim]
     cfgs = [
         SolverConfig(
-            problem=ProblemParams(dim, p, 2.0),
+            p=p,
             grid=grid,
             weight=WEIGHT,
             dt=0.05,
@@ -951,7 +953,7 @@ def test_slab_dealiasing_equals_the_dealias_mask(dim):
             powers = [p for p, kept in zip(powers, keep) if kept]
         stepper = Stepper([
             SolverConfig(
-                problem=ProblemParams(dim, p, 2.0), grid=grid, weight=WEIGHT, dt=0.05,
+                p=p, grid=grid, weight=WEIGHT, dt=0.05,
                 t_end=1.0,
             )
             for p in powers
@@ -987,7 +989,7 @@ def test_steps_allocate_no_full_size_results():
     # took about 12 fields, and irfftn's intermediates 2
     grid = Grid(3, 8.0, 32)
     cfg = SolverConfig(
-        problem=ProblemParams(3, 2.5, 2.0), grid=grid, weight=WEIGHT, dt=0.05, t_end=1.0
+        p=2.5, grid=grid, weight=WEIGHT, dt=0.05, t_end=1.0
     )
     stepper = Stepper([cfg])
     u_values = gaussian_field(grid, 0.05, 1.5).values[None]
@@ -1093,7 +1095,7 @@ def test_ensemble_members_own_their_arrays_after_members_leave(dim, tmp_path):
     members = [(2.0, 6.0), (2.0, 1e200), (3.0, 0.05)]
     cfgs = [
         SolverConfig(
-            problem=ProblemParams(dim, p, 2.0), grid=grid, weight=WEIGHT, dt=0.05,
+            p=p, grid=grid, weight=WEIGHT, dt=0.05,
             t_end=3.0, record_every=4,
         )
         for p, _ in members

@@ -52,6 +52,46 @@ def test_append_rejects_a_time_that_is_not_finite(times):
     assert len(series) == len(times) - 1
 
 
+@pytest.mark.parametrize("column", COLUMNS[1:])
+def test_append_rejects_a_nan_value(column):
+    series = TimeSeries()
+    series.append(make_row(0.0))
+    row = list(make_row(0.5))
+    row[COLUMNS.index(column)] = math.nan
+    with pytest.raises(ValueError, match=r"^record at t = 0.5 holds a NaN$"):
+        series.append(row)
+    series.append(make_row(1.0))  # the refused row is no marker
+    assert series.finite_rows()["t"].tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("values", [
+    {"linf_u": math.inf},
+    {"linf_u": -math.inf},
+    {column: math.inf for column in COLUMNS[1:] if column != "mean_u"},
+    {column: -math.inf for column in COLUMNS[1:]},
+], ids=["linf_u", "minus_linf_u", "all_but_one", "minus_marker"])
+def test_append_rejects_an_infinite_linf_u_outside_a_marker(values):
+    series = TimeSeries()
+    series.append(make_row(0.0))
+    row = list(make_row(0.5))
+    for column, value in values.items():
+        row[COLUMNS.index(column)] = value
+    with pytest.raises(ValueError, match=r"^record at t = 0.5 has linf_u -?inf but is no marker$"):
+        series.append(row)
+    assert len(series) == 1
+
+
+def test_csv_rejects_a_nan_linf_u(tmp_path):
+    # a NaN linf_u is refused, not taken for the blow-up marker
+    path = tmp_path / "series.csv"
+    rows = [make_row(0.0), make_row(0.5, math.nan)]
+    path.write_text(
+        ",".join(COLUMNS) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    )
+    with pytest.raises(ValueError, match="holds a NaN"):
+        TimeSeries.from_csv(path)
+
+
 def test_blowup_marker_is_terminal():
     series = TimeSeries()
     series.append(make_row(0.0))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave.propagator import LinearState, decay_profile
 from dampedwave.spectral import Grid, RealField
-from dampedwave.exponents import ProblemParams
 from dampedwave.snapshots import read_snapshot
 from dampedwave.solver import Nonlinearity, SolverConfig, run
 from dampedwave.weights import (
@@ -237,10 +236,9 @@ def _small_run(
     snapshot_dir=None, t_end=12.5, amplitude=0.01, snapshot_every=0.25, grid=None
 ):
     grid = grid or Grid(1, 40.0, 256)
-    problem = ProblemParams(grid.dim, 4.0, 2.0)
     w = WeightParams(4.0, 2.0)
     cfg = SolverConfig(
-        problem=problem, grid=grid, weight=w, dt=0.05, t_end=t_end, record_every=5
+        p=4.0, grid=grid, weight=w, dt=0.05, t_end=t_end, record_every=5
     )
     data = (gaussian_field(grid, amplitude, 2.0), zero_field(grid))
     return run(cfg, data, snapshot_every=snapshot_every, snapshot_dir=snapshot_dir), w
@@ -285,11 +283,10 @@ def test_energy_audit_refinement_does_not_worsen(tmp_path):
 
 
 def test_energy_audit_linear_flow_reduces_to_monotonicity(tmp_path):
-    problem = ProblemParams(1, 4.0, 2.0)
     grid = Grid(1, 40.0, 256)
     w = WeightParams(4.0, 2.0)
     cfg = SolverConfig(
-        problem=problem,
+        p=4.0,
         grid=grid,
         weight=w,
         dt=0.05,
@@ -305,10 +302,9 @@ def test_energy_audit_linear_flow_reduces_to_monotonicity(tmp_path):
 
 
 def test_energy_audit_zero_data(tmp_path):
-    problem = ProblemParams(1, 4.0, 2.0)
     grid = Grid(1, 40.0, 128)
     w = WeightParams(4.0, 2.0)
-    cfg = SolverConfig(problem=problem, grid=grid, weight=w, dt=0.05, t_end=10.0)
+    cfg = SolverConfig(p=4.0, grid=grid, weight=w, dt=0.05, t_end=10.0)
     data = (zero_field(grid), zero_field(grid))
     outcome = run(cfg, data, snapshot_every=0.2, snapshot_dir=tmp_path)
     audit = energy_audit(outcome.snapshots, 4.0)
@@ -330,10 +326,9 @@ def test_source_bound_audit_finite(tmp_path):
 
 
 def test_source_bound_audit_zero_solution_not_applicable(tmp_path):
-    problem = ProblemParams(1, 4.0, 2.0)
     grid = Grid(1, 40.0, 128)
     w = WeightParams(4.0, 2.0)
-    cfg = SolverConfig(problem=problem, grid=grid, weight=w, dt=0.05, t_end=5.0)
+    cfg = SolverConfig(p=4.0, grid=grid, weight=w, dt=0.05, t_end=5.0)
     data = (zero_field(grid), zero_field(grid))
     outcome = run(cfg, data, snapshot_every=0.5, snapshot_dir=tmp_path)
     audit = source_bound_audit(outcome.snapshots, outcome.series, 4.0)
@@ -343,11 +338,10 @@ def test_source_bound_audit_zero_solution_not_applicable(tmp_path):
 def test_energy_audit_negative_solution(tmp_path):
     # nonpositive data make the signed source integral negative; the
     # audit folds it in exactly as signed and still certifies the bound
-    problem = ProblemParams(1, 4.0, 2.0)
     grid = Grid(1, 40.0, 256)
     w = WeightParams(4.0, 2.0)
     cfg = SolverConfig(
-        problem=problem, grid=grid, weight=w, dt=0.05, t_end=12.5, record_every=5
+        p=4.0, grid=grid, weight=w, dt=0.05, t_end=12.5, record_every=5
     )
     data = (gaussian_field(grid, -0.02, 2.0), zero_field(grid))
     outcome = run(cfg, data, snapshot_every=0.25, snapshot_dir=tmp_path)
