@@ -32,6 +32,10 @@ fujita_1d end to end, without its calibration.  ``sweep_run`` gives the
 same for the second of two ``experiments.sweep`` calls of the shipped
 ``sweep_phase_n1`` config (8 points stepped as one ensemble, 4 of which
 blow up and leave it): perfbench's sweep_1d without its calibration.
+``jobs_us`` is the median microseconds of ``submit`` of a no-op job
+followed by ``wait`` on a started ``diagnostics.JobThread``, over
+``--repeats`` calls: the hand-off that each record, snapshot and
+``decay_profile`` time pays where its measuring is a job on a thread.
 
 Usage:
     step_timing.py [--repeats N]
@@ -41,7 +45,7 @@ Prints one JSON line: ``{"repeats", "numpy", "advance_us": {grid: us},
 "block_record_us": {grid: us}, "run_peak_mib": {grid: MiB},
 "snapshot_run": {"wall_ms", "cpu_ms"}, "audit_run": {"wall_ms", "cpu_ms"},
 "decay_run": {"wall_ms", "cpu_ms"}, "fujita_run": {"wall_ms", "cpu_ms"},
-"sweep_run": {"wall_ms", "cpu_ms"}}``.
+"sweep_run": {"wall_ms", "cpu_ms"}, "jobs_us"}``.
 The package is imported from this checkout's ``src``.
 """
 
@@ -67,7 +71,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np
 
 from dampedwave.config import load_setup
-from dampedwave.diagnostics import RECORD_BLOCK_POINTS, measure
+from dampedwave.diagnostics import RECORD_BLOCK_POINTS, JobThread, measure
 from dampedwave.experiments import build_data, sweep
 from dampedwave.initial_data import gaussian_field, zero_field
 from dampedwave.propagator import decay_profile
@@ -191,6 +195,21 @@ def decay_run_ms(grid: Grid, weight: WeightParams) -> dict:
     return _timed_ms(lambda: decay_profile(data, times, weight))
 
 
+def jobs_us(repeats: int) -> float:
+    """Median microseconds of ``submit`` of a no-op job and ``wait`` on a
+    ``JobThread`` whose thread the untimed first calls started."""
+    jobs, samples = JobThread(), []
+    try:
+        for _ in range(WARMUP + repeats):
+            start = time.perf_counter()
+            jobs.submit(lambda: None)
+            jobs.wait()
+            samples.append(time.perf_counter() - start)
+    finally:
+        jobs.close()
+    return _median_us(samples)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=200, help="timed calls per grid")
@@ -210,6 +229,7 @@ def main(argv=None) -> int:
     result["decay_run"] = decay_run_ms(grid, weight)
     result["fujita_run"] = fujita_run_ms()
     result["sweep_run"] = sweep_run_ms()
+    result["jobs_us"] = round(jobs_us(args.repeats), 1)
     print(json.dumps(result))
     return 0
 

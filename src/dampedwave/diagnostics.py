@@ -10,13 +10,13 @@ for the whole stack; every reduction runs along one state's own entries,
 so each record holds the floats that measuring its state alone gives.
 Where a block of RECORD_BLOCK_POINTS grid points would not hold two
 record times (:func:`block_rows`), a caller measures each state alone,
-as a job for a :class:`JobThread` while it computes the next state.
+as a job for a :class:`JobThread` (one standard-library executor thread)
+while it computes the next state.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from .weights import Scratch, spectral_energy
 # alone, by a job on a thread, while the caller computes the next.
 RECORD_BLOCK_POINTS = 2**13
 
-# Seconds between checks that a waited-for job thread still runs.
-WORKER_WAIT_S = 10.0
-
 
 def block_rows(points: int) -> int:
     """Record times of ``points`` grid points each that one block holds,
@@ -42,57 +39,40 @@ def block_rows(points: int) -> int:
 
 
 class JobThread:
-    """Runs jobs one at a time in the order they are submitted, on one
-    worker thread started on the first job, or at once in :meth:`submit`
-    when ``inline``.  Submitting a job waits for the previous one, so a
-    job may read arrays that the caller overwrites only after its next
-    submit or :meth:`wait`; a job's exception is raised on the caller's
-    thread at that wait.  :meth:`close` stops the thread."""
+    """Runs jobs one at a time in the order they are submitted: at once in
+    :meth:`submit` when ``inline``, else on the one thread of a
+    ``ThreadPoolExecutor``, which starts it at the first job and catches
+    each job's exception.  Submitting a job waits for the previous one,
+    so a job may read arrays that the caller overwrites only after its
+    next submit or :meth:`wait`; a job's exception, a ``BaseException``
+    too, is raised once, on the caller's thread, at that wait.
+    :meth:`close` drops a job that has not begun and joins the thread."""
 
     def __init__(self, inline: bool = False):
-        self.inline = inline
-        self.thread, self.job, self.error = None, None, None
-        self.posted, self.done = threading.Semaphore(0), threading.Event()
-        self.done.set()
+        self.executor, self.future = None, None
+        if not inline:
+            # imported here, not at package import: concurrent.futures loads logging
+            from concurrent.futures import ThreadPoolExecutor
+            self.executor = ThreadPoolExecutor(1)
 
     def submit(self, job) -> None:
         """Run ``job`` after the previous one."""
-        if self.inline:
+        if self.executor is None:
             job()
             return
-        if self.thread is None:
-            self.thread = threading.Thread(target=self._serve, daemon=True)
-            self.thread.start()
         self.wait()
-        self.job = job
-        self.done.clear()
-        self.posted.release()
+        self.future = self.executor.submit(job)
 
     def wait(self) -> None:
         """Wait for the submitted job and raise its error here."""
-        while not self.done.wait(WORKER_WAIT_S):
-            if not self.thread.is_alive():
-                raise RuntimeError("the job thread stopped during a job")
-        if self.error is not None:
-            error, self.error = self.error, None
-            raise error
+        future, self.future = self.future, None
+        if future is not None:
+            future.result()
 
     def close(self) -> None:
-        """Stop the thread, dropping a job that has not begun."""
-        if self.thread is not None:
-            self.job = None
-            self.posted.release()
-            self.thread.join(WORKER_WAIT_S)
-            self.thread = None
-
-    def _serve(self) -> None:
-        """The worker thread: run each posted job until ``job`` is None."""
-        while self.posted.acquire() and (job := self.job) is not None:
-            try:
-                job()
-            except Exception as error:  # raised on the caller's thread by the next wait
-                self.error = error
-            self.done.set()
+        """Join the thread, dropping a job that has not begun."""
+        if self.executor is not None:
+            self.executor.shutdown(cancel_futures=True)
 
 
 def spectral_l2(

@@ -93,8 +93,8 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not self.p > 1.0:
-            raise ValueError(f"p must be > 1, got {self.p}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"p must be > 1 and finite, got {self.p}")
         if not self.weight_power > 0.0:
             raise ValueError(f"weight_power must be > 0, got {self.weight_power}")
 

@@ -101,8 +101,8 @@ class SolverConfig:
     nonlinearity: Nonlinearity = Nonlinearity.SOURCE
 
     def __post_init__(self) -> None:
-        if not self.p > 1.0:
-            raise ValueError(f"p must be > 1, got {self.p}")
+        if not 1.0 < self.p < np.inf:
+            raise ValueError(f"p must be > 1 and finite, got {self.p}")
         if not 0.0 < self.dt <= 0.5:
             raise ValueError(f"dt must lie in (0, 0.5], got {self.dt}")
         if not self.dt <= self.t_end < np.inf:

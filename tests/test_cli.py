@@ -110,6 +110,7 @@ def test_missing_key_exits_2(tmp_path, capsys):
     ("weight.A", "nan"),
     ("weight.A", "inf"),
     ("solver.blowup_threshold", "inf"),
+    ("problem.p", "inf"),
 ])
 def test_non_finite_setting_exits_2_before_any_step(tmp_path, capsys, key, value):
     lines = [l for l in SUBFUJITA.read_text().splitlines() if not l.startswith(key + " ")]

@@ -104,3 +104,13 @@ def test_reader_rejects_truncated_payload(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="payload"):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_reader_rejects_a_time_that_is_not_finite(t, tmp_path):
+    path = tmp_path / "bad.dwsn"
+    state = make_state()
+    weight = WeightParams(4.0, 2.0)
+    write_snapshot(path, state.grid, t, state.u.values, state.ut.values, 4.0, weight)
+    with pytest.raises(ValueError, match="finite"):
+        read_snapshot(path)

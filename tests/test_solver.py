@@ -1072,6 +1072,33 @@ def test_blowup_drops_the_old_recorder_before_the_new(monkeypatch):
     assert peak <= 50
 
 
+def test_threaded_ensemble_blowups_leave_no_thread(monkeypatch):
+    # two members blow up at different steps; each blow-up closes the
+    # recorder's job thread before the survivors' recorder makes its own,
+    # so at most one job thread is alive and none outlives the run
+    made, counts = [], []
+
+    class Counted(diagnostics.JobThread):
+        def __init__(self, inline=False):
+            made.append(inline)
+            super().__init__(inline)
+
+    def counting_measure(*args):
+        counts.append(threading.active_count())
+        return diagnostics.measure(*args)
+
+    monkeypatch.setattr(solver, "JobThread", Counted)
+    monkeypatch.setattr(solver, "measure", counting_measure)
+    cfg, _ = _at_once_run()
+    datas = [(gaussian_field(cfg.grid, a, 3.0), zero_field(cfg.grid)) for a in (50.0, 0.05, 20.0)]
+    before = threading.active_count()
+    outcomes = run_ensemble([cfg] * 3, datas)
+    assert [o.blowup_time for o in outcomes] == pytest.approx([0.225, None, 0.325])
+    assert made == [False] * 3
+    assert counts and set(counts) == {before + 1}
+    assert threading.active_count() == before
+
+
 def test_ensemble_initial_overflow_stays_per_member():
     cfgs = [make_cfg(p=2.0, t_end=1.0), make_cfg(p=4.0, t_end=1.0)]
     grid = cfgs[0].grid

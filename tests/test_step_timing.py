@@ -29,6 +29,7 @@ def test_step_timing_prints_one_json_line():
     for key in ("snapshot_run", "audit_run", "decay_run", "fujita_run", "sweep_run"):
         assert list(result[key]) == ["wall_ms", "cpu_ms"]
         assert all(ms > 0.0 for ms in result[key].values())
+    assert result["jobs_us"] > 0.0
 
 
 def test_step_timing_rejects_no_repeats():
