@@ -138,8 +138,6 @@ def decay_profile(
         weight = WeightParams(offset=1.0, power=1.0)
 
     grid = u0.grid
-    # before the buffers, as its first import shapes the heap perfbench's calibration reads
-    jobs = JobThread(inline=bool(block_rows(grid.size)))
     # the cached |xi|^2 arrays before the buffers: perfbench's calibration reads this heap
     grid.freq_index()
     u_coeffs = grid.forward(u0.values)
@@ -157,6 +155,7 @@ def decay_profile(
         u_t, ut_t, work = (np.empty_like(u_coeffs) for _ in range(3))
         slots.append((u_t, ut_t, work, _floats(work, grid.shape)))
     scratch = Scratch.for_grid(grid)
+    jobs = JobThread(inline=bool(block_rows(grid.size)))
     shell = grid.boundary_index()
     series = TimeSeries()
 
