@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .config import ConfigError, load_setup
@@ -90,34 +91,20 @@ def _print_warnings(setup) -> None:
 
 
 def _exponents_verb(args) -> int:
-    lo, hi = admissible_range(args.dim)
-    print(f"p_fujita = {_G % fujita_exponent(args.dim)}")
-    print(f"p_admissible = ({_G % lo}, {'inf' if hi == float('inf') else _G % hi}]")
     try:
-        threshold = weight_power_threshold(args.dim, args.p)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"lambda_min = {_G % threshold}")
-    lam = args.lam if args.lam is not None else suggested_weight_power(args.dim, args.p)
-    print(f"lambda = {_G % lam}")
-    try:
+        lo, hi = admissible_range(args.dim)
+        print(f"p_fujita = {_G % fujita_exponent(args.dim)}")
+        print(f"p_admissible = ({_G % lo}, {'inf' if hi == float('inf') else _G % hi}]")
+        print(f"lambda_min = {_G % weight_power_threshold(args.dim, args.p)}")
+        lam = args.lam if args.lam is not None else suggested_weight_power(args.dim, args.p)
+        print(f"lambda = {_G % lam}")
         exps = interpolation_exponents(ProblemParams(args.dim, args.p, lam))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for name in (
-        "q",
-        "theta_gn",
-        "theta_weighted",
-        "mu",
-        "theta_lp",
-        "theta_l2p",
-        "budget_weighted",
-        "budget_lp",
-        "budget_l2p",
-    ):
-        print(f"{name} = {_G % getattr(exps, name)}")
+    for name, value in asdict(exps).items():
+        if name not in ("p_fujita", "p_max", "lambda_min"):  # printed above
+            print(f"{name} = {_G % value}")
     return 0
 
 

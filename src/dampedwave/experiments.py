@@ -243,6 +243,18 @@ def ckn_check(setup: RunSetup, out_dir) -> dict:
 # Sweeps
 # ---------------------------------------------------------------------------
 
+SWEEP_COLUMNS = ("p", "amplitude", "status", "blowup_time", "x_norm")
+
+
+def _cell(value) -> str:
+    """One ``sweep.csv`` field; an error message's text is kept in its cell and row."""
+    if value is None:
+        return "nan"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value).replace(",", ";").replace("\n", " ")
+
+
 def _override(setup: RunSetup, p: float, amplitude: float) -> RunSetup:
     pairs = dict(setup.raw)
     pairs.pop("sweep.p", None)
@@ -317,24 +329,9 @@ def sweep(setup: RunSetup, out_dir) -> list[dict]:
     rows = []
     for (p, amplitude), result in zip(points, results):
         if isinstance(result, Exception):
-            result = {"status": f"error: {result}", "blowup_time": None, "x_norm": None}
-        keys = ("status", "blowup_time", "x_norm")
-        rows.append({"p": p, "amplitude": amplitude, **{key: result[key] for key in keys}})
+            result = {**dict.fromkeys(SWEEP_COLUMNS), "status": f"error: {result}"}
+        rows.append({"p": p, "amplitude": amplitude, **{k: result[k] for k in SWEEP_COLUMNS[2:]}})
     with open(out_dir / "sweep.csv", "w", encoding="ascii") as fh:
-        fh.write("p,amplitude,status,blowup_time,x_norm\n")
-        for row in rows:
-            blowup = row["blowup_time"]
-            x_norm = row["x_norm"]
-            # error messages may carry commas or newlines; keep the row flat
-            status = str(row["status"]).replace(",", ";").replace("\n", " ")
-            fh.write(
-                "%.17g,%.17g,%s,%s,%s\n"
-                % (
-                    row["p"],
-                    row["amplitude"],
-                    status,
-                    "nan" if blowup is None else "%.17g" % blowup,
-                    "nan" if x_norm is None else "%.17g" % x_norm,
-                )
-            )
+        for cells in [SWEEP_COLUMNS, *(row.values() for row in rows)]:
+            fh.write(",".join(map(_cell, cells)) + "\n")
     return rows

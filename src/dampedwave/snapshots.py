@@ -13,14 +13,14 @@ Layout (all little-endian):
     lambda   f64       weight power
     payload  2 * points^dim f64: u then u_t, row-major
 
-Snapshots round-trip losslessly; the reader validates magic, version and
-payload length.
+Snapshots round-trip losslessly; the reader validates magic, version,
+the grid (before it sizes the payload) and payload length.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -35,6 +35,8 @@ _HEADER = struct.Struct("<4sHIIddddd")
 
 @dataclass(frozen=True)
 class SnapshotMeta:
+    """The header's fields, in file order after the magic."""
+
     version: int
     dim: int
     points: int
@@ -55,19 +57,11 @@ def write_snapshot(
     weight: WeightParams,
 ) -> None:
     """Write the fields (u, u_t) at time t in the layout above, from their own buffers."""
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        grid.dim,
-        grid.points,
-        grid.half_width,
-        t,
-        p,
-        weight.offset,
-        weight.power,
+    meta = SnapshotMeta(
+        VERSION, grid.dim, grid.points, grid.half_width, t, p, weight.offset, weight.power
     )
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_HEADER.pack(MAGIC, *astuple(meta)))
         fh.write(np.ascontiguousarray(u_values, dtype="<f8"))
         fh.write(np.ascontiguousarray(ut_values, dtype="<f8"))
 
@@ -77,31 +71,21 @@ def read_snapshot(path) -> tuple[LinearState, SnapshotMeta]:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
             raise ValueError(f"truncated snapshot header in {path}")
-        magic, version, dim, points, half_width, t, p, offset, power = _HEADER.unpack(raw)
+        magic, *fields = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r} in {path}")
-        if version != VERSION:
-            raise ValueError(f"unsupported snapshot version {version} in {path}")
+        meta = SnapshotMeta(*fields)
+        if meta.version != VERSION:
+            raise ValueError(f"unsupported snapshot version {meta.version} in {path}")
         payload = fh.read()
-    count = points**dim
-    expected = 2 * count * 8
+    grid = Grid(dim=meta.dim, half_width=meta.half_width, points=meta.points)
+    expected = 2 * grid.size * 8
     if len(payload) != expected:
         raise ValueError(
             f"snapshot payload is {len(payload)} bytes, expected {expected}"
         )
-    grid = Grid(dim=dim, half_width=half_width, points=points)
     flat = np.frombuffer(payload, dtype="<f8")
-    u = flat[:count].reshape(grid.shape).astype(np.float64)
-    ut = flat[count:].reshape(grid.shape).astype(np.float64)
-    meta = SnapshotMeta(
-        version=version,
-        dim=dim,
-        points=points,
-        half_width=half_width,
-        t=t,
-        p=p,
-        weight_offset=offset,
-        weight_power=power,
-    )
-    state = LinearState(t=t, u=RealField(grid, u), ut=RealField(grid, ut))
+    u = flat[: grid.size].reshape(grid.shape).astype(np.float64)
+    ut = flat[grid.size :].reshape(grid.shape).astype(np.float64)
+    state = LinearState(t=meta.t, u=RealField(grid, u), ut=RealField(grid, ut))
     return state, meta

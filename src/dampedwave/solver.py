@@ -68,6 +68,7 @@ from .weights import (
     Scratch,
     SnapshotIntegrals,
     WeightParams,
+    member_powers,
     snapshot_integrals,
     spectral_energy,
     weight_on_grid,
@@ -157,7 +158,6 @@ class Stepper:
         self.lag = multipliers(grid, self.cfg.dt)
         powers = self.powers = [cfg.p for cfg in cfgs]
         dealiased = self.dealiased = [cfg.dealias_active for cfg in cfgs]
-        self.one_power = len(set(powers)) == 1
         # every member's |u|^p stays below 1e300 while every peak is at
         # most this; NaN and larger peaks get the full check
         self.overflow_limit = 1e300 ** (1.0 / max(powers))
@@ -211,10 +211,10 @@ class Stepper:
         f = np.abs(u_values) if field is None else field
         overflow = None
         if peak <= self.overflow_limit:
-            self._power(f)
+            member_powers(f, self.powers)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                self._power(f)
+                member_powers(f, self.powers)
             finite = np.isfinite(f)
             if not finite.all():
                 overflow = ~finite.all(axis=self.axes)
@@ -223,15 +223,6 @@ class Stepper:
         for slab in self.slabs:
             f_hat[slab] = 0.0
         return f_hat, overflow
-
-    def _power(self, f: np.ndarray) -> None:
-        """|u|^p in place of |u| in ``f``, each member with its own p."""
-        if self.one_power:  # one exponent: one evaluation, no copies
-            f **= self.powers[0]
-        else:
-            for member, p in zip(f, self.powers):
-                # a scalar exponent per member keeps numpy's p = 2 square path
-                member **= p
 
     def advance(
         self, u_coeffs: np.ndarray, ut_coeffs: np.ndarray, kick: np.ndarray | None

@@ -300,6 +300,15 @@ class SnapshotIntegrals(NamedTuple):
     source_dt: float
 
 
+def member_powers(f: np.ndarray, powers: list[float]) -> np.ndarray:
+    """``f`` (|u| of a stack of members) raised in place to each member's
+    own power p; returns ``f``."""
+    for member, p in zip(f, powers):
+        # a scalar exponent per member keeps numpy's p = 2 square path
+        member **= p
+    return f
+
+
 def snapshot_integrals(
     grid: Grid,
     t: float,
@@ -321,10 +330,8 @@ def snapshot_integrals(
     in floating point)."""
     if scratch is None:
         scratch = Scratch.for_grid(grid, u_values.shape[:1])
-    signed = np.abs(u_values, out=scratch.density)
-    for member, u, p in zip(signed, u_values, powers):
-        member **= p
-        member *= u
+    signed = member_powers(np.abs(u_values, out=scratch.density), powers)
+    signed *= u_values
     h = grid.cell_volume
 
     def sums(products: np.ndarray) -> list[tuple[float, float]]:

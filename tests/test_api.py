@@ -17,8 +17,8 @@ def test_star_import():
 
 
 def test_import_loads_no_thread_pool_or_logging():
-    # the run loop's worker thread comes from threading, which numpy
-    # already loads; concurrent.futures would pull in logging
+    # the job thread comes from concurrent.futures, which pulls in
+    # logging; it is imported at the first threaded JobThread, not here
     code = (
         "import sys, dampedwave; "
         "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"

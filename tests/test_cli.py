@@ -378,3 +378,12 @@ def test_exponents_verb(capsys):
 
 def test_exponents_verb_rejects_critical_power(capsys):
     assert main(["exponents", "--dim", "1", "--p", "3.0"]) == 2
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_exponents_verb_rejects_a_dimension_below_one(dim, capsys):
+    assert main(["exponents", "--dim", dim, "--p", "3.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "dimension" in captured.err
+    assert "Traceback" not in captured.err

@@ -79,11 +79,11 @@ def test_simulate_artifacts_do_not_depend_on_the_seed(tmp_path, capsys):
 
 
 def test_artifact_trees_writes_each_call_into_its_own_tree(monkeypatch, tmp_path, capsys):
-    # the calls' list holds the benchmark workloads and four shipped-config
+    # the calls' list holds the benchmark workloads and five shipped-config
     # calls; one small simulate stands in for them here
     names = [call.name for call in artifact_trees.CALLS]
     assert names[:4] == ["fujita_1d", "linear_decay_2d", "audit_3d", "sweep_1d"]
-    assert len(names) == len(set(names)) == 8
+    assert len(names) == len(set(names)) == 9
     call = artifact_trees.Workload("small", "simulate", SMALL, ("--snapshots", "1.0"), why="")
     monkeypatch.setattr(artifact_trees, "CALLS", [call])
     for side in ("old", "new"):
@@ -94,3 +94,12 @@ def test_artifact_trees_writes_each_call_into_its_own_tree(monkeypatch, tmp_path
     written = {f.name for f in (tree / "small").iterdir()}
     assert {"report.json", "series.csv", "snapshots"} <= written
     assert compare_artifacts.main([str(tree), str(tmp_path / "new")]) == 0
+
+
+def test_artifact_trees_exponent_table_reads_the_calls_config():
+    small = artifact_trees.Workload("small", "simulate", SMALL, (), why="")
+    table = artifact_trees._exponents_table(small)
+    assert table.startswith("p_fujita = 3\n") and "\nlambda = 2\n" in table
+    below = SMALL.replace("problem.p = 4.0", "problem.p = 2.0")
+    table = artifact_trees._exponents_table(artifact_trees.Workload("below", "", below, (), ""))
+    assert table.splitlines()[-1].startswith("error: ")

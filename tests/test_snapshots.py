@@ -114,3 +114,14 @@ def test_reader_rejects_a_time_that_is_not_finite(t, tmp_path):
     write_snapshot(path, state.grid, t, state.u.values, state.ut.values, 4.0, weight)
     with pytest.raises(ValueError, match="finite"):
         read_snapshot(path)
+
+
+def test_reader_checks_the_header_before_sizing_the_payload(tmp_path):
+    # points**dim of an unchecked header would be a 6-million-digit integer
+    path = tmp_path / "bad.dwsn"
+    write_state(path, make_state(), p=4.0, weight=WeightParams(4.0, 2.0))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<II", blob, 6, 2_000_000, 1024)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="dim"):
+        read_snapshot(path)

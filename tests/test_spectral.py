@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dampedwave.diagnostics import spectral_l2
 from dampedwave.initial_data import gaussian_field, modulated_gaussian_field
 from dampedwave.spectral import (
+    BOUNDARY_FRACTION,
     BRANCH_TOL,
     Grid,
     RealField,
@@ -357,3 +358,9 @@ def test_boundary_contamination_flag():
     loud = quiet.copy()
     loud[0] = 1e-6
     assert boundary_contaminated(loud[shell], np.max(np.abs(loud)))
+
+
+def test_boundary_contamination_threshold_is_the_boundary_fraction():
+    peaks = np.array([2.0, 2.0])
+    edges = np.array([[0.0, 5.0], [0.5, 0.0]]) * BOUNDARY_FRACTION * peaks[:, None]
+    assert boundary_contaminated(edges, peaks).tolist() == [True, False]

@@ -325,6 +325,54 @@ def test_source_bound_audit_finite(tmp_path):
     assert audit.max_ratio > 0.0
 
 
+def _identity_rows(p: float) -> list[tuple]:
+    """MIN_AUDIT_SNAPSHOTS rows (t, E, S, S_dt, source, source_dt) whose
+    energy meets energy_audit's right side with c = 2/(p+1) exactly, S
+    rising and S_dt < 0, so every term of that side moves the energy."""
+    c = 2.0 / (p + 1.0)
+    times = np.linspace(0.0, 5.0, MIN_AUDIT_SNAPSHOTS)
+    signed, signed_dt = 1.0 + times, -np.exp(-times)
+    integral = [0.0]
+    for k in range(1, len(times)):
+        step = 0.5 * (times[k] - times[k - 1]) * (signed_dt[k] + signed_dt[k - 1])
+        integral.append(integral[-1] + step)
+    energies = 10.0 - c * signed[0] + c * signed - c * np.array(integral)
+    source, source_dt = 2.0 + times**2, np.exp(-times)
+    return list(zip(times, energies, signed, signed_dt, source, source_dt))
+
+
+def test_energy_audit_holds_on_rows_that_meet_its_identity():
+    audit = energy_audit(_identity_rows(3.0), 3.0)
+    assert audit.snapshots == MIN_AUDIT_SNAPSHOTS
+    assert audit.violation <= 1e-12
+
+
+def test_source_bound_audit_is_the_trapezoid_ratio():
+    from dampedwave.timeseries import COLUMNS, TimeSeries
+
+    p, rows = 3.0, _identity_rows(3.0)
+    series = TimeSeries()
+    for t in (0.0, 1.0):
+        series.append((t,) + (0.5,) * (len(COLUMNS) - 1))  # decay norm 4 * 0.5
+    numerator, integral = [rows[0][4]], 0.0
+    for before, after in zip(rows, rows[1:]):
+        integral += 0.5 * (after[0] - before[0]) * (after[5] + before[5])
+        numerator.append(after[4] + integral)
+    audit = source_bound_audit(rows, series, p)
+    assert audit.applicable
+    assert audit.max_ratio == pytest.approx(max(numerator) / 2.0 ** (p + 1.0), rel=1e-13)
+    assert audit.argmax_time == rows[-1][0]
+
+
+@pytest.mark.parametrize("t", [0.5, 3.0, 40.0])
+def test_weight_dt_is_the_time_derivative_of_the_weight(t):
+    w = WeightParams(2.0, 1.5)
+    r_sq = np.array([0.5, 4.0, 30.0])
+    h = 1e-4 * (1.0 + t)
+    central = (weight_value(t + h, r_sq, w) - weight_value(t - h, r_sq, w)) / (2.0 * h)
+    np.testing.assert_allclose(weight_dt(t, r_sq, w), central, rtol=1e-6)
+
+
 def test_source_bound_audit_zero_solution_not_applicable(tmp_path):
     grid = Grid(1, 40.0, 128)
     w = WeightParams(4.0, 2.0)
