@@ -167,6 +167,9 @@ def load_setup_text(text: str) -> RunSetup:
             raise ConfigError("required key is missing", key=key)
         else:
             values[key] = default(values) if callable(default) else convert(default)
+    for key in ("sweep.p", "sweep.amplitude"):
+        if len(set(values[key])) < len(values[key]):
+            raise ConfigError("repeated value", key=key, line=pairs[key][1])
 
     dim, lam = values["problem.dim"], values["weight.lambda"]
     try:

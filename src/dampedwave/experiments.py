@@ -28,11 +28,10 @@ from .exponents import (
 from .inequalities import gaussian_width_family, ratio_sweep
 from .initial_data import gaussian_field, modulated_gaussian_field, zero_field
 from .propagator import decay_profile
-from .solver import RunOutcome, RunStatus, run, run_ensemble
-from .timeseries import COLUMNS, TimeSeries, decay_fit
+from .solver import run, run_ensemble
+from .timeseries import TimeSeries, decay_fit
 from .weights import (
     MIN_AUDIT_SNAPSHOTS,
-    SlackAudit,
     decay_norm,
     energy_audit,
     slack_audit,
@@ -99,30 +98,25 @@ def _report(setup: RunSetup, out_dir: Path, audits: dict, outcome: dict, timings
     return report
 
 
-def _outcome_dict(status: str, series: TimeSeries, t_final: float) -> dict:
-    """A report's outcome; a blown-up series ends with its marker row at
-    the blow-up time."""
-    return {
+def _write_run(
+    setup: RunSetup, out_dir: Path, audits: dict, status: str, blowup_time: float | None,
+    series: TimeSeries, t_final: float, timings: dict, t0: float,
+) -> dict:
+    """Write a run's ``report.json``, its outcome built from ``status``,
+    ``blowup_time``, ``series`` and ``t_final`` and its ``timings`` ended
+    by ``total_s``, the time since ``t0``; then write its ``series.csv``
+    and return the report."""
+    outcome = {
         "status": status,
-        "blowup_time": (
-            series.rows[-1][COLUMNS.index("t")] if status == RunStatus.BLEW_UP else None
-        ),
+        "blowup_time": blowup_time,
         "t_final": t_final,
         "records": len(series),
         "x_norm": decay_norm(series) if series.finite_rows()["t"].size else None,
     }
-
-
-def _run_audits(setup: RunSetup, outcome: RunOutcome, slack: SlackAudit) -> dict:
-    """The weight-slack audit ``slack`` and, when the run took enough
-    snapshots, the trajectory audits."""
-    audits = {"weight_residual": slack.to_dict()}
-    rows = outcome.snapshots
-    p = setup.problem.p
-    if len(rows) >= MIN_AUDIT_SNAPSHOTS:
-        audits["energy"] = energy_audit(rows, p).to_dict()
-        audits["source_bound"] = source_bound_audit(rows, outcome.series, p).to_dict()
-    return audits
+    timings["total_s"] = time.perf_counter() - t0
+    report = _report(setup, out_dir, audits, outcome, timings)
+    series.to_csv(out_dir / "series.csv")
+    return report
 
 
 def simulate(setup: RunSetup, out_dir, snapshot_every: float | None = None) -> dict:
@@ -139,16 +133,15 @@ def simulate(setup: RunSetup, out_dir, snapshot_every: float | None = None) -> d
     snap_dir = None if snapshot_every is None else out_dir / "snapshots"
     outcome = run(setup.solver, data, snapshot_every=snapshot_every, snapshot_dir=snap_dir)
     run_s = time.perf_counter() - t0
-    audits = _run_audits(setup, outcome, slack_audit(setup.solver.t_end, setup.grid, setup.weight))
-    report = _report(
-        setup,
-        out_dir,
-        audits,
-        _outcome_dict(outcome.status.value, outcome.series, outcome.final_state.t),
-        {"run_s": run_s, "total_s": time.perf_counter() - t0},
+    slack = slack_audit(setup.solver.t_end, setup.grid, setup.weight)
+    audits, rows, p = {"weight_residual": slack.to_dict()}, outcome.snapshots, setup.problem.p
+    if len(rows) >= MIN_AUDIT_SNAPSHOTS:
+        audits["energy"] = energy_audit(rows, p).to_dict()
+        audits["source_bound"] = source_bound_audit(rows, outcome.series, p).to_dict()
+    return _write_run(
+        setup, out_dir, audits, outcome.status.value, outcome.blowup_time, outcome.series,
+        outcome.final_state.t, {"run_s": run_s}, t0,
     )
-    outcome.series.to_csv(out_dir / "series.csv")
-    return report
 
 
 def linear_decay(setup: RunSetup, out_dir) -> dict:
@@ -179,15 +172,9 @@ def linear_decay(setup: RunSetup, out_dir) -> dict:
             "expected": target,
             "deviation": slope - target,
         }
-    report = _report(
-        setup,
-        out_dir,
-        {"decay_fits": fits},
-        _outcome_dict("completed", series, float(times[-1])),
-        {"total_s": time.perf_counter() - t0},
+    return _write_run(
+        setup, out_dir, {"decay_fits": fits}, "completed", None, series, float(times[-1]), {}, t0
     )
-    series.to_csv(out_dir / "series.csv")
-    return report
 
 
 def energy_audit_experiment(setup: RunSetup, out_dir, snapshot_every: float | None = None) -> dict:
@@ -313,16 +300,11 @@ def sweep(setup: RunSetup, out_dir) -> list[dict]:
         try:
             if isinstance(outcome, Exception):
                 raise outcome
-            t_post = time.perf_counter()
-            audits = _run_audits(point_setup, outcome, slack)
-            results[index] = _report(
-                point_setup,
-                point_dirs[index],
-                audits,
-                _outcome_dict(outcome.status.value, outcome.series, outcome.final_state.t),
-                {"run_s": run_s, "total_s": run_s + time.perf_counter() - t_post},
+            results[index] = _write_run(
+                point_setup, point_dirs[index], {"weight_residual": slack.to_dict()},
+                outcome.status.value, outcome.blowup_time, outcome.series, outcome.final_state.t,
+                {"run_s": run_s}, time.perf_counter() - run_s,
             )["outcome"]
-            outcome.series.to_csv(point_dirs[index] / "series.csv")
         except Exception as exc:
             results[index] = exc
 

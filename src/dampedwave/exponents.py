@@ -56,7 +56,7 @@ def weight_power_threshold(dim: int, p: float) -> float:
     exponent.
     """
     lo, hi = admissible_range(dim)
-    if not (lo < p <= hi):
+    if not (lo < p <= hi and math.isfinite(p)):
         raise ValueError(
             f"p={p} outside the admissible range ({lo}, {hi}] for dim={dim}"
         )

@@ -415,7 +415,7 @@ def run_ensemble(
     member; both or neither), each snapshot is written to
     ``snap_{i:06d}.dwsn`` as it is taken and only its
     :class:`~dampedwave.weights.SnapshotIntegrals` row is kept.  A member
-    leaves the stacked arrays on its blow-up step; its final state is the
+    leaves the stacked arrays after its blow-up step; its final state is the
     end of that step if u is finite there, else its start.  A member whose
     source overflows at its initial data gets that ValueError in place of
     its outcome.
@@ -442,23 +442,33 @@ def run_ensemble(
     stepper = Stepper(cfgs)
     n_steps = int(round(cfg.t_end / cfg.dt))
 
-    step, overflow = stepper.start(datas)
+    step, leaving = stepper.start(datas)
     outcomes: list = [None] * len(cfgs)
-    if overflow is not None:
-        for row in np.flatnonzero(overflow):
+    if leaving is not None:
+        for row in np.flatnonzero(leaving):
             outcomes[row] = ValueError("the source overflows at the initial data")
-        if overflow.all():
-            return outcomes
-        members = [m for m, failed in zip(members, overflow) if not failed]
-        step = [None if stack is None else stack[~overflow] for stack in step]
-        del stepper  # the rows are copies: one set of step arrays at a time
-        stepper = Stepper([m.cfg for m in members])
     u_coeffs, ut_coeffs, u_values, kick, peaks = step
-    recorder = _Recorder(cfg, members)
+    recorder = None
     dt, record_every, threshold = cfg.dt, cfg.record_every, cfg.blowup_threshold
     next_snapshot = 0.0 if snapshot_every is not None else np.inf
     try:
         for n in range(n_steps + 1):
+            # members overflowed at t = 0 or blown up on the last step leave
+            # here; each set of arrays is dropped before the next is made
+            if leaving is not None:
+                if leaving.all():
+                    return outcomes
+                members = [m for m, left in zip(members, leaving) if not left]
+                if recorder is not None:
+                    recorder.jobs.close()
+                    recorder = None
+                step = [None if stack is None else stack[~leaving] for stack in step]
+                u_coeffs, ut_coeffs, u_values, kick, peaks = step
+                stepper = None
+                stepper = Stepper([m.cfg for m in members])
+                leaving = None
+            if recorder is None:
+                recorder = _Recorder(cfg, members)
             t = n * dt
             recorded = n % record_every == 0 or n == n_steps
             if t >= next_snapshot - 1e-12:
@@ -473,24 +483,13 @@ def run_ensemble(
             # the largest peak decides the step: NaN fails the comparison
             if not peak <= threshold:
                 recorder.flush()
-                peaks = step[-1]
-                blown = ~(peaks <= threshold)
-                for row in np.flatnonzero(blown):
-                    if np.isfinite(peaks[row]):
+                leaving = ~(step[-1] <= threshold)
+                for row in np.flatnonzero(leaving):
+                    if np.isfinite(step[-1][row]):
                         final = state_from_coeffs(grid, t + dt, step[0][row], step[1][row])
                     else:
                         final = state_from_coeffs(grid, t, u_coeffs[row], ut_coeffs[row])
                     outcomes[members[row].index] = members[row].outcome(final, t + 0.5 * dt)
-                if blown.all():
-                    return outcomes
-                members = [m for m, failed in zip(members, blown) if not failed]
-                recorder.jobs.close()
-                recorder = None  # one recorder's arrays at a time
-                recorder = _Recorder(cfg, members)
-                step = [None if stack is None else stack[~blown] for stack in step]
-                # no reference to the old step arrays outlives the old Stepper
-                del stepper, u_coeffs, ut_coeffs, u_values, kick
-                stepper = Stepper([m.cfg for m in members])
             u_coeffs, ut_coeffs, u_values, kick, peaks = step
         recorder.flush()
     finally:

@@ -292,7 +292,8 @@ def test_sweep_single_point_matches_simulate(grid_sweep, tmp_path, p, amplitude)
     assert main(["simulate", "--config", str(plain_cfg), "--out", str(tmp_path / "p")]) == 0
     assert (point / "series.csv").read_bytes() == (tmp_path / "p" / "series.csv").read_bytes()
     point_report = load_report(point)
-    assert point_report["outcome"] == load_report(tmp_path / "p")["outcome"]
+    # the whole report: the point's config is simulate's, key for key
+    assert strip_volatile(point_report) == strip_volatile(load_report(tmp_path / "p"))
     assert point_report["config"]["values"]["problem.p"] == repr(p)
     timings = point_report["timings"]
     assert 0.0 < timings["run_s"] <= timings["total_s"]
@@ -361,6 +362,25 @@ def test_sweep_points_with_equal_short_names_get_distinct_directories(tmp_path):
         assert load_report(out / name)["config"]["values"]["problem.p"] == repr(p)
 
 
+@pytest.mark.parametrize(
+    "lists, key",
+    [
+        ("sweep.p = 4.0, 4.0\nsweep.amplitude = 0.01\n", "sweep.p"),
+        ("sweep.p = 4.0\nsweep.amplitude = 0.01, 0.02, 1e-2\n", "sweep.amplitude"),
+    ],
+    ids=["p", "amplitude"],
+)
+def test_sweep_with_a_repeated_value_exits_2(tmp_path, capsys, lists, key):
+    # two equal points would write one directory under both names, so
+    # the config is refused before anything is written
+    cfg = write_cfg(tmp_path, SMALL + lists)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(key) in err and "repeated" in err
+    assert not out.exists()
+
+
 def test_sweep_without_lists_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -378,6 +398,16 @@ def test_exponents_verb(capsys):
 
 def test_exponents_verb_rejects_critical_power(capsys):
     assert main(["exponents", "--dim", "1", "--p", "3.0"]) == 2
+
+
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_exponents_verb_rejects_an_infinite_power(dim, capsys):
+    # the admissible range is (p_F, inf] for dim <= 2, but no weight
+    # power threshold is computed for an infinite p
+    assert main(["exponents", "--dim", dim, "--p", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert "lambda_min" not in captured.out and "lambda =" not in captured.out
+    assert captured.err.startswith("error: p=inf outside the admissible range")
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])

@@ -1072,6 +1072,27 @@ def test_blowup_drops_the_old_recorder_before_the_new(monkeypatch):
     assert peak <= 50
 
 
+def test_initial_overflow_drops_the_old_stepper_before_the_new(monkeypatch):
+    # the middle member's source overflows at its initial data, and the
+    # survivors step on from copies of their rows in a new Stepper; the
+    # second run peaks at 38.9 fields, where building the new Stepper
+    # before dropping the old one put it at 48.2
+    monkeypatch.setattr(solver, "JobThread", lambda inline: diagnostics.JobThread(inline=True))
+    cfg, _ = _at_once_run()
+    grid = cfg.grid
+    datas = [(gaussian_field(grid, a, 3.0), zero_field(grid)) for a in (0.05, 1e200, 0.05)]
+    run_ensemble([cfg] * 3, datas)
+    tracemalloc.start()
+    try:
+        outcomes = run_ensemble([cfg] * 3, datas)
+        peak = tracemalloc.get_traced_memory()[1] / (grid.size * 8)
+    finally:
+        tracemalloc.stop()
+    assert isinstance(outcomes[1], ValueError)
+    assert [o.status for o in outcomes[::2]] == [RunStatus.COMPLETED] * 2
+    assert peak <= 41
+
+
 def test_threaded_ensemble_blowups_leave_no_thread(monkeypatch):
     # two members blow up at different steps; each blow-up closes the
     # recorder's job thread before the survivors' recorder makes its own,
