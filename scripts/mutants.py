@@ -114,6 +114,20 @@ MUTANTS = [
         "            (1.0 + t) ** (quarter + 1.0) * l2_ut,\n",
         "tests/test_solver.py::test_record_blocks_equal_single_records",
     ),
+    Mutant(
+        "product_rule_half_rate",
+        "src/dampedwave/inequalities.py",
+        "2.0 * rate",
+        "rate",
+        "tests/test_inequalities.py::test_polynomial_gaussian_derivative",
+    ),
+    Mutant(
+        "residual_audit_half_radius",
+        "src/dampedwave/weights.py",
+        "AUDIT_RADIUS_MAX = 50.0",
+        "AUDIT_RADIUS_MAX = 25.0",
+        "tests/test_weights.py::test_streamed_residual_audit_equals_one_shot",
+    ),
 ]
 
 

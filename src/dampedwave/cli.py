@@ -20,14 +20,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .config import ConfigError, load_setup
-from .exponents import (
-    admissible_range,
-    fujita_exponent,
-    interpolation_exponents,
-    suggested_weight_power,
-    weight_power_threshold,
-    ProblemParams,
-)
+from .exponents import ProblemParams, interpolation_exponents, suggested_weight_power
 from . import experiments
 
 _G = "%.17g"
@@ -92,16 +85,15 @@ def _print_warnings(setup) -> None:
 
 def _exponents_verb(args) -> int:
     try:
-        lo, hi = admissible_range(args.dim)
-        print(f"p_fujita = {_G % fujita_exponent(args.dim)}")
-        print(f"p_admissible = ({_G % lo}, {'inf' if hi == float('inf') else _G % hi}]")
-        print(f"lambda_min = {_G % weight_power_threshold(args.dim, args.p)}")
         lam = args.lam if args.lam is not None else suggested_weight_power(args.dim, args.p)
-        print(f"lambda = {_G % lam}")
         exps = interpolation_exponents(ProblemParams(args.dim, args.p, lam))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(f"p_fujita = {_G % exps.p_fujita}")
+    print(f"p_admissible = ({_G % exps.p_fujita}, {_G % exps.p_max}]")
+    print(f"lambda_min = {_G % exps.lambda_min}")
+    print(f"lambda = {_G % lam}")
     for name, value in asdict(exps).items():
         if name not in ("p_fujita", "p_max", "lambda_min"):  # printed above
             print(f"{name} = {_G % value}")

@@ -14,6 +14,7 @@ prominent warning but are accepted: the blow-up experiments need them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .exponents import (
@@ -189,6 +190,7 @@ def load_setup_text(text: str) -> RunSetup:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
+    _check_data(values, pairs)
 
     data = DataSpec(*(values[f"data.{f.name}"] for f in fields(DataSpec)))
     return RunSetup(
@@ -203,6 +205,23 @@ def load_setup_text(text: str) -> RunSetup:
         warnings=_range_warnings(problem),
         raw={key: value for key, (value, _) in pairs.items()},
     )
+
+
+def _check_data(values: dict, pairs: dict) -> None:
+    """Refuse the data and fit values that no solver object checks."""
+    half = values["grid.L"]
+    rules = {
+        "data.amplitude": (math.isfinite, "be finite"),
+        "data.width": (lambda v: 0.0 < v < math.inf, "be positive and finite"),
+        "data.center": (lambda v: -half <= v < half, f"lie in the box [-{half}, {half})"),
+        "data.u1_amplitude": (math.isfinite, "be finite"),
+        "data.u1_width": (lambda v: 0.0 < v < math.inf, "be positive and finite"),
+        "fit.t_min": (math.isfinite, "be finite"),
+    }
+    for key, (holds, rule) in rules.items():
+        if not holds(values[key]):
+            line = pairs[key][1] if key in pairs else None
+            raise ConfigError(f"must {rule}, got {values[key]}", key=key, line=line)
 
 
 def load_setup(path) -> RunSetup:

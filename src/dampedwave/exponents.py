@@ -19,6 +19,7 @@ from dataclasses import dataclass
 # Absolute tolerance for the floating-point equality tests in the CKN
 # admissibility conditions (the underlying relations are exact algebra).
 BALANCE_TOL = 1e-12
+WEIGHT_POWER_MARGIN = 0.1  # of suggested_weight_power, relative to the threshold
 
 
 def fujita_exponent(dim: int) -> float:
@@ -73,9 +74,9 @@ def weight_power_threshold(dim: int, p: float) -> float:
     return max(terms)
 
 
-def suggested_weight_power(dim: int, p: float, margin: float = 0.1) -> float:
-    """Weight power comfortably above the threshold: threshold*(1+margin)."""
-    return weight_power_threshold(dim, p) * (1.0 + margin)
+def suggested_weight_power(dim: int, p: float) -> float:
+    """Weight power comfortably above the threshold: threshold*(1+WEIGHT_POWER_MARGIN)."""
+    return weight_power_threshold(dim, p) * (1.0 + WEIGHT_POWER_MARGIN)
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import hermite as _hermite
+from numpy.polynomial import polynomial as _power_series
 
 from .exponents import CknParams, ckn_admissible
 
 KINDS = ("gaussian", "bump", "polynomial_gaussian", "hermite_gaussian")
+
+# Every kind but the bump is A * P(s) * exp(-c s^2) with s = (x - center)/width
+# and P = 1, s^degree or the Hermite polynomial H_degree: kind -> the
+# evaluate and differentiate pair of P's basis, and c.
+_ENVELOPES = {
+    "gaussian": (_power_series.polyval, _power_series.polyder, 1.0),
+    "polynomial_gaussian": (_power_series.polyval, _power_series.polyder, 1.0),
+    "hermite_gaussian": (_hermite.hermval, _hermite.hermder, 0.5),
+}
 
 
 @dataclass(frozen=True)
@@ -54,17 +64,20 @@ class TestFunction:
         if self.degree < 0:
             raise ValueError(f"degree must be nonnegative, got {self.degree}")
 
+    def _envelope(self, s):
+        """P(s), P'(s) and exp(-c s^2) of a Gaussian-envelope kind, and c."""
+        evaluate, differentiate, rate = _ENVELOPES[self.kind]
+        coeffs = np.zeros(1 if self.kind == "gaussian" else self.degree + 1)
+        coeffs[-1] = 1.0
+        envelope = np.exp(-rate * s**2)
+        return evaluate(s, coeffs), evaluate(s, differentiate(coeffs)), envelope, rate
+
     def __call__(self, x) -> np.ndarray:
         s = (np.asarray(x, dtype=float) - self.center) / self.width
-        if self.kind == "gaussian":
-            return self.amplitude * np.exp(-(s**2))
-        if self.kind == "polynomial_gaussian":
-            return self.amplitude * s**self.degree * np.exp(-(s**2))
-        if self.kind == "hermite_gaussian":
-            coeffs = np.zeros(self.degree + 1)
-            coeffs[self.degree] = 1.0
-            return self.amplitude * _hermite.hermval(s, coeffs) * np.exp(-0.5 * s**2)
-        # bump: compactly supported on |s| < 1, normalized to amplitude at 0
+        if self.kind != "bump":
+            poly, _, envelope, _ = self._envelope(s)
+            return self.amplitude * poly * envelope
+        # compactly supported on |s| < 1, normalized to amplitude at 0
         out = np.zeros_like(s)
         inside = np.abs(s) < 1.0
         si = s[inside]
@@ -73,31 +86,9 @@ class TestFunction:
 
     def derivative(self, x) -> np.ndarray:
         s = (np.asarray(x, dtype=float) - self.center) / self.width
-        if self.kind == "gaussian":
-            return self.amplitude * (-2.0 * s) * np.exp(-(s**2)) / self.width
-        if self.kind == "polynomial_gaussian":
-            d = self.degree
-            poly = -2.0 * s ** (d + 1)
-            if d > 0:
-                poly = poly + d * s ** (d - 1)
-            return self.amplitude * poly * np.exp(-(s**2)) / self.width
-        if self.kind == "hermite_gaussian":
-            d = self.degree
-            coeffs = np.zeros(d + 1)
-            coeffs[d] = 1.0
-            h_d = _hermite.hermval(s, coeffs)
-            if d > 0:
-                lower = np.zeros(d)
-                lower[d - 1] = 1.0
-                h_prime = 2.0 * d * _hermite.hermval(s, lower)
-            else:
-                h_prime = np.zeros_like(s)
-            return (
-                self.amplitude
-                * (h_prime - s * h_d)
-                * np.exp(-0.5 * s**2)
-                / self.width
-            )
+        if self.kind != "bump":
+            poly, slope, envelope, rate = self._envelope(s)
+            return self.amplitude * (slope - 2.0 * rate * s * poly) * envelope / self.width
         out = np.zeros_like(s)
         inside = np.abs(s) < 1.0
         si = s[inside]
@@ -115,10 +106,7 @@ class TestFunction:
         if self.kind == "bump":
             return abs(self.center) + self.width
         slack = math.sqrt(self.degree + 1.0)
-        if self.kind == "hermite_gaussian":
-            reach = math.sqrt(2.0 * 120.0 / power)
-        else:
-            reach = math.sqrt(120.0 / power)
+        reach = math.sqrt(120.0 / (_ENVELOPES[self.kind][2] * power))
         return abs(self.center) + self.width * (reach + 2.0 * slack)
 
     def rescaled(self, mu: float) -> "TestFunction":
@@ -251,10 +239,6 @@ def ratio_sweep(
     return SweepReport(ratios=ratios, max_ratio=float(ratios[worst]), argmax=family[worst])
 
 
-def gaussian_width_family(
-    log2_min: int = -5, log2_max: int = 5, per_octave: int = 1
-) -> list[TestFunction]:
-    exponents = np.linspace(
-        log2_min, log2_max, (log2_max - log2_min) * per_octave + 1
-    )
-    return [TestFunction("gaussian", width=float(2.0**e)) for e in exponents]
+def gaussian_width_family() -> list[TestFunction]:
+    """Gaussians of widths 2^-5, 2^-4, ..., 2^5."""
+    return [TestFunction("gaussian", width=2.0**e) for e in range(-5, 6)]

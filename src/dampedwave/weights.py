@@ -37,6 +37,11 @@ from .spectral import Grid, gather
 # fewer skip them.
 MIN_AUDIT_SNAPSHOTS = 50
 
+# The parameter box that residual_audit samples.
+AUDIT_T_MAX = 100.0
+AUDIT_RADIUS_MAX = 50.0
+AUDIT_POWER_MAX = 10.0
+
 
 @dataclass(frozen=True)
 class WeightParams:
@@ -118,17 +123,11 @@ class ResidualAudit:
         return {**asdict(self), "passed": self.passed}
 
 
-def residual_audit(
-    samples: int = 1_000_000,
-    seed: int = 0,
-    t_max: float = 100.0,
-    radius_max: float = 50.0,
-    power_max: float = 10.0,
-) -> ResidualAudit:
+def residual_audit(samples: int = 1_000_000, seed: int = 0) -> ResidualAudit:
     """Monte-Carlo audit of the slack over the full parameter box.
 
-    Samples t in [0, t_max], |x| <= radius_max, power in (0, power_max],
-    offset in [power/2, 10*power], and additionally evaluates the
+    Samples t in [0, AUDIT_T_MAX], |x| <= AUDIT_RADIUS_MAX, power in
+    (0, AUDIT_POWER_MAX], offset in [power/2, 10*power], and evaluates the
     equality corner offset = power/2, x = 0, t = 0 for a few small
     powers where the arithmetic is exact in floating point.
 
@@ -138,10 +137,10 @@ def residual_audit(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, t_max, samples)
-    r_sq = rng.uniform(0.0, radius_max, samples) ** 2
-    power = rng.uniform(0.0, power_max, samples)
-    power = np.where(power == 0.0, power_max, power)  # (0, power_max]
+    t = rng.uniform(0.0, AUDIT_T_MAX, samples)
+    r_sq = rng.uniform(0.0, AUDIT_RADIUS_MAX, samples) ** 2
+    power = rng.uniform(0.0, AUDIT_POWER_MAX, samples)
+    power = np.where(power == 0.0, AUDIT_POWER_MAX, power)  # (0, max]
     offset = rng.uniform(0.5, 10.0, samples) * power
     residual = weight_residual(t, r_sq, WeightParams(offset, power, validate=False))
     min_residual = np.min(residual)  # NaN propagates

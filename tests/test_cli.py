@@ -111,6 +111,16 @@ def test_missing_key_exits_2(tmp_path, capsys):
     ("weight.A", "inf"),
     ("solver.blowup_threshold", "inf"),
     ("problem.p", "inf"),
+    ("data.width", "-1"),
+    ("data.width", "0"),
+    ("data.width", "nan"),
+    ("data.u1_width", "0"),
+    ("data.amplitude", "nan"),
+    ("data.u1_amplitude", "inf"),
+    ("data.center", "inf"),
+    ("data.center", "1e300"),
+    ("data.center", "20.0"),
+    ("fit.t_min", "nan"),
 ])
 def test_non_finite_setting_exits_2_before_any_step(tmp_path, capsys, key, value):
     lines = [l for l in SUBFUJITA.read_text().splitlines() if not l.startswith(key + " ")]
@@ -118,6 +128,20 @@ def test_non_finite_setting_exits_2_before_any_step(tmp_path, capsys, key, value
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, name, key, value", [
+    ("sweep", "sweep_phase_n1", "data.width", "-1"),
+    ("linear-decay", "linear_decay_n1", "fit.t_min", "nan"),
+])
+def test_data_setting_is_refused_before_sweep_and_linear_decay(tmp_path, capsys, verb, name, key, value):
+    shipped = FUJITA.with_name(f"{name}.cfg").read_text().splitlines()
+    lines = [l for l in shipped if not l.startswith(key + " ")]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]))
+    out = tmp_path / "o"
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: key {key!r}")
     assert not out.exists()
 
 
@@ -394,6 +418,19 @@ def test_exponents_verb(capsys):
     assert "lambda_min = 1.75" in out
     assert "theta_weighted = 0.5" in out
     assert "budget_l2p = -1.75" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["--p", "3.0"],
+    ["--p", "4", "--lambda", "1.0"],
+    ["--p", "4", "--lambda", "inf"],
+    ["--p", "4", "--lambda", "nan"],
+])
+def test_exponents_verb_prints_no_table_on_error(args, capsys):
+    assert main(["exponents", "--dim", "1", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_exponents_verb_rejects_critical_power(capsys):

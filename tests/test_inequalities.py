@@ -85,11 +85,28 @@ def test_hermite_profile_matches_recurrence():
 
 
 def test_polynomial_gaussian_derivative():
-    u = TestFunction("polynomial_gaussian", width=1.5, degree=3)
+    # the product rule of A * P(s) * exp(-c s^2) for both polynomial bases
     x = np.linspace(-4, 4, 41)
     h = 1e-6
-    numeric = (u(x + h) - u(x - h)) / (2 * h)
-    np.testing.assert_allclose(u.derivative(x), numeric, rtol=1e-7, atol=1e-9)
+    for kind in ("polynomial_gaussian", "hermite_gaussian"):
+        for degree in range(6):
+            u = TestFunction(kind, width=1.5, degree=degree)
+            numeric = (u(x + h) - u(x - h)) / (2 * h)
+            np.testing.assert_allclose(
+                u.derivative(x), numeric, rtol=1e-7, atol=1e-9, err_msg=f"{kind} {degree}"
+            )
+
+
+def test_plain_gaussian_floats_are_the_closed_form():
+    # the ckn-check verb and its acceptance criterion use only this kind
+    amplitude, width, center = 1.3, 1.7, 0.2
+    u = TestFunction("gaussian", amplitude=amplitude, width=width, center=center)
+    x = np.linspace(-10.0, 10.0, 2001)
+    s = (x - center) / width
+    assert np.array_equal(u(x), amplitude * np.exp(-(s**2)))
+    assert np.array_equal(
+        u.derivative(x), amplitude * (-2.0 * s) * np.exp(-(s**2)) / width
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ spec.loader.exec_module(mutants)
 def test_each_mutant_text_occurs_once_under_src():
     # a rename fails here instead of silently dropping a mutant
     sources = {path: path.read_text(encoding="utf-8") for path in (ROOT / "src").rglob("*.py")}
-    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) == 9
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) == 11
     for mutant in mutants.MUTANTS:
         assert mutant.old != mutant.new
         counts = {path: text.count(mutant.old) for path, text in sources.items()}
